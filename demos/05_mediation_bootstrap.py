@@ -1,7 +1,9 @@
 """Mediation analysis: effect decomposition and bootstrap intervals.
 
 Total effects factor as (I - B)^-1 Gamma; subtracting the direct edge
-leaves the mediated part. Percentile bootstrap (case resampling, refit
+leaves the mediated part. A SRC:MED:DST triple reports the part that
+passes through MED; here PerVa is the only mediator, so the two agree.
+Percentile bootstrap (case resampling, refit
 per replicate) gives the interval bounds the verdicts are read from.
 """
 
@@ -36,7 +38,7 @@ report.add("mediation", "mediation", {
     "effects": [
         {**{k: getattr(d, k) for k in (
             "source", "target", "mediator", "total", "direct", "indirect",
-            "total_bounds", "direct_bounds", "indirect_bounds",
+            "total_indirect", "total_bounds", "direct_bounds", "indirect_bounds",
             "level", "method", "n_replicates", "n_dropped")},
          "verdict": d.mediation_verdict()}
         for d in decs

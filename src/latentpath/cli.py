@@ -21,7 +21,7 @@ import numpy as np
 from . import efa as efa_mod
 from . import fit_indices
 from .data import Dataset, covariance, load_table, save_table
-from .effects import bootstrap_ci, classify_hypotheses, delta_ci
+from .effects import EffectDecomposition, bootstrap_ci, classify_hypotheses, delta_ci
 from .errors import (
     DataError,
     EstimationError,
@@ -203,6 +203,20 @@ def _reliability_payload(dataset: Dataset, constructs: list[tuple[str, list[str]
     return {"constructs": blocks}
 
 
+def _mediation_payload(decs: list[EffectDecomposition]) -> dict:
+    return {
+        "effects": [
+            {**{k: getattr(d, k) for k in (
+                "source", "target", "mediator", "total", "direct", "indirect",
+                "total_indirect", "total_bounds", "direct_bounds", "indirect_bounds",
+                "level", "method", "n_replicates", "n_dropped")},
+             "verdict": d.mediation_verdict()}
+            for d in decs
+        ],
+        "additivity_tolerance": 0.002,
+    }
+
+
 def _derive_mediation_triples(spec: ModelSpec) -> list[tuple[str, str, str]]:
     """Single-edge chains src -> med -> dst among the model's latents."""
     edges = {(r.predictor, r.dependent) for r in spec.regressions}
@@ -347,22 +361,11 @@ def _cmd_mediate(args) -> int:
         moments = covariance(dataset, divisor=args.divisor)
         result = fit(spec, moments, opts, standardize_latents=args.std_lv)
         decs = delta_ci(result, effects, level=args.level)
-    payload = {
-        "effects": [
-            {**{k: getattr(d, k) for k in (
-                "source", "target", "mediator", "total", "direct", "indirect",
-                "total_bounds", "direct_bounds", "indirect_bounds",
-                "level", "method", "n_replicates", "n_dropped")},
-             "verdict": d.mediation_verdict()}
-            for d in decs
-        ],
-        "additivity_tolerance": 0.002,
-    }
     prov = provenance(args.model, args.data, seed=seed, options=opts)
     prov["covariance_divisor"] = args.divisor
     prov["bootstrap"] = {"replicates": args.boot, "level": args.level}
     report = Report(prov, args.stars)
-    report.add("mediation", "mediation", payload)
+    report.add("mediation", "mediation", _mediation_payload(decs))
     _emit(report, args)
     return 0
 
@@ -449,17 +452,7 @@ def _cmd_report(args) -> int:
             seed=seed, opts=opts, standardize_latents=args.std_lv,
             workers=args.workers,
         )
-        report.add("mediation", "mediation", {
-            "effects": [
-                {**{k: getattr(d, k) for k in (
-                    "source", "target", "mediator", "total", "direct", "indirect",
-                    "total_bounds", "direct_bounds", "indirect_bounds",
-                    "level", "method", "n_replicates", "n_dropped")},
-                 "verdict": d.mediation_verdict()}
-                for d in decs
-            ],
-            "additivity_tolerance": 0.002,
-        })
+        report.add("mediation", "mediation", _mediation_payload(decs))
     if spec.labels:
         verdicts = classify_hypotheses(result)
         report.add("hypotheses", "hypotheses",
@@ -562,3 +555,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -3,10 +3,13 @@
 Total effects over an acyclic path model follow from the geometric series
 of the endogenous path matrix: (I - B)^-1 Gamma collects every directed
 route from an exogenous source to an endogenous target, direct effects
-are the single-edge routes, and the indirect part is their difference.
-Interval estimates come from nonparametric case-resampling bootstrap
-(percentile intervals) or, for the indirect term alone, the first-order
-variance formula for a product of two estimates.
+are the single-edge routes, and the total indirect part is their
+difference. The specific indirect effect of a source through one mediator
+is total(source -> mediator) * total(mediator -> target), the sum over
+the routes that pass through that mediator. Interval estimates come from
+nonparametric case-resampling bootstrap (percentile intervals) or, for
+the indirect term alone, the first-order variance formula for a product
+of two estimates.
 """
 
 from __future__ import annotations
@@ -41,22 +44,25 @@ class EffectMatrices:
     def indirect_endo(self) -> np.ndarray:
         return self.total_endo - self.direct_endo
 
-    def effect(self, source: str, target: str) -> tuple[float, float, float]:
-        """(total, direct, indirect) for one source -> target pair."""
+    def effect(self, source: str, target: str,
+               mediator: str | None = None) -> tuple[float, float, float]:
+        """(total, direct, indirect) for one source -> target pair.
+
+        Without a mediator, indirect is the total indirect effect; with
+        one, it is the effect through that mediator alone.
+        """
         i = self.eta_names.index(target)
         if source in self.xi_names:
             j = self.xi_names.index(source)
-            return (
-                float(self.total_exo[i, j]),
-                float(self.direct_exo[i, j]),
-                float(self.indirect_exo[i, j]),
-            )
-        j = self.eta_names.index(source)
-        return (
-            float(self.total_endo[i, j]),
-            float(self.direct_endo[i, j]),
-            float(self.indirect_endo[i, j]),
-        )
+            total, direct = self.total_exo[i, j], self.direct_exo[i, j]
+        else:
+            j = self.eta_names.index(source)
+            total, direct = self.total_endo[i, j], self.direct_endo[i, j]
+        if mediator is None:
+            indirect = total - direct
+        else:
+            indirect = self.effect(source, mediator)[0] * self.effect(mediator, target)[0]
+        return float(total), float(direct), float(indirect)
 
 
 def decompose(B: np.ndarray, Gamma: np.ndarray,
@@ -85,8 +91,11 @@ def decompose(B: np.ndarray, Gamma: np.ndarray,
 def decompose_fit(result: FitResult) -> EffectMatrices:
     """Effect decomposition at a FitResult's estimates."""
     m = result.matrices
-    mats = m.matrices_at(result.theta)
-    return decompose(mats["beta"], mats["gamma"], m.eta_names, m.xi_names)
+    eta, xi = m.spec.endogenous, m.spec.exogenous
+    A = m.A.materialize(result.theta)
+    endo = slice(m.n_observed, m.n_observed + len(eta))
+    exo = slice(endo.stop, None)
+    return decompose(A[endo, endo], A[endo, exo], eta, xi)
 
 
 def delta_variance(gamma: float, b: float, var_gamma: float, var_b: float) -> float:
@@ -109,7 +118,8 @@ class EffectDecomposition:
     mediator: str | None
     total: float
     direct: float
-    indirect: float
+    indirect: float  # through ``mediator`` when one is named
+    total_indirect: float  # total - direct: through every mediator
     total_bounds: tuple[float, float] | None
     direct_bounds: tuple[float, float] | None
     indirect_bounds: tuple[float, float] | None
@@ -120,7 +130,7 @@ class EffectDecomposition:
 
     @property
     def additivity_gap(self) -> float:
-        return abs(self.total - self.direct - self.indirect)
+        return abs(self.total - self.direct - self.total_indirect)
 
     def mediation_verdict(self) -> str:
         """none / partial / full from the interval sign patterns."""
@@ -137,8 +147,8 @@ class EffectDecomposition:
 
 
 def _bootstrap_replicate(args):
-    """One case-resampling refit; returns per-pair effect triples or None."""
-    (X, names, spec, pairs, opts, standardize_latents, seed) = args
+    """One case-resampling refit; returns per-route effect triples or None."""
+    (X, names, spec, routes, opts, standardize_latents, seed) = args
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, X.shape[0], X.shape[0])
     sample = X[idx]
@@ -151,7 +161,7 @@ def _bootstrap_replicate(args):
     if not res.converged:
         return None
     eff = decompose_fit(res)
-    return [eff.effect(src, dst) for src, dst in pairs]
+    return [eff.effect(src, dst, med) for src, med, dst in routes]
 
 
 def bootstrap_ci(
@@ -180,18 +190,13 @@ def bootstrap_ci(
         raise ValueError("level must be inside (0, 1)")
     opts = opts or EstimationOptions()
 
-    pairs = []
-    mediators = []
+    routes = []  # (source, mediator or None, target)
     for item in effects:
         if len(item) == 3:
-            src, med, dst = item
-            _validate_mediator(spec, src, med, dst)
-            pairs.append((src, dst))
-            mediators.append(med)
+            _validate_mediator(spec, *item)
+            routes.append(tuple(item))
         else:
-            src, dst = item
-            pairs.append((src, dst))
-            mediators.append(None)
+            routes.append((item[0], None, item[1]))
 
     keep = ~dataset.missing.any(axis=1)
     X = dataset.values[keep]
@@ -203,7 +208,7 @@ def bootstrap_ci(
     full_eff = decompose_fit(full)
 
     tasks = [
-        (X, names, spec, pairs, opts, standardize_latents, seed + r)
+        (X, names, spec, routes, opts, standardize_latents, seed + r)
         for r in range(replicates)
     ]
     if workers > 1:
@@ -225,9 +230,9 @@ def bootstrap_ci(
 
     alpha = (1.0 - level) / 2.0
     out = []
-    draws = np.asarray(kept)  # (kept, n_pairs, 3)
-    for k, ((src, dst), med) in enumerate(zip(pairs, mediators)):
-        tot, dire, ind = full_eff.effect(src, dst)
+    draws = np.asarray(kept)  # (kept, n_routes, 3)
+    for k, (src, med, dst) in enumerate(routes):
+        tot, dire, ind = full_eff.effect(src, dst, med)
         bounds = []
         for comp in range(3):
             vals = draws[:, k, comp]
@@ -235,7 +240,7 @@ def bootstrap_ci(
             bounds.append((float(lo), float(hi)))
         out.append(EffectDecomposition(
             source=src, target=dst, mediator=med,
-            total=tot, direct=dire, indirect=ind,
+            total=tot, direct=dire, indirect=ind, total_indirect=tot - dire,
             total_bounds=bounds[0], direct_bounds=bounds[1],
             indirect_bounds=bounds[2],
             level=level, method="percentile-bootstrap",
@@ -262,7 +267,7 @@ def delta_ci(
     out = []
     for src, med, dst in effects:
         _validate_mediator(result.matrices.spec, src, med, dst)
-        tot, dire, ind = eff.effect(src, dst)
+        tot, dire, ind = eff.effect(src, dst, med)
         a_lab, b_lab = f"{med}~{src}", f"{dst}~{med}"
         if a_lab not in est or b_lab not in est:
             raise EstimationError(
@@ -276,7 +281,7 @@ def delta_ci(
         sd_tot = np.sqrt(var_ind + var_dir)
         out.append(EffectDecomposition(
             source=src, target=dst, mediator=med,
-            total=tot, direct=dire, indirect=ind,
+            total=tot, direct=dire, indirect=ind, total_indirect=tot - dire,
             total_bounds=(tot - z * sd_tot, tot + z * sd_tot),
             direct_bounds=(dire - z * sd_dir, dire + z * sd_dir),
             indirect_bounds=(ind - z * sd_ind, ind + z * sd_ind),

@@ -20,8 +20,9 @@ class ModelSyntaxError(LatentPathError):
 class ModelSpecificationError(LatentPathError):
     """Structurally valid syntax that violates a model invariant.
 
-    Duplicate indicators, undeclared latents, cyclic regression graphs,
-    covariances that cross the exogenous/endogenous indicator blocks.
+    Duplicate indicators or latents, undeclared names, duplicate paths or
+    covariances, cyclic regression graphs, a variable order that does not
+    match the model's indicators, a mediator on no route of its effect.
     """
 
 

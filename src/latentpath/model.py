@@ -1,4 +1,4 @@
-"""Model-specification language: parsing, matrix compilation, df accounting.
+"""Model-specification language: parsing, compilation to RAM form, df accounting.
 
 The language is line-oriented. ``#`` starts a comment, blank lines are
 ignored, and each remaining line is one statement::
@@ -15,8 +15,9 @@ order never matters: parsing canonicalizes latents by name, regressions by
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -285,7 +286,7 @@ def parse_model(text: str) -> ModelSpec:
 
 
 def _check_acyclic(regressions: list[Regression]) -> None:
-    """Reject directed cycles among latents so I - B is always invertible."""
+    """Reject directed cycles among latents so I - A is always invertible."""
     graph: dict[str, set[str]] = {}
     for reg in regressions:
         graph.setdefault(reg.predictor, set()).add(reg.dependent)
@@ -313,52 +314,83 @@ def _check_acyclic(regressions: list[Regression]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix compilation
+# Compilation to RAM form
+
+#: parameter kinds of the variances; the other kinds are "loading", "path",
+#: "latent_covariance" and "error_covariance"
+VARIANCE_KINDS = frozenset({"latent_variance", "disturbance_variance", "error_variance"})
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One free parameter: its public label, its kind, the two variables it joins.
+
+    ``lhs, rhs`` are (latent, indicator) for a loading, (dependent,
+    predictor) for a path, and the sorted pair for a (co)variance.
+    """
+
+    label: str
+    kind: str
+    lhs: str
+    rhs: str
 
 
 @dataclass
 class MatrixTemplate:
-    """One parameter matrix: fixed baseline values plus free-entry indices.
+    """A square matrix of fixed values, some of whose cells are free parameters.
 
-    ``index[i, j]`` is the position of the free parameter occupying that
-    cell, or -1 when the cell is a fixed constant from ``values``.
+    ``index[i, j]`` is the position in theta of the parameter occupying
+    that cell, or -1 when the cell is the fixed constant ``values[i, j]``.
     """
 
     values: np.ndarray
     index: np.ndarray
+    # the free cells, and the position in theta of each
+    rows: np.ndarray = field(init=False, repr=False)
+    cols: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rows, self.cols = np.nonzero(self.index >= 0)
+        self.slots = self.index[self.rows, self.cols]
 
     def materialize(self, theta: np.ndarray) -> np.ndarray:
         out = self.values.copy()
-        mask = self.index >= 0
-        out[mask] = theta[self.index[mask]]
+        out[self.rows, self.cols] = theta[self.slots]
         return out
 
 
 @dataclass
 class ParamMatrices:
-    """Compiled parameter matrices with a flat free-parameter index map."""
+    """A model compiled to RAM form (McArdle & McDonald, 1984).
 
-    lambda_y: MatrixTemplate
-    lambda_x: MatrixTemplate
-    beta: MatrixTemplate
-    gamma: MatrixTemplate
-    phi: MatrixTemplate
-    psi: MatrixTemplate
-    theta_eps: MatrixTemplate
-    theta_delta: MatrixTemplate
-    theta_index: dict[str, int]
-    eta_names: list[str]
-    xi_names: list[str]
-    y_names: list[str]
-    x_names: list[str]
+    The variables are the p observed ones in ``variable_order``, then the
+    latents, endogenous before exogenous. ``A`` holds the directed
+    effects, loadings at ``[indicator, latent]`` and paths at
+    ``[dependent, predictor]``; the symmetric ``S`` holds every variance
+    and covariance. With E = (I - A)^-1, the covariance of all variables is
+    E S E' and that of the observed ones is its top-left p x p block.
+    """
+
+    A: MatrixTemplate
+    S: MatrixTemplate
+    parameters: list[Parameter]  # in theta order
     variable_order: list[str]
-    permutation: np.ndarray  # variable_order[i] = block_order[permutation[i]]
+    spec: ModelSpec
     standardized_latents: bool = False
-    spec: ModelSpec | None = None
+
+    @property
+    def latent_names(self) -> list[str]:
+        return self.spec.endogenous + self.spec.exogenous
+
+    @property
+    def variables(self) -> list[str]:
+        """Row and column names of A and S."""
+        return self.variable_order + self.latent_names
 
     @property
     def n_free(self) -> int:
-        return len(self.theta_index)
+        return len(self.parameters)
 
     @property
     def n_observed(self) -> int:
@@ -366,36 +398,11 @@ class ParamMatrices:
 
     @property
     def labels(self) -> list[str]:
-        ordered = sorted(self.theta_index, key=self.theta_index.get)
-        return ordered
+        return [par.label for par in self.parameters]
 
-    def matrices_at(self, theta: np.ndarray) -> dict[str, np.ndarray]:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_free,):
-            raise ValueError(f"theta must have length {self.n_free}, got {theta.shape}")
-        return {
-            "lambda_y": self.lambda_y.materialize(theta),
-            "lambda_x": self.lambda_x.materialize(theta),
-            "beta": self.beta.materialize(theta),
-            "gamma": self.gamma.materialize(theta),
-            "phi": self.phi.materialize(theta),
-            "psi": self.psi.materialize(theta),
-            "theta_eps": self.theta_eps.materialize(theta),
-            "theta_delta": self.theta_delta.materialize(theta),
-        }
-
-
-class _Builder:
-    """Accumulates free-parameter slots in a fixed, documented order."""
-
-    def __init__(self):
-        self.theta_index: dict[str, int] = {}
-
-    def slot(self, label: str) -> int:
-        if label in self.theta_index:
-            raise ModelSpecificationError(f"parameter {label!r} assigned twice")
-        self.theta_index[label] = len(self.theta_index)
-        return self.theta_index[label]
+    @property
+    def theta_index(self) -> dict[str, int]:
+        return {par.label: k for k, par in enumerate(self.parameters)}
 
 
 def build_matrices(
@@ -403,16 +410,19 @@ def build_matrices(
     variable_order: list[str],
     standardize_latents: bool = False,
 ) -> ParamMatrices:
-    """Compile a ModelSpec into parameter matrices over ``variable_order``.
+    """Compile a ModelSpec to RAM form over ``variable_order``.
 
     Default identification fixes each latent's marker loading (first listed
     indicator) to 1. With ``standardize_latents`` the markers are freed and
     every latent variance scale (exogenous variance and structural
-    disturbance variance alike) is fixed to 1 instead.
+    disturbance variance alike) is fixed to 1 instead. Exogenous latents
+    covary freely by default; every other covariance comes from a ``~~``
+    statement, which may join any two variables.
 
-    Free-parameter order: endogenous loadings, exogenous loadings, latent
-    paths (beta then gamma), exogenous (co)variances, disturbance
-    (co)variances, then measurement-error entries.
+    Free-parameter order: endogenous loadings, exogenous loadings, paths,
+    exogenous (co)variances, disturbance variances, error variances
+    (indicators of endogenous latents first), then the remaining ``~~``
+    statements by sorted pair.
     """
     indicators = spec.indicator_names
     if sorted(variable_order) != sorted(indicators):
@@ -421,133 +431,74 @@ def build_matrices(
             f"expected {sorted(indicators)}, got {sorted(variable_order)}"
         )
 
-    eta_names = spec.endogenous
-    xi_names = spec.exogenous
-    owner = {ind: lat.name for lat in spec.latents for ind in lat.indicators}
-    y_names = [v for v in variable_order if owner[v] in eta_names]
-    x_names = [v for v in variable_order if owner[v] in xi_names]
-    fixed_loadings = spec.fixed_loading_map()
-    markers = {lat.name: lat.indicators[0] for lat in spec.latents}
+    eta, xi = spec.endogenous, spec.exogenous
+    variables = list(variable_order) + eta + xi
+    pos = {name: i for i, name in enumerate(variables)}
+    size = len(variables)
+    A_values, A_index = np.zeros((size, size)), np.full((size, size), -1)
+    S_values, S_index = np.zeros((size, size)), np.full((size, size), -1)
+    parameters: list[Parameter] = []
 
-    ny, nx = len(y_names), len(x_names)
-    m_eta, m_xi = len(eta_names), len(xi_names)
-    eta_pos = {name: i for i, name in enumerate(eta_names)}
-    xi_pos = {name: i for i, name in enumerate(xi_names)}
-    y_pos = {name: i for i, name in enumerate(y_names)}
-    x_pos = {name: i for i, name in enumerate(x_names)}
-
-    b = _Builder()
-
-    def new(shape):
-        return MatrixTemplate(np.zeros(shape), np.full(shape, -1, dtype=int))
-
-    lam_y, lam_x = new((ny, m_eta)), new((nx, m_xi))
-    beta, gamma = new((m_eta, m_eta)), new((m_eta, m_xi))
-    phi, psi = new((m_xi, m_xi)), new((m_eta, m_eta))
-    th_eps, th_delta = new((ny, ny)), new((nx, nx))
-
-    def loading_slot(latent: str, indicator: str, template, row, col):
-        if indicator in fixed_loadings:
-            template.values[row, col] = fixed_loadings[indicator]
-        elif not standardize_latents and indicator == markers[latent]:
-            template.values[row, col] = 1.0
+    def arrow(to: str, frm: str, fixed: float | None, param: Parameter) -> None:
+        if fixed is not None:
+            A_values[pos[to], pos[frm]] = fixed
         else:
-            template.index[row, col] = b.slot(f"{latent}=~{indicator}")
+            A_index[pos[to], pos[frm]] = len(parameters)
+            parameters.append(param)
 
-    for lat in spec.latents:
-        if lat.name in eta_pos:
-            for ind in lat.indicators:
-                loading_slot(lat.name, ind, lam_y, y_pos[ind], eta_pos[lat.name])
-    for lat in spec.latents:
-        if lat.name in xi_pos:
-            for ind in lat.indicators:
-                loading_slot(lat.name, ind, lam_x, x_pos[ind], xi_pos[lat.name])
+    def two_headed(a: str, b: str, fixed: float | None, kind: str) -> None:
+        i, j = pos[a], pos[b]
+        if fixed is not None:
+            S_values[i, j] = S_values[j, i] = fixed
+        else:
+            S_index[i, j] = S_index[j, i] = len(parameters)
+            parameters.append(Parameter(f"{a}~~{b}", kind, a, b))
+
+    fixed_loadings = spec.fixed_loading_map()
+    for group in (set(eta), set(xi)):
+        for lat in spec.latents:
+            if lat.name not in group:
+                continue
+            for k, ind in enumerate(lat.indicators):
+                fixed = fixed_loadings.get(ind)
+                if fixed is None and k == 0 and not standardize_latents:
+                    fixed = 1.0  # marker
+                arrow(ind, lat.name, fixed,
+                      Parameter(f"{lat.name}=~{ind}", "loading", lat.name, ind))
 
     for reg in spec.regressions:
-        i = eta_pos[reg.dependent]
-        if reg.predictor in eta_pos:
-            template, j = beta, eta_pos[reg.predictor]
-        else:
-            template, j = gamma, xi_pos[reg.predictor]
-        if reg.fixed is not None:
-            template.values[i, j] = reg.fixed
-        else:
-            template.index[i, j] = b.slot(f"{reg.dependent}~{reg.predictor}")
+        arrow(reg.dependent, reg.predictor, reg.fixed,
+              Parameter(f"{reg.dependent}~{reg.predictor}", "path",
+                        reg.dependent, reg.predictor))
 
-    # covariance statements, classified by operand kind
-    cov_fixed: dict[tuple[str, str], float | None] = {}
-    for cov in spec.covariances:
-        cov_fixed[(cov.a, cov.b)] = cov.fixed
-
-    def sym_slot(template, i, j, label, fixed):
-        if fixed is not None:
-            template.values[i, j] = template.values[j, i] = fixed
-        else:
-            k = b.slot(label)
-            template.index[i, j] = template.index[j, i] = k
-
-    # exogenous latent covariance: free by default, overridable by statement
-    for ai in range(m_xi):
-        a = xi_names[ai]
-        pair = (a, a)
-        if standardize_latents and pair not in cov_fixed:
-            phi.values[ai, ai] = 1.0
-        else:
-            sym_slot(phi, ai, ai, f"{a}~~{a}", cov_fixed.pop(pair, None))
-    for ai in range(m_xi):
-        for bi in range(ai + 1, m_xi):
-            a, c = sorted((xi_names[ai], xi_names[bi]))
-            sym_slot(phi, xi_pos[a], xi_pos[c], f"{a}~~{c}", cov_fixed.pop((a, c), None))
-
-    # disturbance covariances: diagonal by default, off-diagonals by statement
-    for ai in range(m_eta):
-        a = eta_names[ai]
-        pair = (a, a)
-        if standardize_latents and pair not in cov_fixed:
-            psi.values[ai, ai] = 1.0
-        else:
-            sym_slot(psi, ai, ai, f"{a}~~{a}", cov_fixed.pop(pair, None))
-
-    # measurement-error matrices: diagonal free, off-diagonals by statement
-    for names, pos, template in ((y_names, y_pos, th_eps), (x_names, x_pos, th_delta)):
-        for v in names:
-            sym_slot(template, pos[v], pos[v], f"{v}~~{v}", cov_fixed.pop((v, v), None))
-
-    for (a, c), fixed in sorted(cov_fixed.items()):
-        if a in eta_pos and c in eta_pos:
-            sym_slot(psi, eta_pos[a], eta_pos[c], f"{a}~~{c}", fixed)
-        elif a in y_pos and c in y_pos:
-            sym_slot(th_eps, y_pos[a], y_pos[c], f"{a}~~{c}", fixed)
-        elif a in x_pos and c in x_pos:
-            sym_slot(th_delta, x_pos[a], x_pos[c], f"{a}~~{c}", fixed)
-        elif (a in eta_pos and c in xi_pos) or (a in xi_pos and c in eta_pos):
-            raise ModelSpecificationError(
-                f"covariance {a} ~~ {c} links an exogenous and an endogenous "
-                "latent; the disturbance form cannot represent it"
-            )
-        elif (a in eta_pos or a in xi_pos) or (c in eta_pos or c in xi_pos):
-            raise ModelSpecificationError(
-                f"covariance {a} ~~ {c} between a latent and an indicator is "
-                "not supported"
-            )
-        else:
-            raise ModelSpecificationError(
-                f"covariance {a} ~~ {c} crosses the endogenous/exogenous "
-                "indicator blocks and cannot be represented"
-            )
-
-    block_order = y_names + x_names
-    block_pos = {name: i for i, name in enumerate(block_order)}
-    permutation = np.array([block_pos[v] for v in variable_order], dtype=int)
+    # a statement overrides a default; what is left after the defaults is
+    # placed last
+    statements = {(cov.a, cov.b): cov.fixed for cov in spec.covariances}
+    latent_scale = 1.0 if standardize_latents else None
+    for name in xi:
+        two_headed(name, name, statements.pop((name, name), latent_scale), "latent_variance")
+    for pair in itertools.combinations(xi, 2):
+        a, b = sorted(pair)
+        two_headed(a, b, statements.pop((a, b), None), "latent_covariance")
+    for name in eta:
+        two_headed(name, name, statements.pop((name, name), latent_scale),
+                   "disturbance_variance")
+    endogenous_indicators = {ind for lat in spec.latents if lat.name in eta
+                             for ind in lat.indicators}
+    for v in sorted(variable_order, key=lambda v: v not in endogenous_indicators):
+        two_headed(v, v, statements.pop((v, v), None), "error_variance")
+    latents = set(eta) | set(xi)
+    for (a, b), fixed in sorted(statements.items()):
+        kind = "latent_covariance" if a in latents and b in latents else "error_covariance"
+        two_headed(a, b, fixed, kind)
 
     return ParamMatrices(
-        lambda_y=lam_y, lambda_x=lam_x, beta=beta, gamma=gamma,
-        phi=phi, psi=psi, theta_eps=th_eps, theta_delta=th_delta,
-        theta_index=b.theta_index,
-        eta_names=eta_names, xi_names=xi_names,
-        y_names=y_names, x_names=x_names,
-        variable_order=list(variable_order), permutation=permutation,
-        standardized_latents=standardize_latents, spec=spec,
+        A=MatrixTemplate(A_values, A_index),
+        S=MatrixTemplate(S_values, S_index),
+        parameters=parameters,
+        variable_order=list(variable_order),
+        spec=spec,
+        standardized_latents=standardize_latents,
     )
 
 

@@ -7,7 +7,7 @@ Fornell-Larcker discriminant-validity comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -34,38 +34,35 @@ def cronbach_alpha(items: np.ndarray) -> float:
     return (k / (k - 1)) * (1.0 - item_vars.sum() / total_var)
 
 
+def _loadings_and_errors(loadings, error_vars) -> tuple[np.ndarray, np.ndarray]:
+    """Checked loadings and error variances, the latter defaulting to 1 - lam^2."""
+    lam = np.asarray(loadings, dtype=float)
+    if lam.size == 0:
+        raise DataError("empty loading list")
+    if error_vars is None:
+        error_vars = 1.0 - lam**2
+    err = np.asarray(error_vars, dtype=float)
+    if err.shape != lam.shape:
+        raise DataError("loadings and error variances differ in length")
+    if np.any(err < 0):
+        raise DataError("error variances must be nonnegative")
+    return lam, err
+
+
 def composite_reliability(loadings, error_vars=None) -> float:
     """CR = (sum lam)^2 / ((sum lam)^2 + sum Var(eps)).
 
     ``error_vars`` defaults to 1 - lam^2, the convention that applies to a
     standardized solution.
     """
-    lam = np.asarray(loadings, dtype=float)
-    if lam.size == 0:
-        raise DataError("empty loading list")
-    if error_vars is None:
-        error_vars = 1.0 - lam**2
-    err = np.asarray(error_vars, dtype=float)
-    if err.shape != lam.shape:
-        raise DataError("loadings and error variances differ in length")
-    if np.any(err < 0):
-        raise DataError("error variances must be nonnegative")
+    lam, err = _loadings_and_errors(loadings, error_vars)
     s = lam.sum() ** 2
     return float(s / (s + err.sum()))
 
 
 def average_variance_extracted(loadings, error_vars=None) -> float:
     """AVE = sum lam^2 / (sum lam^2 + sum Var(eps)); defaults as for CR."""
-    lam = np.asarray(loadings, dtype=float)
-    if lam.size == 0:
-        raise DataError("empty loading list")
-    if error_vars is None:
-        error_vars = 1.0 - lam**2
-    err = np.asarray(error_vars, dtype=float)
-    if err.shape != lam.shape:
-        raise DataError("loadings and error variances differ in length")
-    if np.any(err < 0):
-        raise DataError("error variances must be nonnegative")
+    lam, err = _loadings_and_errors(loadings, error_vars)
     s = (lam**2).sum()
     return float(s / (s + err.sum()))
 
@@ -150,15 +147,3 @@ def fornell_larcker(ave: dict[str, float], corr: np.ndarray,
         passed[name] = bool(out[i, i] > others.max()) if k > 1 else True
     return FornellLarcker(list(names), out, passed)
 
-
-@dataclass
-class ConstructReliability:
-    """Per-construct reliability block: alpha, CR, AVE, loadings."""
-
-    name: str
-    items: list[str]
-    alpha: float
-    loadings: list[float] = field(default_factory=list)
-    error_vars: list[float] = field(default_factory=list)
-    cr: float | None = None
-    ave: float | None = None

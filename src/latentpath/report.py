@@ -312,9 +312,12 @@ def _mediation_text(name, payload, _stars):
         )
         table = render_table(["Component", "Estimate", "Lower bound", "Upper bound"],
                              rows, title=title)
-        gap = dec["total"] - dec["direct"] - dec["indirect"]
+        # a payload without total_indirect (e.g. published single-mediator
+        # figures) has no indirect route besides the one reported
+        gap = dec["total"] - dec["direct"] - dec.get("total_indirect", dec["indirect"])
         check = "ok" if abs(gap) <= payload.get("additivity_tolerance", 0.002) else "VIOLATED"
-        chunks.append(table + f"additivity |total-direct-indirect| = {abs(gap):.2e} [{check}]\n")
+        chunks.append(
+            table + f"additivity |total-direct-total_indirect| = {abs(gap):.2e} [{check}]\n")
         if dec.get("verdict"):
             chunks[-1] += f"verdict: {dec['verdict']}\n"
     return "\n".join(chunks)

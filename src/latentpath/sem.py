@@ -1,17 +1,17 @@
 """Covariance-structure estimation by maximum likelihood.
 
-The implied covariance of the observed vector is assembled from the
-compiled parameter matrices with A = (I - B)^-1::
+A model compiled to RAM form has a directed-effect matrix A and a
+symmetric (co)variance matrix S over the observed variables followed by
+the latents. With E = (I - A)^-1 and E_p its first p rows, the implied
+covariance of the observed vector is::
 
-    yy block   Ly A (G Phi G' + Psi) A' Ly' + Theta_eps
-    yx block   Ly A G Phi Lx'
-    xx block   Lx Phi Lx' + Theta_delta
+    Sigma = E_p S E_p'
 
-The discrepancy minimized is F = log|Sigma| + tr(S Sigma^-1) - log|S| - p,
-driven by a BFGS iteration with an Armijo backtracking line search; a
-proposal that leaves Sigma non-positive-definite is rejected by step
-halving. Standard errors come from the inverse of the numerically
-differentiated Hessian of (n-1)/2 * F at the solution.
+The discrepancy minimized is F = log|Sigma| + tr(S_obs Sigma^-1) -
+log|S_obs| - p, driven by a BFGS iteration with an Armijo backtracking
+line search; a proposal that leaves Sigma non-positive-definite is
+rejected by step halving. Standard errors come from the inverse of the
+numerically differentiated Hessian of (n-1)/2 * F at the solution.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnderIdentifiedError,
 )
-from .model import ModelSpec, ParamMatrices, build_matrices, count_df
+from .model import VARIANCE_KINDS, ModelSpec, ParamMatrices, build_matrices, count_df
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -65,40 +65,51 @@ def _chol_logdet(M: np.ndarray):
     return L, 2.0 * float(np.log(diag).sum())
 
 
-def _assemble_blocks(mats: dict[str, np.ndarray]):
-    """Sigma in block order (y first) plus the pieces the gradient reuses."""
-    lam_y, lam_x = mats["lambda_y"], mats["lambda_x"]
-    beta, gamma = mats["beta"], mats["gamma"]
-    phi, psi = mats["phi"], mats["psi"]
-    m_eta = beta.shape[0]
-    A = np.linalg.inv(np.eye(m_eta) - beta) if m_eta else np.zeros((0, 0))
-    C = gamma @ phi @ gamma.T + psi
-    E = A @ C @ A.T  # cov(eta)
-    AGP = A @ gamma @ phi  # cov(eta, xi)
-    yy = lam_y @ E @ lam_y.T + mats["theta_eps"]
-    yx = lam_y @ AGP @ lam_x.T
-    xx = lam_x @ phi @ lam_x.T + mats["theta_delta"]
-    sigma = np.block([[yy, yx], [yx.T, xx]])
-    sigma = (sigma + sigma.T) / 2.0
-    return sigma, A, E, AGP
+def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, S and E = (I - A)^-1 at theta.
+
+    No arrow leaves an observed variable, so A's first p columns are zero
+    and E = [[I, A_ol T], [0, T]] with T = (I - A_ll)^-1 over the latents
+    alone, a much smaller inverse.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (m.n_free,):
+        raise ValueError(f"theta must have length {m.n_free}, got {theta.shape}")
+    A = m.A.materialize(theta)
+    p = m.n_observed
+    E = np.eye(A.shape[0])
+    E[p:, p:] = np.linalg.inv(E[p:, p:] - A[p:, p:])
+    E[:p, p:] = A[:p, p:] @ E[p:, p:]
+    return A, m.S.materialize(theta), E
 
 
 def implied_covariance(m: ParamMatrices, theta: np.ndarray) -> np.ndarray:
     """Model-implied covariance of the observed variables, in their order."""
-    mats = m.matrices_at(theta)
-    sigma, _, _, _ = _assemble_blocks(mats)
-    perm = m.permutation
-    return sigma[np.ix_(perm, perm)]
+    _, S, E = _ram(m, theta)
+    Ep = E[:m.n_observed]
+    sigma = Ep @ S @ Ep.T
+    return (sigma + sigma.T) / 2.0
 
 
 def latent_covariance(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Implied covariance of the latent vector, ordered eta then xi."""
-    mats = m.matrices_at(theta)
-    _, A, E, AGP = _assemble_blocks(mats)
-    phi = mats["phi"]
-    top = np.hstack([E, AGP])
-    bottom = np.hstack([AGP.T, phi])
-    return np.vstack([top, bottom]), m.eta_names + m.xi_names
+    """Implied covariance of the latent vector, ordered endogenous then exogenous."""
+    _, S, E = _ram(m, theta)
+    El = E[m.n_observed:]
+    return El @ S @ El.T, m.latent_names
+
+
+def _ml_terms(sigma: np.ndarray, S: np.ndarray) -> tuple[float, float, float]:
+    """log|Sigma|, tr(S Sigma^-1) and log|S|, after checking both are PD."""
+    sigma = np.asarray(sigma, dtype=float)
+    S = np.asarray(S, dtype=float)
+    _, logdet_S = _chol_logdet(S)
+    if logdet_S is None:
+        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+    L, logdet = _chol_logdet(sigma)
+    if L is None:
+        raise NotPositiveDefiniteError("implied covariance is not positive definite")
+    Z = np.linalg.solve(L, S)
+    return logdet, float(np.trace(np.linalg.solve(L.T, Z))), logdet_S
 
 
 def f_ml(sigma: np.ndarray, S: np.ndarray, p: int | None = None) -> float:
@@ -108,35 +119,17 @@ def f_ml(sigma: np.ndarray, S: np.ndarray, p: int | None = None) -> float:
     matrix is not positive definite (for Sigma this is the signal an
     optimizer uses to backtrack; for S it is a hard error).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    S = np.asarray(S, dtype=float)
+    logdet, tr, logdet_S = _ml_terms(sigma, S)
     if p is None:
-        p = S.shape[0]
-    _, logdet_S = _chol_logdet(S)
-    if logdet_S is None:
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
-    L, logdet = _chol_logdet(sigma)
-    if L is None:
-        raise NotPositiveDefiniteError("implied covariance is not positive definite")
-    Z = np.linalg.solve(L, S)
-    tr = float(np.trace(np.linalg.solve(L.T, Z)))
+        p = np.shape(S)[0]
     return logdet + tr - logdet_S - p
 
 
 def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int, p: int | None = None) -> float:
     """Normal-theory log-likelihood -(n/2)[log|Sigma| + tr(S Sigma^-1) + p log 2pi]."""
-    sigma = np.asarray(sigma, dtype=float)
-    S = np.asarray(S, dtype=float)
+    logdet, tr, _ = _ml_terms(sigma, S)
     if p is None:
-        p = S.shape[0]
-    _, logdet_S = _chol_logdet(S)
-    if logdet_S is None:
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
-    L, logdet = _chol_logdet(sigma)
-    if L is None:
-        raise NotPositiveDefiniteError("implied covariance is not positive definite")
-    Z = np.linalg.solve(L, S)
-    tr = float(np.linalg.solve(L.T, Z).trace())
+        p = np.shape(S)[0]
     return -(n / 2.0) * (logdet + tr + p * _LN_2PI)
 
 
@@ -145,23 +138,12 @@ class _Objective:
 
     def __init__(self, m: ParamMatrices, S: np.ndarray):
         self.m = m
-        perm = m.permutation
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        self.S_block = S[np.ix_(inv, inv)]
-        _, logdet_S = _chol_logdet(self.S_block)
+        self.S_obs = S
+        _, logdet_S = _chol_logdet(S)
         if logdet_S is None:
             raise NotPositiveDefiniteError("sample covariance is not positive definite")
         self.logdet_S = logdet_S
         self.p = S.shape[0]
-        self.ny = len(m.y_names)
-        # free-cell coordinates per template, for fast gradient scatter
-        self._slots = []
-        for key in ("lambda_y", "lambda_x", "beta", "gamma",
-                    "phi", "psi", "theta_eps", "theta_delta"):
-            template = getattr(m, key)
-            rows, cols = np.nonzero(template.index >= 0)
-            self._slots.append((key, rows, cols, template.index[rows, cols]))
 
     def value(self, theta: np.ndarray) -> float:
         f, _ = self.value_and_grad(theta, need_grad=False)
@@ -175,48 +157,32 @@ class _Objective:
 
     def value_and_grad(self, theta: np.ndarray, need_grad: bool = True):
         m = self.m
-        mats = m.matrices_at(theta)
-        sigma, A, E, AGP = _assemble_blocks(mats)
+        _, S, E = _ram(m, theta)
+        Ep = E[:self.p]
+        sigma = Ep @ S @ Ep.T
+        sigma = (sigma + sigma.T) / 2.0
         L, logdet = _chol_logdet(sigma)
         if L is None:
             return np.inf, None
         Linv = np.linalg.inv(L)
         sigma_inv = Linv.T @ Linv
-        SiS = sigma_inv @ self.S_block
+        SiS = sigma_inv @ self.S_obs
         f = logdet + float(np.trace(SiS)) - self.logdet_S - self.p
         if not need_grad:
             return f, None
 
-        # dF/dSigma = Sigma^-1 - Sigma^-1 S Sigma^-1
+        # dF/dSigma = G; dF/dS = M = E_p' G E_p; dF/dA = 2 M S E', of
+        # which only the latent columns can hold free cells
         G = sigma_inv - SiS @ sigma_inv
         G = (G + G.T) / 2.0
-        ny = self.ny
-        G_yy, G_yx, G_xx = G[:ny, :ny], G[:ny, ny:], G[ny:, ny:]
-        lam_y, lam_x = mats["lambda_y"], mats["lambda_x"]
-        gamma, phi = mats["gamma"], mats["phi"]
-
-        LxAGPt = lam_x @ AGP.T                      # = Lx Phi Gamma' A'
-        d_lam_y = 2.0 * (G_yy @ lam_y @ E + G_yx @ LxAGPt)
-        W_yy = A.T @ (lam_y.T @ G_yy @ lam_y) @ A   # unconstrained dF/dPsi
-        K = A.T @ (lam_y.T @ G_yx @ lam_x)          # eta x xi coupling
-        d_lam_x = 2.0 * (G_xx @ lam_x @ phi + G_yx.T @ lam_y @ AGP)
-        d_beta = A.T @ lam_y.T @ d_lam_y
-        d_gamma = 2.0 * (W_yy @ gamma + K) @ phi
-        d_phi = gamma.T @ W_yy @ gamma + gamma.T @ K + K.T @ gamma \
-            + lam_x.T @ G_xx @ lam_x
-
-        dmats = {
-            "lambda_y": d_lam_y, "lambda_x": d_lam_x,
-            "beta": d_beta, "gamma": d_gamma,
-            "phi": d_phi, "psi": W_yy,
-            "theta_eps": G_yy, "theta_delta": G_xx,
-        }
+        M = Ep.T @ G @ Ep
+        p = self.p
+        dA = 2.0 * (M @ S[:, p:]) @ E[p:, p:].T
         g = np.zeros(m.n_free)
-        # symmetric templates list each off-diagonal parameter at (i,j) and
-        # (j,i); accumulating both cells yields the correct chain-rule sum
-        for key, rows, cols, pos in self._slots:
-            if rows.size:
-                np.add.at(g, pos, dmats[key][rows, cols])
+        # S lists each off-diagonal parameter at (i,j) and (j,i);
+        # accumulating both cells yields the correct chain-rule sum
+        np.add.at(g, m.A.slots, dA[m.A.rows, m.A.cols - p])
+        np.add.at(g, m.S.slots, M[m.S.rows, m.S.cols])
         return f, g
 
 
@@ -227,25 +193,18 @@ def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
     relevant sample variance (the marker's for latents, the indicator's
     own for errors), covariances 0.
     """
-    spec = m.spec
-    markers = {lat.name: lat.indicators[0] for lat in spec.latents} if spec else {}
+    markers = {lat.name: lat.indicators[0] for lat in m.spec.latents}
     var_pos = {name: i for i, name in enumerate(m.variable_order)}
     diag = np.diag(S)
     theta0 = np.zeros(m.n_free)
-    latent_names = set(m.eta_names) | set(m.xi_names)
-    for label, k in m.theta_index.items():
-        if "=~" in label:
+    for k, par in enumerate(m.parameters):
+        if par.kind == "loading":
             theta0[k] = 0.7
-        elif "~~" in label:
-            a, b = label.split("~~")
-            if a != b:
-                theta0[k] = 0.0
-            elif a in latent_names:
-                marker = markers.get(a)
-                theta0[k] = 0.5 * diag[var_pos[marker]] if marker else 0.5
-            else:
-                theta0[k] = 0.5 * diag[var_pos[a]]
-        # plain paths stay 0
+        elif par.kind == "error_variance":
+            theta0[k] = 0.5 * diag[var_pos[par.lhs]]
+        elif par.kind in VARIANCE_KINDS:
+            theta0[k] = 0.5 * diag[var_pos[markers[par.lhs]]]
+        # paths and covariances stay 0
     return theta0
 
 
@@ -353,35 +312,22 @@ class FitResult:
 
     def parameter_table(self, kind: str | None = None) -> list[dict]:
         """Per-parameter records; kind filters to 'loading', 'path' or 'covariance'."""
-        spec_labels = {}
-        if self.matrices is not None and self.matrices.spec is not None:
-            spec_labels = {
-                (dep, pred): lab
-                for lab, (dep, pred) in self.matrices.spec.labels.items()
-            }
+        m = self.matrices
+        hypotheses = {pair: lab for lab, pair in m.spec.labels.items()}
         rows = []
-        for i, label in enumerate(self.labels):
-            if "=~" in label:
-                k = "loading"
-            elif "~~" in label:
-                k = "covariance"
-            else:
-                k = "path"
+        for i, par in enumerate(m.parameters):
+            k = par.kind if par.kind in ("loading", "path") else "covariance"
             if kind is not None and k != kind:
                 continue
-            hyp = None
-            if k == "path":
-                dep, pred = label.split("~")
-                hyp = spec_labels.get((dep, pred))
             rows.append({
-                "label": label,
+                "label": par.label,
                 "kind": k,
                 "estimate": float(self.theta[i]),
                 "se": float(self.se[i]),
                 "crit_ratio": float(self.crit_ratio[i]),
                 "p": float(self.p_values[i]),
-                "standardized": self.standardized.get(label),
-                "hypothesis": hyp,
+                "standardized": self.standardized.get(par.label),
+                "hypothesis": hypotheses.get((par.lhs, par.rhs)) if k == "path" else None,
             })
         return rows
 
@@ -402,62 +348,24 @@ def standardize(result_or_matrices, theta=None) -> dict[str, float]:
     if m is None:
         raise EstimationError("no parameter matrices attached to the result")
     theta = np.asarray(theta, dtype=float)
-    mats = m.matrices_at(theta)
-    sigma, A, E, AGP = _assemble_blocks(mats)
-    lat_cov = np.block([[E, AGP], [AGP.T, mats["phi"]]])
-    lat_names = m.eta_names + m.xi_names
-    lat_var = np.diag(lat_cov)
-    obs_var = np.diag(sigma)  # block order: y then x
-    if np.any(lat_var <= 0) or np.any(obs_var <= 0):
+    A, S, E = _ram(m, theta)
+    var = np.diag(E @ S @ E.T)  # implied variances of all variables
+    if np.any(var <= 0):
         raise EstimationError("nonpositive implied variance; cannot standardize")
-    lat_sd = dict(zip(lat_names, np.sqrt(lat_var)))
-    obs_sd = dict(zip(m.y_names + m.x_names, np.sqrt(obs_var)))
+    sd = np.sqrt(var)
+    names = m.variables
+    p = m.n_observed
 
     out: dict[str, float] = {}
-
-    def visit(template, handler):
-        for i in range(template.values.shape[0]):
-            for j in range(template.values.shape[1]):
-                free = template.index[i, j] >= 0
-                value = (
-                    theta[template.index[i, j]] if free else template.values[i, j]
-                )
-                handler(i, j, value, free)
-
-    def loading(row_names, col_names):
-        def h(i, j, value, free):
-            if free or value != 0.0:
-                lab = f"{col_names[j]}=~{row_names[i]}"
-                out[lab] = value * lat_sd[col_names[j]] / obs_sd[row_names[i]]
-        return h
-
-    visit(m.lambda_y, loading(m.y_names, m.eta_names))
-    visit(m.lambda_x, loading(m.x_names, m.xi_names))
-
-    def path(col_names):
-        def h(i, j, value, free):
-            if free or value != 0.0:
-                dep = m.eta_names[i]
-                pred = col_names[j]
-                out[f"{dep}~{pred}"] = value * lat_sd[pred] / lat_sd[dep]
-        return h
-
-    visit(m.beta, path(m.eta_names))
-    visit(m.gamma, path(m.xi_names))
-
-    def sym(names, scale):
-        def h(i, j, value, free):
-            if j > i:
-                return
-            if free or value != 0.0 or i == j:
-                a, b = sorted((names[i], names[j]))
-                out[f"{a}~~{b}"] = value / (scale[names[i]] * scale[names[j]])
-        return h
-
-    visit(m.phi, sym(m.xi_names, lat_sd))
-    visit(m.psi, sym(m.eta_names, lat_sd))
-    visit(m.theta_eps, sym(m.y_names, obs_sd))
-    visit(m.theta_delta, sym(m.x_names, obs_sd))
+    # an arrow scales by sd(tail) / sd(head), whether loading or path
+    for i, j in zip(*np.nonzero((m.A.index >= 0) | (A != 0.0))):
+        label = f"{names[j]}=~{names[i]}" if i < p else f"{names[i]}~{names[j]}"
+        out[label] = A[i, j] * sd[j] / sd[i]
+    # every variance, and each free or nonzero covariance, as a correlation
+    keep = (m.S.index >= 0) | (S != 0.0) | np.eye(len(names), dtype=bool)
+    for i, j in zip(*np.nonzero(np.tril(keep))):
+        a, b = sorted((names[i], names[j]))
+        out[f"{a}~~{b}"] = S[i, j] / (sd[i] * sd[j])
     return out
 
 
@@ -538,8 +446,8 @@ def fit(
 
     labels = m.labels
     heywood = [
-        lab for lab, k in m.theta_index.items()
-        if "~~" in lab and lab.split("~~")[0] == lab.split("~~")[1] and opt.theta[k] < 0
+        par.label for par, value in zip(m.parameters, opt.theta)
+        if par.kind in VARIANCE_KINDS and value < 0
     ]
     try:
         standardized = standardize(m, opt.theta)
@@ -584,25 +492,6 @@ def simulate(m: ParamMatrices, theta: np.ndarray, n: int, seed: int) -> Dataset:
     return Dataset(list(m.variable_order), X, np.zeros_like(X, dtype=bool), [])
 
 
-def classify_parameter(m: ParamMatrices, label: str) -> str:
-    """Kind of a free parameter: loading, path, or a (co)variance class."""
-    if "=~" in label:
-        return "loading"
-    if "~~" not in label:
-        return "path"
-    a, b = label.split("~~")
-    latents = set(m.eta_names) | set(m.xi_names)
-    if a == b:
-        if a in m.xi_names:
-            return "latent_variance"
-        if a in m.eta_names:
-            return "disturbance_variance"
-        return "error_variance"
-    if a in latents and b in latents:
-        return "latent_covariance"
-    return "error_covariance"
-
-
 def theta_from_config(
     m: ParamMatrices,
     values: dict[str, float] | None = None,
@@ -611,20 +500,18 @@ def theta_from_config(
     """Build a full parameter vector from per-label values plus per-kind defaults."""
     values = values or {}
     defaults = defaults or {}
-    unknown = set(values) - set(m.theta_index)
+    unknown = set(values) - set(m.labels)
     if unknown:
         raise EstimationError(f"config names unknown parameters: {sorted(unknown)}")
     theta = np.zeros(m.n_free)
     missing = []
-    for label, k in m.theta_index.items():
-        if label in values:
-            theta[k] = float(values[label])
-            continue
-        kind = classify_parameter(m, label)
-        if kind in defaults:
-            theta[k] = float(defaults[kind])
+    for k, par in enumerate(m.parameters):
+        if par.label in values:
+            theta[k] = float(values[par.label])
+        elif par.kind in defaults:
+            theta[k] = float(defaults[par.kind])
         else:
-            missing.append(label)
+            missing.append(par.label)
     if missing:
         raise EstimationError(
             f"no value or default for parameters: {sorted(missing)[:8]}"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +202,10 @@ class TestMediate:
             "--format", "json", "--output", str(out),
         ]) == 0
         doc = json.loads(out.read_text())
-        assert doc["sections"]["mediation"]["effects"][0]["method"] == "delta"
+        effect = doc["sections"]["mediation"]["effects"][0]
+        assert effect["method"] == "delta"
+        assert effect["total_indirect"] == pytest.approx(
+            effect["total"] - effect["direct"], abs=1e-12)
 
     def test_seed_reproducibility(self, sim_csv, tmp_path):
         outs = []
@@ -238,6 +244,18 @@ class TestReport:
                         "Discriminant validity", "Regression weights",
                         "Hypotheses", "Effects:"):
             assert heading in text, heading
+
+
+class TestModuleEntry:
+    def test_help_via_python_m(self):
+        env = dict(os.environ)
+        src_dir = str(Path(lp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "latentpath.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "usage: latentpath" in proc.stdout
+        assert "report" in proc.stdout
 
 
 class TestStars:

@@ -135,6 +135,65 @@ def planted_mediation_data(a, b, c, n, seed):
     return spec, lp.simulate(m, theta, n, seed=seed)
 
 
+TWO_MEDIATOR_MODEL = """
+X =~ x1 + x2 + x3
+M1 =~ m1 + m2 + m3
+M2 =~ k1 + k2 + k3
+Y =~ y1 + y2 + y3
+M1 ~ X
+M2 ~ X
+Y ~ M1 + M2 + X
+"""
+
+
+def planted_two_mediator_data(n, seed):
+    spec = lp.parse_model(TWO_MEDIATOR_MODEL)
+    m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
+    theta = lp.theta_from_config(
+        m, {"M1~X": 0.5, "M2~X": 0.4, "Y~M1": 0.45, "Y~M2": 0.5, "Y~X": 0.2},
+        dict(loading=0.75, latent_variance=1.0, disturbance_variance=0.6,
+             error_variance=0.4375),
+    )
+    return spec, lp.simulate(m, theta, n, seed=seed)
+
+
+class TestSpecificIndirect:
+    """SRC:MED:DST reports the effect through MED, not every indirect route."""
+
+    def check(self, decs, est):
+        through = {}
+        for d in decs:
+            med = d.mediator
+            ab = est[f"{med}~X"] * est[f"Y~{med}"]
+            assert d.indirect == pytest.approx(ab, abs=1e-10)
+            assert d.total_indirect == pytest.approx(d.total - d.direct, abs=1e-12)
+            assert d.additivity_gap < 1e-10
+            through[med] = d.indirect
+        # the two mediators carry every indirect route between them
+        assert through["M1"] + through["M2"] == pytest.approx(
+            decs[0].total_indirect, abs=1e-10)
+        assert abs(through["M1"] - through["M2"]) > 0.01
+
+    def test_delta_ci(self):
+        spec, data = planted_two_mediator_data(800, seed=3)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
+        decs = lp.delta_ci(res, [("X", "M1", "Y"), ("X", "M2", "Y")])
+        self.check(decs, res.estimates)
+
+    def test_bootstrap_ci(self):
+        spec, data = planted_two_mediator_data(800, seed=3)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True,
+                     compute_se=False)
+        decs = lp.bootstrap_ci(data, spec, [("X", "M1", "Y"), ("X", "M2", "Y")],
+                               replicates=100, seed=5, standardize_latents=True)
+        self.check(decs, res.estimates)
+        # each interval is centred on its own specific effect
+        for d in decs:
+            lo, hi = d.indirect_bounds
+            assert lo < d.indirect < hi
+        assert decs[0].indirect_bounds != decs[1].indirect_bounds
+
+
 class TestBootstrap:
     def test_seed_determinism_and_worker_invariance(self):
         spec, data = planted_mediation_data(0.5, 0.3, 0.2, 300, seed=55)
@@ -180,7 +239,7 @@ class TestVerdicts:
     def make_dec(self, direct_bounds, indirect_bounds):
         return lp.EffectDecomposition(
             source="X", target="Y", mediator="M",
-            total=0.5, direct=0.3, indirect=0.2,
+            total=0.5, direct=0.3, indirect=0.2, total_indirect=0.2,
             total_bounds=(0.1, 0.9), direct_bounds=direct_bounds,
             indirect_bounds=indirect_bounds, level=0.95,
             method="percentile-bootstrap",

@@ -169,9 +169,9 @@ class TestProperties:
         order = sorted(a.indicator_names)
         ma = lp.build_matrices(a, order)
         mb = lp.build_matrices(b, order)
-        assert ma.theta_index == mb.theta_index
-        for key in ("lambda_y", "lambda_x", "beta", "gamma", "phi", "psi",
-                    "theta_eps", "theta_delta"):
+        assert ma.parameters == mb.parameters
+        assert ma.variables == mb.variables
+        for key in ("A", "S"):
             np.testing.assert_array_equal(getattr(ma, key).values,
                                           getattr(mb, key).values)
             np.testing.assert_array_equal(getattr(ma, key).index,
@@ -182,10 +182,13 @@ class TestProperties:
     def test_marker_count_equals_latent_count(self, text):
         spec = lp.parse_model(text)
         m = lp.build_matrices(spec, spec.indicator_names)
-        fixed_markers = 0
-        for template in (m.lambda_y, m.lambda_x):
-            fixed_markers += int(((template.values == 1.0) & (template.index < 0)).sum())
-        assert fixed_markers == len(spec.latents)
+        loadings = slice(0, m.n_observed)  # rows of A that hold loadings
+        fixed = (m.A.values[loadings] == 1.0) & (m.A.index[loadings] < 0)
+        assert int(fixed.sum()) == len(spec.latents)
+        # one per latent, on its first listed indicator
+        rows, cols = np.nonzero(fixed)
+        markers = {m.variables[c]: m.variables[r] for r, c in zip(rows, cols)}
+        assert markers == {lat.name: lat.indicators[0] for lat in spec.latents}
 
     @given(random_specs())
     @settings(max_examples=40, deadline=None)
@@ -208,8 +211,9 @@ class TestBuildMatrices:
     def test_single_latent_three_indicators(self):
         spec = lp.parse_model("F =~ f1 + f2 + f3")
         m = lp.build_matrices(spec, ["f1", "f2", "f3"])
-        assert m.lambda_x.values[0, 0] == 1.0 and m.lambda_x.index[0, 0] == -1
-        assert (m.lambda_x.index[1:, 0] >= 0).all()
+        assert m.variables == ["f1", "f2", "f3", "F"]
+        assert m.A.values[0, 3] == 1.0 and m.A.index[0, 3] == -1
+        assert (m.A.index[1:3, 3] >= 0).all()
         assert m.n_free == 6  # 2 loadings + 3 errors + 1 variance
 
     def test_survey_model_counts(self, survey_spec):
@@ -225,9 +229,11 @@ class TestBuildMatrices:
                               standardize_latents=True)
         assert m.n_free == 52
         # markers freed, variances fixed at one
-        assert (m.lambda_x.index >= 0).sum() == len(m.x_names)
-        assert np.allclose(np.diag(m.phi.values), 1.0)
-        assert (np.diag(m.phi.index) == -1).all()
+        p = m.n_observed
+        assert (m.A.index[:p] >= 0).sum() == p
+        latent_diag = np.diag(m.S.values)[p:]
+        assert np.allclose(latent_diag, 1.0)
+        assert (np.diag(m.S.index)[p:] == -1).all()
 
     def test_theta_index_is_bijection(self, survey_spec):
         m = lp.build_matrices(survey_spec, survey_spec.indicator_names)
@@ -252,14 +258,9 @@ class TestBuildMatrices:
         assert res.under_identified
         assert res.value < 0
 
-    def test_exo_endo_covariance_rejected(self):
-        spec = lp.parse_model("A =~ a1 + a2\nB =~ b1 + b2\nB ~ A\nA ~~ B")
-        with pytest.raises(ModelSpecificationError, match="exogenous and an endogenous"):
-            lp.build_matrices(spec, spec.indicator_names)
-
     def test_error_covariance_within_block(self):
         spec = lp.parse_model("A =~ a1 + a2 + a3\na1 ~~ a2")
         m = lp.build_matrices(spec, spec.indicator_names)
         assert "a1~~a2" in m.theta_index
-        i, j = 0, 1
-        assert m.theta_delta.index[i, j] == m.theta_delta.index[j, i] >= 0
+        i, j = m.variables.index("a1"), m.variables.index("a2")
+        assert m.S.index[i, j] == m.S.index[j, i] == m.theta_index["a1~~a2"]

@@ -49,16 +49,25 @@ class TestImpliedCovariance:
         m, theta = planted
         rng = np.random.default_rng(3)
         t = theta + 0.03 * rng.standard_normal(theta.size)
-        mats = m.matrices_at(t)
-        ly, lx = mats["lambda_y"], mats["lambda_x"]
-        B, G = mats["beta"], mats["gamma"]
-        Phi, Psi = mats["phi"], mats["psi"]
+        # the LISREL blocks, cut from the RAM matrices
+        RA, RS = m.A.materialize(t), m.S.materialize(t)
+        spec = m.spec
+        eta = [m.variables.index(v) for v in spec.endogenous]
+        xi = [m.variables.index(v) for v in spec.exogenous]
+        y_vars = [v for lat in spec.latents if lat.name in spec.endogenous
+                  for v in lat.indicators]
+        y = [m.variables.index(v) for v in m.variable_order if v in y_vars]
+        x = [m.variables.index(v) for v in m.variable_order if v not in y_vars]
+        ly, lx = RA[np.ix_(y, eta)], RA[np.ix_(x, xi)]
+        B, G = RA[np.ix_(eta, eta)], RA[np.ix_(eta, xi)]
+        Phi, Psi = RS[np.ix_(xi, xi)], RS[np.ix_(eta, eta)]
         A = np.linalg.inv(np.eye(B.shape[0]) - B)
-        yy = ly @ A @ (G @ Phi @ G.T + Psi) @ A.T @ ly.T + mats["theta_eps"]
+        yy = ly @ A @ (G @ Phi @ G.T + Psi) @ A.T @ ly.T + RS[np.ix_(y, y)]
         yx = ly @ A @ G @ Phi @ lx.T
-        xx = lx @ Phi @ lx.T + mats["theta_delta"]
+        xx = lx @ Phi @ lx.T + RS[np.ix_(x, x)]
         block = np.block([[yy, yx], [yx.T, xx]])
-        perm = m.permutation
+        order = [m.variables[i] for i in y + x]
+        perm = [order.index(v) for v in m.variable_order]
         np.testing.assert_allclose(
             lp.implied_covariance(m, t), block[np.ix_(perm, perm)], atol=1e-12)
 
@@ -156,6 +165,71 @@ class TestGradient:
                 fd[j] = (obj.value(up) - obj.value(down)) / (2 * step)
             rel = np.linalg.norm(g - fd) / np.linalg.norm(fd)
             assert rel < 1e-4
+
+
+CROSS_COVARIANCE_MODELS = {
+    # an exogenous latent with an endogenous one's disturbance; M makes it
+    # identified as an instrument
+    "exo_endo_latents": (
+        "X =~ x1 + x2 + x3\nM =~ m1 + m2 + m3\nY =~ y1 + y2 + y3\n"
+        "M ~ X\nY ~ M\nX ~~ Y",
+        {"M~X": 0.5, "Y~M": 0.4, "X~~Y": 0.3},
+        "X~~Y",
+    ),
+    "latent_indicator": (
+        "F =~ f1 + f2 + f3\nG =~ g1 + g2 + g3\nF ~~ g1",
+        {"F~~G": 0.4, "F~~g1": 0.25},
+        "F~~g1",
+    ),
+    "exo_endo_errors": (
+        "X =~ x1 + x2 + x3\nY =~ y1 + y2 + y3\nY ~ X\nx1 ~~ y1",
+        {"Y~X": 0.5, "x1~~y1": 0.2},
+        "x1~~y1",
+    ),
+}
+
+
+def planted_cross_covariance(name):
+    text, values, label = CROSS_COVARIANCE_MODELS[name]
+    spec = lp.parse_model(text)
+    m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
+    theta = lp.theta_from_config(
+        m, values, dict(loading=0.75, error_variance=0.4375))
+    return spec, m, theta, label
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_COVARIANCE_MODELS))
+class TestCrossCovariances:
+    """Covariances the RAM form represents: exogenous-endogenous latent,
+    latent-indicator, and error covariances across latent blocks."""
+
+    def test_compiles_with_gradient(self, name):
+        spec, m, theta, label = planted_cross_covariance(name)
+        a, b = label.split("~~")
+        i, j = m.variables.index(a), m.variables.index(b)
+        assert m.S.index[i, j] == m.S.index[j, i] == m.theta_index[label]
+        S = lp.implied_covariance(m, theta)
+        obj = _Objective(m, S + 0.05 * np.eye(S.shape[0]))
+        rng = np.random.default_rng(8)
+        point = theta + 0.05 * rng.standard_normal(theta.size)
+        f, g = obj.value_and_grad(point)
+        assert np.isfinite(f)
+        fd = np.empty_like(g)
+        for k in range(point.size):
+            up, down = point.copy(), point.copy()
+            up[k] += 1e-5
+            down[k] -= 1e-5
+            fd[k] = (obj.value(up) - obj.value(down)) / 2e-5
+        assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
+
+    def test_recovers_planted_values(self, name):
+        spec, m, theta, label = planted_cross_covariance(name)
+        data = lp.simulate(m, theta, 5000, seed=11)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
+        assert res.converged
+        assert res.labels == m.labels
+        np.testing.assert_allclose(res.theta, theta, atol=0.05)
+        assert np.all(np.isfinite(res.se))
 
 
 class TestFit:
