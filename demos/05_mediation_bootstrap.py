@@ -1,10 +1,11 @@
 """Mediation analysis: effect decomposition and bootstrap intervals.
 
-Total effects factor as (I - B)^-1 Gamma; subtracting the direct edge
-leaves the mediated part. A SRC:MED:DST triple reports the part that
-passes through MED; here PerVa is the only mediator, so the two agree.
-Percentile bootstrap (case resampling, refit
-per replicate) gives the interval bounds the verdicts are read from.
+Total effects are (I - D)^-1 - I, with D the latent block of the RAM
+matrix A; subtracting the direct edge leaves the mediated part. A
+SRC:MED:DST triple reports the part that passes through MED; here PerVa
+is the only mediator, so the two agree. Percentile bootstrap (case
+resampling, refit per replicate) gives the interval bounds the verdicts
+are read from.
 """
 
 import json
@@ -20,7 +21,7 @@ m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
 theta = lp.theta_from_config(m, config["values"], config["defaults"])
 data = lp.simulate(m, theta, n=519, seed=42)
 
-# Point decomposition first: no resampling, just the fitted path matrices.
+# Point decomposition first: no resampling, just the fitted path matrix.
 result = lp.fit(spec, lp.covariance(data), compute_se=False)
 effects = lp.decompose_fit(result)
 for src in spec.exogenous:

@@ -217,6 +217,21 @@ def _mediation_payload(decs: list[EffectDecomposition]) -> dict:
     }
 
 
+def _efa_payload(loadings: efa_mod.LoadingMatrix, rotation: str, suppress: float) -> dict:
+    """The efa section: rotate the extracted loadings, tabulate them."""
+    if rotation == "varimax" and loadings.n_factors >= 1:
+        loadings = efa_mod.varimax(loadings)
+    table = efa_mod.rotated_component_table(loadings, suppress_below=suppress)
+    return {
+        "items": table.names, "cells": table.cells, "dominant": table.dominant,
+        "threshold": table.threshold, "rotation": rotation,
+        "eigenvalues": loadings.eigenvalues,
+        "eigenvalues_retained": loadings.eigenvalues[:loadings.n_factors],
+        "communalities": loadings.communalities,
+        "n_factors": loadings.n_factors,
+    }
+
+
 def _derive_mediation_triples(spec: ModelSpec) -> list[tuple[str, str, str]]:
     """Single-edge chains src -> med -> dst among the model's latents."""
     edges = {(r.predictor, r.dependent) for r in spec.regressions}
@@ -295,27 +310,13 @@ def _cmd_efa(args) -> int:
     moments = covariance(dataset, divisor=args.divisor)
     loadings = efa_mod.extract(moments.R, retention=args.retain,
                                names=moments.names, method=args.method)
-    rotation = args.rotation
-    if rotation == "varimax" and loadings.n_factors >= 1:
-        loadings = efa_mod.varimax(loadings)
-    table = efa_mod.rotated_component_table(loadings, suppress_below=args.suppress)
     prov = provenance(data_path=args.data, seed=_default_seed(), options={
         "retain": args.retain, "suppress": args.suppress,
         "rotation": args.rotation, "method": args.method,
     })
     prov["covariance_divisor"] = args.divisor
     report = Report(prov, args.stars)
-    report.add("efa", "efa", {
-        "items": table.names,
-        "cells": table.cells,
-        "dominant": table.dominant,
-        "threshold": table.threshold,
-        "rotation": rotation,
-        "eigenvalues": loadings.eigenvalues,
-        "eigenvalues_retained": loadings.eigenvalues[:loadings.n_factors],
-        "communalities": loadings.communalities,
-        "n_factors": loadings.n_factors,
-    })
+    report.add("efa", "efa", _efa_payload(loadings, args.rotation, args.suppress))
     _emit(report, args)
     return 0
 
@@ -416,17 +417,7 @@ def _cmd_report(args) -> int:
     model_vars = spec.indicator_names
     sub_moments = covariance(dataset.subset(model_vars), divisor=args.divisor)
     loadings = efa_mod.extract(sub_moments.R, retention="kaiser", names=model_vars)
-    if loadings.n_factors >= 1:
-        loadings = efa_mod.varimax(loadings)
-    table = efa_mod.rotated_component_table(loadings, suppress_below=0.4)
-    report.add("efa", "efa", {
-        "items": table.names, "cells": table.cells, "dominant": table.dominant,
-        "threshold": table.threshold, "rotation": "varimax",
-        "eigenvalues": loadings.eigenvalues,
-        "eigenvalues_retained": loadings.eigenvalues[:loadings.n_factors],
-        "communalities": loadings.communalities,
-        "n_factors": loadings.n_factors,
-    })
+    report.add("efa", "efa", _efa_payload(loadings, "varimax", 0.4))
 
     cfa_spec = spec.without_regressions()
     cfa_result = fit(cfa_spec, moments, opts, standardize_latents=args.std_lv)

@@ -1,15 +1,16 @@
 """Effect decomposition and mediation inference.
 
-Total effects over an acyclic path model follow from the geometric series
-of the endogenous path matrix: (I - B)^-1 Gamma collects every directed
-route from an exogenous source to an endogenous target, direct effects
-are the single-edge routes, and the total indirect part is their
-difference. The specific indirect effect of a source through one mediator
-is total(source -> mediator) * total(mediator -> target), the sum over
-the routes that pass through that mediator. Interval estimates come from
-nonparametric case-resampling bootstrap (percentile intervals) or, for
-the indirect term alone, the first-order variance formula for a product
-of two estimates.
+Effects are read off the latent block of the RAM matrix A, indexed
+[target, source]. It is the direct-effect matrix D; in an acyclic model
+the geometric series (I - D)^-1 - I = D + D^2 + ... collects every
+directed route between two latents, so it is the total-effect matrix T,
+and the total indirect part is T - D. The specific indirect effect of a
+source through one mediator is T[mediator, source] * T[target, mediator],
+the sum over the routes that pass through that mediator (Bollen 1987).
+Interval estimates come from nonparametric case-resampling bootstrap
+(percentile intervals) or from the delta method, g' acov g, with g the
+analytic gradient of an effect in the free parameters and acov their
+full asymptotic covariance.
 """
 
 from __future__ import annotations
@@ -20,29 +21,18 @@ import numpy as np
 from scipy import stats
 
 from .data import Dataset, covariance
-from .errors import EstimationError, ModelSpecificationError
-from .model import ModelSpec
+from .errors import EstimationError, LatentPathError, ModelSpecificationError
+from .model import ModelSpec, ParamMatrices
 from .sem import EstimationOptions, FitResult, fit
 
 
 @dataclass
 class EffectMatrices:
-    """Total/direct/indirect effects onto each endogenous latent."""
+    """Direct and total effects among the latents, indexed [target, source]."""
 
-    eta_names: list[str]
-    xi_names: list[str]
-    total_exo: np.ndarray      # eta x xi: (I-B)^-1 Gamma
-    direct_exo: np.ndarray     # eta x xi: Gamma
-    total_endo: np.ndarray     # eta x eta: (I-B)^-1 - I
-    direct_endo: np.ndarray    # eta x eta: B
-
-    @property
-    def indirect_exo(self) -> np.ndarray:
-        return self.total_exo - self.direct_exo
-
-    @property
-    def indirect_endo(self) -> np.ndarray:
-        return self.total_endo - self.direct_endo
+    names: list[str]
+    direct: np.ndarray  # D, the latent block of A
+    total: np.ndarray   # T = (I - D)^-1 - I
 
     def effect(self, source: str, target: str,
                mediator: str | None = None) -> tuple[float, float, float]:
@@ -51,51 +41,34 @@ class EffectMatrices:
         Without a mediator, indirect is the total indirect effect; with
         one, it is the effect through that mediator alone.
         """
-        i = self.eta_names.index(target)
-        if source in self.xi_names:
-            j = self.xi_names.index(source)
-            total, direct = self.total_exo[i, j], self.direct_exo[i, j]
-        else:
-            j = self.eta_names.index(source)
-            total, direct = self.total_endo[i, j], self.direct_endo[i, j]
+        i, j = self.names.index(target), self.names.index(source)
+        total, direct = self.total[i, j], self.direct[i, j]
         if mediator is None:
             indirect = total - direct
         else:
-            indirect = self.effect(source, mediator)[0] * self.effect(mediator, target)[0]
+            k = self.names.index(mediator)
+            indirect = self.total[k, j] * self.total[i, k]
         return float(total), float(direct), float(indirect)
 
 
-def decompose(B: np.ndarray, Gamma: np.ndarray,
-              eta_names: list[str] | None = None,
-              xi_names: list[str] | None = None) -> EffectMatrices:
-    """Decompose structural effects given path matrices B and Gamma."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    m_eta = B.shape[0]
-    I = np.eye(m_eta)
+def decompose(A: np.ndarray, names: list[str] | None = None) -> EffectMatrices:
+    """Decompose the effects of a direct-effect matrix A[target, source]."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    I = np.eye(A.shape[0])
     try:
-        A = np.linalg.inv(I - B)
+        E = np.linalg.inv(I - A)
     except np.linalg.LinAlgError:
-        raise ModelSpecificationError("I - B is singular; effects undefined") from None
-    if eta_names is None:
-        eta_names = [f"eta{i + 1}" for i in range(m_eta)]
-    if xi_names is None:
-        xi_names = [f"xi{j + 1}" for j in range(Gamma.shape[1])]
-    return EffectMatrices(
-        eta_names=list(eta_names), xi_names=list(xi_names),
-        total_exo=A @ Gamma, direct_exo=Gamma.copy(),
-        total_endo=A - I, direct_endo=B.copy(),
-    )
+        raise ModelSpecificationError("I - A is singular; effects undefined") from None
+    if names is None:
+        names = [f"v{i + 1}" for i in range(A.shape[0])]
+    return EffectMatrices(names=list(names), direct=A.copy(), total=E - I)
 
 
 def decompose_fit(result: FitResult) -> EffectMatrices:
     """Effect decomposition at a FitResult's estimates."""
     m = result.matrices
-    eta, xi = m.spec.endogenous, m.spec.exogenous
-    A = m.A.materialize(result.theta)
-    endo = slice(m.n_observed, m.n_observed + len(eta))
-    exo = slice(endo.stop, None)
-    return decompose(A[endo, endo], A[endo, exo], eta, xi)
+    p = m.n_observed
+    return decompose(m.A.materialize(result.theta)[p:, p:], m.latent_names)
 
 
 def delta_variance(gamma: float, b: float, var_gamma: float, var_b: float) -> float:
@@ -156,7 +129,7 @@ def _bootstrap_replicate(args):
         moments = covariance(Dataset(list(names), sample, np.zeros_like(sample, dtype=bool), []))
         res = fit(spec, moments, opts, standardize_latents=standardize_latents,
                   compute_se=False)
-    except Exception:
+    except (LatentPathError, np.linalg.LinAlgError):
         return None
     if not res.converged:
         return None
@@ -249,42 +222,58 @@ def bootstrap_ci(
     return out
 
 
+def _effect_gradients(m: ParamMatrices, eff: EffectMatrices,
+                      src: str, med: str, dst: str) -> np.ndarray:
+    """Gradients in theta (rows) of the total, direct and indirect effect of one triple.
+
+    With E = I + T = (I - D)^-1, dT[a, b]/dD[i, j] = E[a, i] E[j, b]; a
+    parameter's derivative sums this over the free cells it occupies.
+    The indirect effect T[k, j] T[i, k] follows by the product rule.
+    """
+    p = m.n_observed
+    latent = m.A.rows >= p  # paths; loadings sit in the observed rows
+    rows, cols, slots = m.A.rows[latent] - p, m.A.cols[latent] - p, m.A.slots[latent]
+    E = np.eye(len(eff.names)) + eff.total
+
+    def d_total(a, b):
+        g = np.zeros(m.n_free)
+        np.add.at(g, slots, E[a, rows] * E[cols, b])
+        return g
+
+    i, k, j = (eff.names.index(name) for name in (dst, med, src))
+    g_direct = np.zeros(m.n_free)
+    np.add.at(g_direct, slots, ((rows == i) & (cols == j)).astype(float))
+    g_indirect = d_total(k, j) * eff.total[i, k] + eff.total[k, j] * d_total(i, k)
+    return np.array([d_total(i, j), g_direct, g_indirect])
+
+
 def delta_ci(
     result: FitResult,
     effects: list[tuple[str, str, str]],
     level: float = 0.95,
 ) -> list[EffectDecomposition]:
-    """Normal-approximation intervals using the product-variance formula.
+    """Normal-approximation intervals by the delta method.
 
-    The indirect variance is the delta formula on the two chain paths
-    source -> mediator -> target; the total variance adds the direct
-    variance as if independent (documented approximation).
+    Each of total, direct and indirect gets variance g' acov g, where g
+    is its analytic gradient in the free parameters and acov is the
+    fit's full asymptotic covariance, so correlated estimates are
+    accounted for and the total's interval does not depend on the
+    mediator named.
     """
     eff = decompose_fit(result)
-    est = result.estimates
-    se = dict(zip(result.labels, result.se))
     z = stats.norm.ppf(0.5 + level / 2.0)
     out = []
     for src, med, dst in effects:
         _validate_mediator(result.matrices.spec, src, med, dst)
-        tot, dire, ind = eff.effect(src, dst, med)
-        a_lab, b_lab = f"{med}~{src}", f"{dst}~{med}"
-        if a_lab not in est or b_lab not in est:
-            raise EstimationError(
-                f"delta method needs free paths {a_lab} and {b_lab}"
-            )
-        var_ind = delta_variance(est[a_lab], est[b_lab], se[a_lab] ** 2, se[b_lab] ** 2)
-        d_lab = f"{dst}~{src}"
-        var_dir = se.get(d_lab, np.nan) ** 2
-        sd_ind = np.sqrt(var_ind)
-        sd_dir = np.sqrt(var_dir)
-        sd_tot = np.sqrt(var_ind + var_dir)
+        point = eff.effect(src, dst, med)
+        G = _effect_gradients(result.matrices, eff, src, med, dst)
+        sd = np.sqrt(((G @ result.acov) * G).sum(axis=1))
+        bounds = [(est - z * s, est + z * s) for est, s in zip(point, sd)]
+        tot, dire, ind = point
         out.append(EffectDecomposition(
             source=src, target=dst, mediator=med,
             total=tot, direct=dire, indirect=ind, total_indirect=tot - dire,
-            total_bounds=(tot - z * sd_tot, tot + z * sd_tot),
-            direct_bounds=(dire - z * sd_dir, dire + z * sd_dir),
-            indirect_bounds=(ind - z * sd_ind, ind + z * sd_ind),
+            total_bounds=bounds[0], direct_bounds=bounds[1], indirect_bounds=bounds[2],
             level=level, method="delta",
         ))
     return out
@@ -293,25 +282,15 @@ def delta_ci(
 def _validate_mediator(spec: ModelSpec | None, src: str, med: str, dst: str) -> None:
     if spec is None:
         return
-    names = set(spec.latent_names)
+    names = spec.latent_names
     for name in (src, med, dst):
         if name not in names:
             raise ModelSpecificationError(f"{name!r} is not a latent in the model")
-    edges = {(r.predictor, r.dependent) for r in spec.regressions}
-    # mediator must sit on some directed route src -> ... -> dst
-    def reachable(a, b):
-        frontier, seen = [a], set()
-        while frontier:
-            node = frontier.pop()
-            if node == b:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(d for (s, d) in edges if s == node)
-        return False
-
-    if not (reachable(src, med) and reachable(med, dst)):
+    # with unit arrows, T counts the directed routes between two latents
+    arrows = np.zeros((len(names), len(names)))
+    for r in spec.regressions:
+        arrows[names.index(r.dependent), names.index(r.predictor)] = 1.0
+    if decompose(arrows, names).effect(src, dst, med)[2] == 0:
         raise ModelSpecificationError(
             f"{med!r} does not mediate any directed route {src} -> {dst}"
         )
@@ -346,9 +325,9 @@ def classify_hypotheses(
     if spec is None:
         raise EstimationError("result carries no model specification")
     verdicts = []
-    table = {row["label"]: row for row in result.parameter_table()}
+    table = {row["hypothesis"]: row for row in result.parameter_table("path")}
     for label, (dep, pred) in sorted(spec.labels.items()):
-        row = table.get(f"{dep}~{pred}")
+        row = table.get(label)
         if row is None:
             raise ModelSpecificationError(
                 f"labeled path {dep} ~ {pred} carries no free parameter"

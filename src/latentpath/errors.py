@@ -35,7 +35,7 @@ class NotPositiveDefiniteError(LatentPathError):
 
 
 class UnderIdentifiedError(LatentPathError):
-    """More free parameters than distinct sample moments."""
+    """More free parameters than distinct sample moments, or a singular information matrix."""
 
 
 class EstimationError(LatentPathError):

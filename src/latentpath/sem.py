@@ -10,8 +10,9 @@ covariance of the observed vector is::
 The discrepancy minimized is F = log|Sigma| + tr(S_obs Sigma^-1) -
 log|S_obs| - p, driven by a BFGS iteration with an Armijo backtracking
 line search; a proposal that leaves Sigma non-positive-definite is
-rejected by step halving. Standard errors come from the inverse of the
-numerically differentiated Hessian of (n-1)/2 * F at the solution.
+rejected by step halving. The asymptotic covariance of the estimates is
+the inverse of the numerically differentiated Hessian of (n-1)/2 * F at
+the solution, and the standard errors are the roots of its diagonal.
 """
 
 from __future__ import annotations
@@ -302,6 +303,8 @@ class FitResult:
     p_values: np.ndarray
     heywood: list[str]
     f_history: list[float] = field(repr=False, default_factory=list)
+    # asymptotic covariance of theta; NaN without standard errors
+    acov: np.ndarray | None = field(repr=False, default=None)
     matrices: ParamMatrices | None = field(repr=False, default=None)
     options: EstimationOptions | None = field(repr=False, default=None)
     S: np.ndarray | None = field(repr=False, default=None)
@@ -387,6 +390,25 @@ def _numerical_hessian(objective: _Objective, theta: np.ndarray) -> np.ndarray:
     return (H + H.T) / 2.0
 
 
+def _check_identified(H: np.ndarray, labels: list[str]) -> None:
+    """Reject a Hessian with a (near) null direction: the model is not identified.
+
+    Names the parameters that weigh most in the eigenvector of the
+    smallest eigenvalue, the direction along which the fit is flat.
+    """
+    lam, vec = np.linalg.eigh(H)
+    if lam[0] > 1e-6 * lam[-1]:
+        return
+    weight = np.abs(vec[:, 0])
+    flat = [labels[k] for k in np.argsort(-weight, kind="stable")
+            if weight[k] >= 0.5 * weight.max()]
+    raise UnderIdentifiedError(
+        f"model is not identified: the information matrix is singular "
+        f"(smallest/largest eigenvalue {lam[0] / lam[-1]:.1e}); "
+        f"the fit is flat along {', '.join(flat)}"
+    )
+
+
 def align_moments(spec: ModelSpec, moments: SampleMoments) -> tuple[np.ndarray, list[str]]:
     """Restrict S to the model's indicators, keeping the moments' order."""
     wanted = set(spec.indicator_names)
@@ -410,8 +432,9 @@ def fit(
 
     Returns a FitResult even when the iteration limit is hit (flagged via
     ``converged``); raises UnderIdentifiedError when the model has more
-    free parameters than sample moments and NotPositiveDefiniteError for
-    a non-PD sample covariance.
+    free parameters than sample moments or, with standard errors, when a
+    converged fit's Hessian is singular; NotPositiveDefiniteError for a
+    non-PD sample covariance.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
@@ -431,15 +454,17 @@ def fit(
     chisq_p = float(stats.chi2.sf(chisq, dfres.value)) if dfres.value > 0 else 1.0
 
     t = m.n_free
-    se = np.full(t, np.nan)
+    acov = np.full((t, t), np.nan)
     if compute_se and t:
         H = ((n - 1) / 2.0) * _numerical_hessian(objective, opt.theta)
+        if opt.converged and np.all(np.isfinite(H)):
+            _check_identified(H, m.labels)
         try:
-            cov = np.linalg.inv(H)
-            diag = np.diag(cov)
-            se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
+            acov = np.linalg.inv(H)
         except np.linalg.LinAlgError:
             pass
+    diag = np.diag(acov)
+    se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = opt.theta / se
     p_values = 2.0 * stats.norm.sf(np.abs(crit))
@@ -473,6 +498,7 @@ def fit(
         p_values=p_values,
         heywood=heywood,
         f_history=opt.history,
+        acov=acov,
         matrices=m,
         options=opts,
         S=S,

@@ -2,22 +2,26 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import latentpath as lp
+from latentpath import effects
 from latentpath.errors import EstimationError, ModelSpecificationError
 
 
-def enumerate_paths(B, Gamma, eta_names, xi_names, source, target):
+def ram_latent_block(B, Gamma):
+    """The latent block of A, endogenous then exogenous: [[B, Gamma], [0, 0]]."""
+    m_eta, m_xi = Gamma.shape
+    return np.block([[B, Gamma], [np.zeros((m_xi, m_eta + m_xi))]])
+
+
+def enumerate_paths(A, names, source, target):
     """Sum of edge-weight products over every directed route, brute force."""
-    nodes = xi_names + eta_names
     weight = {}
-    for i, dep in enumerate(eta_names):
-        for j, pred in enumerate(eta_names):
-            if B[i, j] != 0:
-                weight[(pred, dep)] = B[i, j]
-        for j, pred in enumerate(xi_names):
-            if Gamma[i, j] != 0:
-                weight[(pred, dep)] = Gamma[i, j]
+    for i, dep in enumerate(names):
+        for j, pred in enumerate(names):
+            if A[i, j] != 0:
+                weight[(pred, dep)] = A[i, j]
 
     total = 0.0
     # depth-first enumeration of simple paths (graph is acyclic)
@@ -38,14 +42,15 @@ class TestDecompose:
     def test_no_mediation_paths(self):
         B = np.zeros((2, 2))
         Gamma = np.array([[0.5, 0.2], [0.1, 0.4]])
-        eff = lp.decompose(B, Gamma)
-        np.testing.assert_allclose(eff.indirect_exo, 0.0)
-        np.testing.assert_allclose(eff.total_exo, Gamma)
+        eff = lp.decompose(ram_latent_block(B, Gamma))
+        np.testing.assert_allclose(eff.total - eff.direct, 0.0)
+        np.testing.assert_allclose(eff.total[:2, 2:], Gamma)
 
     def test_survey_totals_match_published_rounding(self):
         B = np.array([[0.0, 0.0], [0.438, 0.0]])
         Gamma = np.array([[0.124, 0.587, 0.264], [0.156, 0.301, 0.034]])
-        eff = lp.decompose(B, Gamma, ["PerVa", "PB"], ["ConsEth", "EnvSt", "PBC"])
+        eff = lp.decompose(ram_latent_block(B, Gamma),
+                           ["PerVa", "PB", "ConsEth", "EnvSt", "PBC"])
         tot, dire, ind = eff.effect("PBC", "PB")
         assert dire == pytest.approx(0.034)
         assert ind == pytest.approx(0.116, abs=5e-4)
@@ -57,7 +62,7 @@ class TestDecompose:
 
     def test_singular_path_matrix_rejected(self):
         with pytest.raises(ModelSpecificationError, match="singular"):
-            lp.decompose(np.eye(2), np.zeros((2, 1)))
+            lp.decompose(ram_latent_block(np.eye(2), np.zeros((2, 1))))
 
     def test_matches_path_enumeration_on_random_dags(self):
         rng = np.random.default_rng(42)
@@ -73,21 +78,22 @@ class TestDecompose:
                         B[i, j] = rng.normal()
             Gamma = np.where(rng.random((m_eta, m_xi)) < 0.7,
                              rng.normal(size=(m_eta, m_xi)), 0.0)
-            eff = lp.decompose(B, Gamma, eta_names, xi_names)
+            A = ram_latent_block(B, Gamma)
+            eff = lp.decompose(A, eta_names + xi_names)
             for src, dst in itertools.product(xi_names + eta_names, eta_names):
                 if src == dst:
                     continue
                 tot, dire, ind = eff.effect(src, dst)
-                expected = enumerate_paths(B, Gamma, eta_names, xi_names, src, dst)
+                expected = enumerate_paths(A, eta_names + xi_names, src, dst)
                 assert tot == pytest.approx(expected, abs=1e-10)
                 assert tot - dire - ind == pytest.approx(0.0, abs=1e-10)
 
     def test_additivity_identity(self):
         B = np.array([[0.0, 0.0], [0.7, 0.0]])
         Gamma = np.array([[0.3, 0.1], [0.2, 0.6]])
-        eff = lp.decompose(B, Gamma)
-        np.testing.assert_allclose(
-            eff.total_exo - eff.direct_exo - eff.indirect_exo, 0.0, atol=1e-12)
+        eff = lp.decompose(ram_latent_block(B, Gamma))
+        indirect = np.array([[eff.effect(s, t)[2] for s in eff.names] for t in eff.names])
+        np.testing.assert_allclose(eff.total - eff.direct - indirect, 0.0, atol=1e-12)
 
 
 class TestDeltaVariance:
@@ -194,7 +200,110 @@ class TestSpecificIndirect:
         assert decs[0].indirect_bounds != decs[1].indirect_bounds
 
 
+CHAIN_MODEL = """
+X =~ x1 + x2 + x3
+M1 =~ m1 + m2 + m3
+M2 =~ k1 + k2 + k3
+Y =~ y1 + y2 + y3
+M1 ~ X
+M2 ~ M1
+Y ~ M2
+"""
+
+
+def planted_chain_data(n, seed):
+    spec = lp.parse_model(CHAIN_MODEL)
+    m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
+    theta = lp.theta_from_config(
+        m, {"M1~X": 0.5, "M2~M1": 0.6, "Y~M2": 0.5},
+        dict(loading=0.75, latent_variance=1.0, disturbance_variance=0.6,
+             error_variance=0.4375),
+    )
+    return spec, lp.simulate(m, theta, n, seed=seed)
+
+
+def effect_at(m, theta, src, med, dst):
+    p = m.n_observed
+    eff = lp.decompose(m.A.materialize(theta)[p:, p:], m.latent_names)
+    return np.array(eff.effect(src, dst, med))
+
+
+class TestFullCovarianceDelta:
+    """delta_ci's variance is g' acov g with the analytic gradient g."""
+
+    def test_total_bounds_do_not_depend_on_mediator(self):
+        spec, data = planted_two_mediator_data(800, seed=3)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
+        via_m1, via_m2 = lp.delta_ci(res, [("X", "M1", "Y"), ("X", "M2", "Y")])
+        assert via_m1.total_bounds == via_m2.total_bounds
+        assert via_m1.direct_bounds == via_m2.direct_bounds
+
+    @pytest.mark.parametrize("planted,triples", [
+        (planted_two_mediator_data, [("X", "M1", "Y"), ("X", "M2", "Y")]),
+        (planted_chain_data, [("X", "M1", "Y"), ("X", "M2", "Y"), ("M1", "M2", "Y")]),
+    ])
+    def test_gradient_matches_central_differences(self, planted, triples):
+        spec, data = planted(800, seed=3)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True,
+                     compute_se=False)
+        m, theta = res.matrices, res.theta
+        eff = lp.decompose_fit(res)
+        for src, med, dst in triples:
+            analytic = np.array(effects._effect_gradients(m, eff, src, med, dst))
+            numeric = np.zeros_like(analytic)
+            for k in range(m.n_free):
+                h = 1e-6 * max(1.0, abs(theta[k]))
+                up, down = theta.copy(), theta.copy()
+                up[k] += h
+                down[k] -= h
+                numeric[:, k] = (effect_at(m, up, src, med, dst)
+                                 - effect_at(m, down, src, med, dst)) / (2.0 * h)
+            assert np.any(analytic != 0.0)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_chain_without_free_mediator_paths(self):
+        # X:M1:Y has no M1 -> Y path; M2 carries every route
+        spec, data = planted_chain_data(800, seed=3)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
+        for d in lp.delta_ci(res, [("X", "M1", "Y"), ("X", "M2", "Y")]):
+            assert d.indirect == pytest.approx(d.total, abs=1e-12)
+            for bounds, center in ((d.total_bounds, d.total),
+                                   (d.indirect_bounds, d.indirect)):
+                lo, hi = bounds
+                assert np.isfinite(lo) and np.isfinite(hi)
+                assert lo < center < hi
+            assert d.direct_bounds == (0.0, 0.0)  # no X -> Y path to vary
+
+    def test_single_mediator_matches_product_formula_with_covariance(self):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 800, seed=21)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
+        d = lp.delta_ci(res, [("X", "M", "Y")])[0]
+        idx = res.matrices.theta_index
+        ia, ib = idx["M~X"], idx["Y~M"]
+        a, b = res.theta[ia], res.theta[ib]
+        va, vb, cab = res.acov[ia, ia], res.acov[ib, ib], res.acov[ia, ib]
+        expected = lp.delta_variance(a, b, va, vb) - va * vb + 2 * a * b * cab
+        z = stats.norm.ppf(0.975)
+        sd = (d.indirect_bounds[1] - d.indirect_bounds[0]) / (2 * z)
+        assert sd**2 == pytest.approx(expected, abs=1e-12)
+
+
 class TestBootstrap:
+    def test_programming_errors_propagate(self, monkeypatch):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+        real_fit = effects.fit
+        calls = []
+
+        def broken_fit(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:  # the full-sample fit runs, every refit breaks
+                raise TypeError("bug in a replicate")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(effects, "fit", broken_fit)
+        with pytest.raises(TypeError, match="bug in a replicate"):
+            lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2)
+
     def test_seed_determinism_and_worker_invariance(self):
         spec, data = planted_mediation_data(0.5, 0.3, 0.2, 300, seed=55)
         kwargs = dict(replicates=120, level=0.9, seed=7, standardize_latents=True)

@@ -280,6 +280,28 @@ class TestFit:
         with pytest.raises(UnderIdentifiedError):
             lp.fit(spec, lp.covariance(lp.from_array(X, ["x", "y"])))
 
+    def test_singular_information_raises(self):
+        # df = 1, but F~~F and F~~f1 trade off along a flat ridge
+        spec = lp.parse_model("F =~ f1 + f2 + f3 + f4\nF ~~ f1")
+        m = lp.build_matrices(spec, spec.indicator_names)
+        theta = lp.theta_from_config(m, {}, dict(
+            loading=0.8, latent_variance=1.0, error_variance=0.4, error_covariance=0.0))
+        data = lp.simulate(m, theta, 500, seed=1)
+        with pytest.raises(UnderIdentifiedError, match="not identified") as info:
+            lp.fit(spec, lp.covariance(data))
+        assert "F~~f1" in str(info.value)
+        # without standard errors the Hessian is never formed
+        assert lp.fit(spec, lp.covariance(data), compute_se=False).converged
+
+    def test_acov_carries_the_standard_errors(self, survey_spec, survey_sim_moments):
+        res = lp.fit(survey_spec, survey_sim_moments)
+        t = len(res.labels)
+        assert res.acov.shape == (t, t)
+        np.testing.assert_allclose(res.acov, res.acov.T, atol=1e-12)
+        np.testing.assert_array_equal(res.se, np.sqrt(np.diag(res.acov)))
+        assert np.all(np.isnan(lp.fit(survey_spec, survey_sim_moments,
+                                      compute_se=False).acov))
+
     def test_indicator_reordering_invariance(self, survey_spec, planted):
         m, theta = planted
         data = lp.simulate(m, theta, 800, seed=5)
