@@ -10,9 +10,8 @@ covariance of the observed vector is::
 The discrepancy minimized is F = log|Sigma| + tr(S_obs Sigma^-1) -
 log|S_obs| - p, driven by a BFGS iteration with an Armijo backtracking
 line search; a proposal that leaves Sigma non-positive-definite is
-rejected by step halving. The asymptotic covariance of the estimates is
-the inverse of the numerically differentiated Hessian of (n-1)/2 * F at
-the solution, and the standard errors are the roots of its diagonal.
+rejected by step halving. The estimates' asymptotic covariance, the inverse
+of the numerically differentiated Hessian of (n-1)/2 * F, gives the SEs.
 """
 
 from __future__ import annotations
@@ -393,10 +392,14 @@ def _numerical_hessian(objective: _Objective, theta: np.ndarray) -> np.ndarray:
 def _check_identified(H: np.ndarray, labels: list[str]) -> None:
     """Reject a Hessian with a (near) null direction: the model is not identified.
 
-    Names the parameters that weigh most in the eigenvector of the
-    smallest eigenvalue, the direction along which the fit is flat.
+    Tests d·H·d, d = |diag(H)|^-1/2, whose eigenvalues do not change when a
+    parameter is rescaled (an indicator in other units); a diagonal entry
+    that is not positive makes one non-positive. Names the parameters that
+    weigh most in the eigenvector of the smallest, the flat direction.
     """
-    lam, vec = np.linalg.eigh(H)
+    diag = np.abs(np.diag(H))
+    d = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    lam, vec = np.linalg.eigh(d[:, None] * H * d[None, :])
     if lam[0] > 1e-6 * lam[-1]:
         return
     weight = np.abs(vec[:, 0])
@@ -404,7 +407,7 @@ def _check_identified(H: np.ndarray, labels: list[str]) -> None:
             if weight[k] >= 0.5 * weight.max()]
     raise UnderIdentifiedError(
         f"model is not identified: the information matrix is singular "
-        f"(smallest/largest eigenvalue {lam[0] / lam[-1]:.1e}); "
+        f"(smallest/largest scaled eigenvalue {lam[0] / lam[-1]:.1e}); "
         f"the fit is flat along {', '.join(flat)}"
     )
 
@@ -432,9 +435,8 @@ def fit(
 
     Returns a FitResult even when the iteration limit is hit (flagged via
     ``converged``); raises UnderIdentifiedError when the model has more
-    free parameters than sample moments or, with standard errors, when a
-    converged fit's Hessian is singular; NotPositiveDefiniteError for a
-    non-PD sample covariance.
+    free parameters than sample moments or, with SEs, a converged fit has a
+    singular Hessian; NotPositiveDefiniteError for a non-PD sample covariance.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)

@@ -293,6 +293,24 @@ class TestFit:
         # without standard errors the Hessian is never formed
         assert lp.fit(spec, lp.covariance(data), compute_se=False).converged
 
+    def test_identification_check_ignores_units(self):
+        # an identified model with one indicator on a 100x wider scale
+        # (years next to Likert items) puts the raw Hessian's eigenvalue
+        # ratio near 1e-9; the check must not read that as a flat ridge
+        spec = lp.parse_model("F =~ f1 + f2 + f3 + f4")
+        m = lp.build_matrices(spec, spec.indicator_names)
+        theta = lp.theta_from_config(m, {}, dict(
+            loading=0.8, latent_variance=1.0, error_variance=0.4))
+        data = lp.simulate(m, theta, 500, seed=1)
+        base = lp.fit(spec, lp.covariance(data))
+        X = data.values.copy()
+        X[:, data.names.index("f3")] *= 100.0
+        res = lp.fit(spec, lp.covariance(lp.from_array(X, data.names)))
+        assert res.converged
+        assert np.all(np.isfinite(res.se)) and np.all(res.se > 0)
+        k = res.labels.index("F=~f3")
+        assert res.se[k] == pytest.approx(100.0 * base.se[k], rel=1e-3)
+
     def test_acov_carries_the_standard_errors(self, survey_spec, survey_sim_moments):
         res = lp.fit(survey_spec, survey_sim_moments)
         t = len(res.labels)
