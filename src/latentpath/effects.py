@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import Dataset, covariance
 from .errors import EstimationError, LatentPathError, ModelSpecificationError
@@ -258,10 +258,16 @@ def delta_ci(
     is its analytic gradient in the free parameters and acov is the
     fit's full asymptotic covariance, so correlated estimates are
     accounted for and the total's interval does not depend on the
-    mediator named.
+    mediator named. A fit without a finite acov (``compute_se=False``, or
+    a Hessian that could not be inverted) raises EstimationError.
     """
+    if not np.all(np.isfinite(result.acov)):
+        raise EstimationError(
+            "delta-method intervals need standard errors, and this fit has none "
+            "(fitted with compute_se=False, or its Hessian could not be inverted)"
+        )
     eff = decompose_fit(result)
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = special.ndtri(0.5 + level / 2.0)
     out = []
     for src, med, dst in effects:
         _validate_mediator(result.matrices.spec, src, med, dst)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import NotPositiveDefiniteError
 
@@ -100,7 +100,7 @@ def indices(
 
     chisq_df = chisq / df if df > 0 else None
     rmsea = float(np.sqrt(max(chisq - df, 0.0) / (df * (n - 1)))) if df > 0 else None
-    p_value = float(stats.chi2.sf(chisq, df)) if df > 0 else 1.0
+    p_value = float(special.chdtrc(df, max(chisq, 0.0))) if df > 0 else 1.0
 
     # absolute fit from Sigma_hat^-1 S
     W = np.linalg.solve(sigma_hat, S)

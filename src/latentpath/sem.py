@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import Dataset, SampleMoments
 from .errors import (
@@ -453,7 +453,7 @@ def fit(
     n = moments.n
     mult = (n - 1) if opts.chisq_multiplier == "n-1" else n
     chisq = mult * opt.f
-    chisq_p = float(stats.chi2.sf(chisq, dfres.value)) if dfres.value > 0 else 1.0
+    chisq_p = float(special.chdtrc(dfres.value, max(chisq, 0.0))) if dfres.value > 0 else 1.0
 
     t = m.n_free
     acov = np.full((t, t), np.nan)
@@ -469,7 +469,7 @@ def fit(
     se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = opt.theta / se
-    p_values = 2.0 * stats.norm.sf(np.abs(crit))
+    p_values = 2.0 * special.ndtr(-np.abs(crit))
 
     labels = m.labels
     heywood = [

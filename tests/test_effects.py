@@ -395,3 +395,11 @@ class TestDeltaCi:
             lo, hi = bounds
             assert lo < center < hi
             assert (center - lo) == pytest.approx(hi - center, rel=1e-9)
+
+    def test_fit_without_standard_errors_raises(self):
+        # NaN bounds would read as "no mediation": NaN comparisons are false
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 300, seed=21)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True,
+                     compute_se=False)
+        with pytest.raises(EstimationError, match="standard errors"):
+            lp.delta_ci(res, [("X", "M", "Y")])

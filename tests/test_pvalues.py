@@ -1,0 +1,83 @@
+"""Tail probabilities and quantiles against scipy.stats as the reference.
+
+The package computes every p-value and normal quantile with the
+scipy.special ufuncs that scipy.stats itself calls, so the results must
+match the scipy.stats formulas exactly, not merely to a tolerance.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import special, stats
+
+import latentpath as lp
+from latentpath import effects
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone costs most of the package's import time
+    env = dict(os.environ)
+    src_dir = str(Path(lp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    code = "import sys, latentpath, latentpath.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+class TestBundledModel:
+    @pytest.fixture(scope="class")
+    def result(self, survey_spec, survey_sim_moments):
+        return lp.fit(survey_spec, survey_sim_moments)
+
+    def test_chisq_p(self, result):
+        assert result.df > 0
+        assert result.chisq_p == float(stats.chi2.sf(result.chisq, result.df))
+
+    def test_parameter_p_values(self, result):
+        assert np.isfinite(result.crit_ratio).all()
+        np.testing.assert_array_equal(result.p_values,
+                                      2.0 * stats.norm.sf(np.abs(result.crit_ratio)))
+
+    def test_fit_indices_p_value(self, result):
+        assert lp.from_fit(result).p == float(stats.chi2.sf(result.chisq, result.df))
+
+    def test_bartlett(self, survey_sim_moments):
+        R = survey_sim_moments.R
+        for k in (2, 5, R.shape[0]):
+            for n in (50, 519, 5000):
+                chi2, df, p = lp.bartlett(R[:k, :k], n)
+                assert p == float(stats.chi2.sf(chi2, df))
+
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_delta_ci_bounds(self, result, level):
+        eff = effects.decompose_fit(result)
+        z = stats.norm.ppf(0.5 + level / 2.0)
+        for src in ("ConsEth", "EnvSt", "PBC"):
+            d = lp.delta_ci(result, [(src, "PerVa", "PB")], level=level)[0]
+            G = effects._effect_gradients(result.matrices, eff, src, "PerVa", "PB")
+            sd = np.sqrt(((G @ result.acov) * G).sum(axis=1))
+            expected = [(est - z * s, est + z * s)
+                        for est, s in zip((d.total, d.direct, d.indirect), sd)]
+            assert [d.total_bounds, d.direct_bounds, d.indirect_bounds] == expected
+
+
+class TestEdgeInputs:
+    def test_normal_two_sided_p(self):
+        # the expression fit applies to the critical ratios
+        crit = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -38.5],
+                               np.linspace(-10.0, 10.0, 401)])
+        np.testing.assert_array_equal(2.0 * special.ndtr(-np.abs(crit)),
+                                      2.0 * stats.norm.sf(np.abs(crit)))
+
+    @pytest.mark.parametrize("df", [1, 15, 1062])
+    @pytest.mark.parametrize("chisq", [-0.5, 0.0, 1.0, 15.0, 1062.0, 1e4, np.nan])
+    def test_chi_square_upper_tail(self, df, chisq):
+        S = np.eye(3)
+        p = lp.indices(chisq, df, 50.0, 3, 200, S, S).p
+        np.testing.assert_array_equal(p, stats.chi2.sf(chisq, df))

@@ -177,6 +177,14 @@ class TestBartlett:
         chi2_id, _, _ = lp.bartlett(np.eye(4), n=40)
         assert chi2_id == pytest.approx(0.0, abs=1e-12)
 
+    def test_negative_statistic_keeps_unit_p_value(self):
+        # at n = 3 the factor n - 1 - (2p + 5)/6 is negative, so chi2 < 0;
+        # the upper tail of a negative statistic is 1, not NaN
+        chi2, df, p = lp.bartlett(compound_symmetric(6, 0.3), n=3)
+        assert chi2 == pytest.approx(-0.7226, abs=1e-4)
+        assert df == 15
+        assert p == 1.0
+
     def test_non_pd_rejected(self):
         R = compound_symmetric(3, -0.9)  # negative definite pattern
         with pytest.raises(NotPositiveDefiniteError):
