@@ -1,8 +1,9 @@
 """Maximum-likelihood estimation of the full structural model.
 
-Minimizes log|Sigma(theta)| + tr(S Sigma(theta)^-1) - log|S| - p by BFGS
-with an analytic gradient, then reports regression weights with standard
-errors, the goodness-of-fit index suite, and the standardized solution.
+Minimizes log|Sigma(theta)| + tr(S Sigma(theta)^-1) - log|S| - p by Fisher
+scoring on the expected information with an analytic gradient, then
+reports regression weights with expected-information standard errors, the
+goodness-of-fit index suite, and the standardized solution.
 """
 
 import json

@@ -155,7 +155,7 @@ def _convergent_payload(result: FitResult, spec: ModelSpec) -> dict:
 def _discriminant_payload(result: FitResult, spec: ModelSpec) -> dict:
     cov_lat, lat_names = latent_covariance(result.matrices, result.theta)
     sd = np.sqrt(np.diag(cov_lat))
-    corr = cov_lat / np.outer(sd, sd)
+    corr = cov_lat / (sd[:, None] * sd)
     conv = _convergent_payload(result, spec)["constructs"]
     ave = {c["name"]: c["ave"] for c in conv}
     order = [c["name"] for c in conv]

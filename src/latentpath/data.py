@@ -169,7 +169,7 @@ def covariance(dataset: Dataset, divisor: str = "n-1",
     sd = np.sqrt(np.diag(S))
     zero = sd == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        R = S / np.outer(sd, sd)
+        R = S / (sd[:, None] * sd)
     R[zero, :] = np.nan
     R[:, zero] = np.nan
     np.fill_diagonal(R, np.where(zero, np.nan, 1.0))

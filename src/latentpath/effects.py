@@ -259,12 +259,12 @@ def delta_ci(
     fit's full asymptotic covariance, so correlated estimates are
     accounted for and the total's interval does not depend on the
     mediator named. A fit without a finite acov (``compute_se=False``, or
-    a Hessian that could not be inverted) raises EstimationError.
+    a singular information matrix) raises EstimationError.
     """
     if not np.all(np.isfinite(result.acov)):
         raise EstimationError(
             "delta-method intervals need standard errors, and this fit has none "
-            "(fitted with compute_se=False, or its Hessian could not be inverted)"
+            "(fitted with compute_se=False, or its information matrix is singular)"
         )
     eff = decompose_fit(result)
     z = special.ndtri(0.5 + level / 2.0)

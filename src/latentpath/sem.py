@@ -8,10 +8,10 @@ covariance of the observed vector is::
     Sigma = E_p S E_p'
 
 The discrepancy minimized is F = log|Sigma| + tr(S_obs Sigma^-1) -
-log|S_obs| - p, driven by a BFGS iteration with an Armijo backtracking
+log|S_obs| - p, driven by Fisher scoring with an Armijo backtracking
 line search; a proposal that leaves Sigma non-positive-definite is
-rejected by step halving. The estimates' asymptotic covariance, the inverse
-of the numerically differentiated Hessian of (n-1)/2 * F, gives the SEs.
+rejected by step halving. The expected information I steers each step;
+the inverse of (n-1)/2 * I at the optimum gives the SEs.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class EstimationOptions:
     max_iter: int = 500
     gtol: float = 1e-6
     ftol: float = 1e-14
-    start_values: str = "conventional"
-    seed: int | None = None
     chisq_multiplier: str = "n-1"  # or "n"
 
     def __post_init__(self):
@@ -134,7 +132,7 @@ def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int, p: int | None = Non
 
 
 class _Objective:
-    """F_ML and its analytic gradient over the free-parameter vector."""
+    """F_ML, its analytic gradient and expected information over theta."""
 
     def __init__(self, m: ParamMatrices, S: np.ndarray):
         self.m = m
@@ -144,6 +142,20 @@ class _Objective:
             raise NotPositiveDefiniteError("sample covariance is not positive definite")
         self.logdet_S = logdet_S
         self.p = S.shape[0]
+        # every free cell of A, then of S: its parameter (incidence K) and
+        # its weight, 1/2 in S, where a covariance fills (i,j) and (j,i)
+        slots = np.concatenate([m.A.slots, m.S.slots])
+        self.K = np.zeros((m.n_free, slots.size))
+        self.K[slots, np.arange(slots.size)] = 1.0
+        w = np.repeat([1.0, 0.5], [m.A.slots.size, m.S.slots.size])
+        self.ww = 2.0 * w[:, None] * w[None, :]
+
+    def _implied(self, theta: np.ndarray):
+        """S, E and the Cholesky factor and log-determinant of Sigma."""
+        _, S, E = _ram(self.m, theta)
+        Ep = E[:self.p]
+        sigma = Ep @ S @ Ep.T
+        return (S, E) + _chol_logdet((sigma + sigma.T) / 2.0)
 
     def value(self, theta: np.ndarray) -> float:
         f, _ = self.value_and_grad(theta, need_grad=False)
@@ -157,13 +169,10 @@ class _Objective:
 
     def value_and_grad(self, theta: np.ndarray, need_grad: bool = True):
         m = self.m
-        _, S, E = _ram(m, theta)
-        Ep = E[:self.p]
-        sigma = Ep @ S @ Ep.T
-        sigma = (sigma + sigma.T) / 2.0
-        L, logdet = _chol_logdet(sigma)
+        S, E, L, logdet = self._implied(theta)
         if L is None:
             return np.inf, None
+        Ep = E[:self.p]
         Linv = np.linalg.inv(L)
         sigma_inv = Linv.T @ Linv
         SiS = sigma_inv @ self.S_obs
@@ -184,6 +193,26 @@ class _Objective:
         np.add.at(g, m.A.slots, dA[m.A.rows, m.A.cols - p])
         np.add.at(g, m.S.slots, M[m.S.rows, m.S.cols])
         return f, g
+
+    def information(self, theta: np.ndarray) -> np.ndarray:
+        """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
+        the expected Hessian of F (Bollen 1989, ch. 4).
+
+        Free cell c adds w_c (u_c v_c' + v_c u_c') to its parameter's
+        dSigma, with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A,
+        E_p[:, col] in S. Whitened by Sigma = L L', two such terms have
+        trace 2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)].
+        """
+        m = self.m
+        S, E, L, _ = self._implied(theta)
+        if L is None:
+            raise NotPositiveDefiniteError("implied covariance is not positive definite")
+        W = np.linalg.solve(L, E[:self.p])
+        U = W[:, np.concatenate([m.A.rows, m.S.rows])]
+        V = np.hstack([(W @ S) @ E[m.A.cols].T, W[:, m.S.cols]])
+        UV = U.T @ V
+        info = self.K @ (self.ww * ((U.T @ U) * (V.T @ V) + UV * UV.T)) @ self.K.T
+        return (info + info.T) / 2.0
 
 
 def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
@@ -219,30 +248,29 @@ class _OptimResult:
 
 
 def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions) -> _OptimResult:
-    """BFGS with Armijo backtracking; trial steps that break positive
-    definiteness evaluate to +inf and are halved away."""
+    """Fisher scoring with Armijo backtracking: d solves (I + 1e-10 diag I) d
+    = -g, I the expected information. The unit-free floor keeps the system
+    regular where I is singular (a non-identified ridge, whose null space g
+    has no part in) and barely moves any other step; a pseudo-inverse would
+    need an eigendecomposition, several times the cost of the solve. Steps
+    that break positive definiteness are halved away."""
     theta = np.asarray(theta0, dtype=float).copy()
     f, g = objective.value_and_grad(theta)
     if not np.isfinite(f):
         raise EstimationError("starting values give a non-positive-definite implied covariance")
-    t = theta.size
-    H = np.eye(t)
     history = [f]
     iterations = 0
     converged = bool(np.max(np.abs(g), initial=0.0) < opts.gtol)
-    first_update = True
     stalls = 0
     for it in range(1, opts.max_iter + 1):
         if converged:
             break
-        d = -H @ g
+        info = objective.information(theta)
+        floor = 1e-10 * np.where(np.diag(info) > 0, np.diag(info), 1.0)
+        d = -np.linalg.solve(info + np.diag(floor), g)
         gd = float(g @ d)
-        if gd >= 0:  # curvature gone bad; restart from steepest descent
-            H = np.eye(t)
-            d = -g
-            gd = float(g @ d)
         step = 1.0
-        f_new = g_new = None
+        f_new = None
         for _ in range(60):
             trial = theta + step * d
             f_try, _ = objective.value_and_grad(trial, need_grad=False)
@@ -252,28 +280,14 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             step *= 0.5
         if f_new is None:
             break  # no acceptable step; report whatever we have
-        theta_new = theta + step * d
-        _, g_new = objective.value_and_grad(theta_new)
-        s = theta_new - theta
-        y = g_new - g
-        theta, f_prev, f, g = theta_new, f, f_new, g_new
+        theta = trial
+        _, g = objective.value_and_grad(theta)
+        f_prev, f = f, f_new
         history.append(f)
         iterations = it
         converged = bool(np.max(np.abs(g)) < opts.gtol)
-        sy = float(s @ y)
-        if sy > 1e-12 * max(1.0, float(np.linalg.norm(s)) * float(np.linalg.norm(y))):
-            if first_update:
-                H *= sy / float(y @ y)
-                first_update = False
-            rho = 1.0 / sy
-            Hy = H @ y
-            H = (
-                H
-                - rho * (np.outer(s, Hy) + np.outer(Hy, s))
-                + rho * (1.0 + rho * float(y @ Hy)) * np.outer(s, s)
-            )
         # give up only after the objective stalls repeatedly; near an
-        # optimum BFGS keeps shrinking the gradient for a few more steps
+        # optimum the steps keep shrinking the gradient after F stops moving
         stalls = stalls + 1 if abs(f_prev - f) < opts.ftol * max(1.0, abs(f_prev)) else 0
         if stalls >= 3:
             break
@@ -302,7 +316,7 @@ class FitResult:
     p_values: np.ndarray
     heywood: list[str]
     f_history: list[float] = field(repr=False, default_factory=list)
-    # asymptotic covariance of theta; NaN without standard errors
+    # asymptotic covariance of theta (inverse information); NaN without SEs
     acov: np.ndarray | None = field(repr=False, default=None)
     matrices: ParamMatrices | None = field(repr=False, default=None)
     options: EstimationOptions | None = field(repr=False, default=None)
@@ -371,26 +385,8 @@ def standardize(result_or_matrices, theta=None) -> dict[str, float]:
     return out
 
 
-def _numerical_hessian(objective: _Objective, theta: np.ndarray) -> np.ndarray:
-    """Central differences on the analytic gradient."""
-    t = theta.size
-    H = np.zeros((t, t))
-    for j in range(t):
-        h = 1e-5 * max(1.0, abs(theta[j]))
-        up, down = theta.copy(), theta.copy()
-        up[j] += h
-        down[j] -= h
-        _, g_up = objective.value_and_grad(up)
-        _, g_down = objective.value_and_grad(down)
-        if g_up is None or g_down is None:
-            H[:, j] = np.nan
-        else:
-            H[:, j] = (g_up - g_down) / (2.0 * h)
-    return (H + H.T) / 2.0
-
-
 def _check_identified(H: np.ndarray, labels: list[str]) -> None:
-    """Reject a Hessian with a (near) null direction: the model is not identified.
+    """Reject information with a (near) null direction: the model is not identified.
 
     Tests d·H·d, d = |diag(H)|^-1/2, whose eigenvalues do not change when a
     parameter is rescaled (an indicator in other units); a diagonal entry
@@ -436,7 +432,7 @@ def fit(
     Returns a FitResult even when the iteration limit is hit (flagged via
     ``converged``); raises UnderIdentifiedError when the model has more
     free parameters than sample moments or, with SEs, a converged fit has a
-    singular Hessian; NotPositiveDefiniteError for a non-PD sample covariance.
+    singular information; NotPositiveDefiniteError for a non-PD sample covariance.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
@@ -458,8 +454,8 @@ def fit(
     t = m.n_free
     acov = np.full((t, t), np.nan)
     if compute_se and t:
-        H = ((n - 1) / 2.0) * _numerical_hessian(objective, opt.theta)
-        if opt.converged and np.all(np.isfinite(H)):
+        H = ((n - 1) / 2.0) * objective.information(opt.theta)
+        if opt.converged:
             _check_identified(H, m.labels)
         try:
             acov = np.linalg.inv(H)

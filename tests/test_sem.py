@@ -10,6 +10,19 @@ from latentpath.sem import _Objective
 from conftest import one_factor_spec
 
 
+def numerical_hessian(obj, theta):
+    """Central differences on the analytic gradient: the observed information."""
+    t = theta.size
+    H = np.zeros((t, t))
+    for j in range(t):
+        h = 1e-5 * max(1.0, abs(theta[j]))
+        up, down = theta.copy(), theta.copy()
+        up[j] += h
+        down[j] -= h
+        H[:, j] = (obj.gradient(up) - obj.gradient(down)) / (2.0 * h)
+    return (H + H.T) / 2.0
+
+
 def toy_two_param():
     """One latent, two indicators, free loading and latent variance."""
     spec = lp.parse_model("F =~ 1*a + b\na ~~ 0.5*a\nb ~~ 0.5*b")
@@ -232,6 +245,35 @@ class TestCrossCovariances:
         assert np.all(np.isfinite(res.se))
 
 
+class TestInformation:
+    """The expected information against the observed one (the Hessian of F)."""
+
+    @pytest.mark.parametrize("model", ["survey_marker", "survey_std_lv", "exo_endo_latents"])
+    def test_equals_hessian_at_model_covariance(self, model, survey_spec, planted):
+        # at S = Sigma(theta) the expected and observed information coincide;
+        # the cross-covariance model adds an off-diagonal latent S cell
+        # (weight 1/2) to the paths and loadings in A
+        if model == "exo_endo_latents":
+            _, m, theta, _ = planted_cross_covariance(model)
+        else:
+            m = lp.build_matrices(survey_spec, survey_spec.indicator_names,
+                                  standardize_latents=model == "survey_std_lv")
+            data = lp.simulate(*planted, 500, seed=3)
+            theta = lp.fit(survey_spec, lp.covariance(data), compute_se=False,
+                           standardize_latents=model == "survey_std_lv").theta
+        obj = _Objective(m, lp.implied_covariance(m, theta))
+        assert np.any(m.S.rows != m.S.cols)
+        np.testing.assert_allclose(obj.information(theta), numerical_hessian(obj, theta),
+                                   rtol=1e-5, atol=1e-7)
+
+    def test_large_n_standard_errors_match_observed_information(self, survey_spec, planted):
+        n = 20_000
+        res = lp.fit(survey_spec, lp.covariance(lp.simulate(*planted, n, seed=1)))
+        H = ((n - 1) / 2.0) * numerical_hessian(_Objective(res.matrices, res.S), res.theta)
+        se_observed = np.sqrt(np.diag(np.linalg.inv(H)))
+        np.testing.assert_allclose(res.se, se_observed, rtol=0.02)
+
+
 class TestFit:
     def test_one_factor_recovery(self):
         spec = one_factor_spec(3)
@@ -260,6 +302,12 @@ class TestFit:
         assert res.df == 0
         assert abs(res.f_min) < 1e-10
         assert abs(res.chisq) < 1e-8
+
+    def test_survey_converges_in_few_scoring_steps(self, survey_spec, planted):
+        data = lp.simulate(*planted, 519, seed=42)
+        res = lp.fit(survey_spec, lp.covariance(data), compute_se=False)
+        assert res.converged
+        assert res.iterations <= 12
 
     def test_history_is_monotone(self, survey_spec, survey_sim_moments):
         res = lp.fit(survey_spec, survey_sim_moments, compute_se=False)
@@ -290,13 +338,15 @@ class TestFit:
         with pytest.raises(UnderIdentifiedError, match="not identified") as info:
             lp.fit(spec, lp.covariance(data))
         assert "F~~f1" in str(info.value)
-        # without standard errors the Hessian is never formed
+        # without standard errors the identification check never runs, and
+        # the floored scoring step still converges on the ridge
         assert lp.fit(spec, lp.covariance(data), compute_se=False).converged
 
     def test_identification_check_ignores_units(self):
         # an identified model with one indicator on a 100x wider scale
-        # (years next to Likert items) puts the raw Hessian's eigenvalue
-        # ratio near 1e-9; the check must not read that as a flat ridge
+        # (years next to Likert items) puts the raw information matrix's
+        # eigenvalue ratio near 5e-9; the check must not read that as a
+        # flat ridge
         spec = lp.parse_model("F =~ f1 + f2 + f3 + f4")
         m = lp.build_matrices(spec, spec.indicator_names)
         theta = lp.theta_from_config(m, {}, dict(
