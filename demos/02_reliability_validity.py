@@ -1,7 +1,8 @@
 """Reliability and validity workflow: alpha, KMO, Bartlett, CR/AVE.
 
-Runs the classic scale-quality sequence construct by construct, then the
-Fornell-Larcker discriminant check across constructs.
+Runs the classic scale-quality sequence construct by construct, then reads
+CR/AVE and the Fornell-Larcker discriminant check off one CFA of the
+measurement model.
 """
 
 import json
@@ -27,23 +28,22 @@ for lat in spec.latents:
     chi2, df, p = lp.bartlett(moments.R, moments.n)
     print(f"{lat.name:<12} {alpha:7.3f} {kmo_val:6.3f} {chi2:14.2f} {p:9.2e}")
 
-# Composite reliability and AVE need standardized loadings; a one-factor
-# fit per construct provides them. Error variances default to 1 - lambda^2.
+# Composite reliability and AVE need standardized loadings; the CFA of the
+# measurement model provides them, and its latent correlations feed the
+# discriminant check below, so both come from one measurement model.
+# Error variances default to 1 - lambda^2.
+cfa = lp.fit(spec.without_regressions(), lp.covariance(data), compute_se=False)
 print("\nconstruct        CR     AVE   sqrt(AVE)")
 ave_by = {}
 for lat in spec.latents:
-    one = lp.parse_model(f"{lat.name} =~ " + " + ".join(lat.indicators))
-    res = lp.fit(one, lp.covariance(data.subset(list(lat.indicators))),
-                 compute_se=False)
-    lam = [res.standardized[f"{lat.name}=~{item}"] for item in lat.indicators]
+    lam = [cfa.standardized[f"{lat.name}=~{item}"] for item in lat.indicators]
     cr = lp.composite_reliability(lam)
     ave = lp.average_variance_extracted(lam)
     ave_by[lat.name] = ave
     print(f"{lat.name:<12} {cr:7.4f} {ave:7.4f} {np.sqrt(ave):8.3f}")
 
 # Discriminant validity: each construct's sqrt(AVE) should beat every
-# correlation it takes part in. Correlations come from a full CFA here.
-cfa = lp.fit(spec.without_regressions(), lp.covariance(data), compute_se=False)
+# correlation it takes part in.
 cov_lat, names = lp.latent_covariance(cfa.matrices, cfa.theta)
 sd = np.sqrt(np.diag(cov_lat))
 corr = cov_lat / np.outer(sd, sd)

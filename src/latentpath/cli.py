@@ -54,8 +54,27 @@ _USAGE_ERRORS = (ModelSyntaxError, ModelSpecificationError, DataError, FileNotFo
 _DOMAIN_ERRORS = (UnderIdentifiedError, EstimationError, NotPositiveDefiniteError)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LATENTPATH_SEED", "0"))
+def _seed(args) -> int:
+    """``--seed`` where the subcommand has one and it was given, else the default."""
+    seed = getattr(args, "seed", None)
+    return seed if seed is not None else int(os.environ.get("LATENTPATH_SEED", "0"))
+
+
+def _ranged(convert, ok, wanted: str):
+    """An argparse ``type`` that converts, then rejects values outside a range."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _ranged(int, lambda v: v > 0, "positive")
+_POSITIVE_FLOAT = _ranged(float, lambda v: v > 0, "positive")
+_LEVEL = _ranged(float, lambda v: 0 < v < 1, "inside (0, 1)")
+_REPLICATES = _ranged(int, lambda v: v == 0 or v >= 100, "0 or at least 100")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -72,8 +91,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_estimation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--gtol", type=float, default=1e-6)
+    parser.add_argument("--max-iter", type=_POSITIVE_INT, default=500)
+    parser.add_argument("--gtol", type=_POSITIVE_FLOAT, default=1e-6)
     parser.add_argument("--chisq-n", choices=("n", "n-1"), default="n-1",
                         help="chi-square multiplier")
     parser.add_argument("--std-lv", action="store_true",
@@ -90,6 +109,16 @@ def _options(args) -> EstimationOptions:
 def _read_model(path: str) -> ModelSpec:
     text = Path(path).read_text(encoding="utf-8")
     return parse_model(text)
+
+
+def _new_report(args, options) -> Report:
+    """An empty report whose provenance names the inputs, seed and options of args."""
+    prov = provenance(getattr(args, "model", None), args.data, seed=_seed(args),
+                      options=options)
+    prov["covariance_divisor"] = args.divisor
+    if hasattr(args, "boot"):
+        prov["bootstrap"] = {"replicates": args.boot, "level": args.level}
+    return Report(prov, args.stars)
 
 
 def _emit(report: Report, args) -> None:
@@ -130,77 +159,68 @@ def _regression_payload(result: FitResult) -> dict:
     return {"paths": result.parameter_table(kind="path")}
 
 
-def _convergent_payload(result: FitResult, spec: ModelSpec) -> dict:
-    table = {row["label"]: row for row in result.parameter_table(kind="loading")}
-    constructs = []
-    for lat in spec.latents:
-        loadings, p_values = [], []
-        for ind in lat.indicators:
-            label = f"{lat.name}=~{ind}"
-            std = result.standardized.get(label)
-            loadings.append(std)
-            p_values.append(table[label]["p"] if label in table else None)
+def _constructs(spec: ModelSpec) -> list[tuple[str, list[str]]]:
+    return [(lat.name, list(lat.indicators)) for lat in spec.latents]
+
+
+def _convergent_payload(constructs: list[tuple[str, list[str]]],
+                        result: FitResult | None) -> dict:
+    """Standardized loadings, p-values and CR/AVE per construct; all blank without a fit."""
+    standardized, p_by_label = {}, {}
+    if result is not None:
+        standardized = result.standardized
+        p_by_label = {row["label"]: row["p"] for row in result.parameter_table(kind="loading")}
+    blocks = []
+    for name, items in constructs:
+        labels = [f"{name}=~{item}" for item in items]
+        loadings = [standardized.get(label) for label in labels]
         lam = np.array([v for v in loadings if v is not None])
-        constructs.append({
-            "name": lat.name,
-            "items": list(lat.indicators),
+        blocks.append({
+            "name": name,
+            "items": items,
             "loadings": loadings,
-            "p_values": p_values,
+            "p_values": [p_by_label.get(label) for label in labels],
             "cr": composite_reliability(lam) if lam.size else None,
             "ave": average_variance_extracted(lam) if lam.size else None,
         })
-    return {"constructs": constructs}
+    return {"constructs": blocks}
 
 
-def _discriminant_payload(result: FitResult, spec: ModelSpec) -> dict:
+def _discriminant_payload(result: FitResult, convergent: dict) -> dict:
+    """Fornell-Larcker check of the convergent section's AVEs against the fit's correlations."""
     cov_lat, lat_names = latent_covariance(result.matrices, result.theta)
     sd = np.sqrt(np.diag(cov_lat))
     corr = cov_lat / (sd[:, None] * sd)
-    conv = _convergent_payload(result, spec)["constructs"]
-    ave = {c["name"]: c["ave"] for c in conv}
-    order = [c["name"] for c in conv]
+    order = [c["name"] for c in convergent["constructs"]]
+    ave = [c["ave"] for c in convergent["constructs"]]
     idx = [lat_names.index(nm) for nm in order]
-    corr_ordered = corr[np.ix_(idx, idx)]
-    fl = fornell_larcker({nm: ave[nm] for nm in order}, corr_ordered, order)
+    fl = fornell_larcker(dict(zip(order, ave)), corr[np.ix_(idx, idx)], order)
     return {
         "names": fl.names,
         "matrix": fl.matrix,
         "passed": fl.passed,
-        "ave": [ave[nm] for nm in order],
+        "ave": ave,
         "all_passed": fl.all_passed,
     }
 
 
-def _reliability_payload(dataset: Dataset, constructs: list[tuple[str, list[str]]],
-                         divisor: str = "n-1") -> dict:
-    blocks = []
+def _psychometric_payloads(dataset: Dataset, constructs: list[tuple[str, list[str]]],
+                           divisor: str) -> tuple[dict, dict]:
+    """The reliability (alpha) and sampling_adequacy (KMO, Bartlett) sections."""
+    reliability, adequacy = [], []
     for name, items in constructs:
         sub = dataset.subset(items)
-        X = sub.complete_rows()
-        alpha = cronbach_alpha(X)
         moments = covariance(sub, divisor=divisor)
-        kmo_val = kmo(moments.R)
         chi2, df, p = bartlett(moments.R, moments.n)
-        cr = ave = None
-        loadings = None
-        try:
-            one_factor = parse_model(f"{name} =~ " + " + ".join(items))
-            res = fit(one_factor, moments, compute_se=False)
-            loadings = [
-                res.standardized.get(f"{name}=~{item}") for item in items
-            ]
-            lam = np.array(loadings, dtype=float)
-            cr = composite_reliability(lam)
-            ave = average_variance_extracted(lam)
-        except (LatentPathError, ValueError):
-            pass
-        blocks.append({
-            "name": name, "items": items, "alpha": alpha,
-            "kmo": kmo_val, "bartlett_chi2": chi2,
-            "bartlett_df": df, "bartlett_p": p,
-            "loadings": loadings, "cr": cr, "ave": ave,
-        })
-    return {"constructs": blocks}
+        reliability.append({"name": name, "items": items,
+                            "alpha": cronbach_alpha(sub.complete_rows())})
+        adequacy.append({"name": name, "items": items, "kmo": kmo(moments.R),
+                         "bartlett_chi2": chi2, "bartlett_df": df, "bartlett_p": p})
+    return {"constructs": reliability}, {"constructs": adequacy}
+
+
+def _hypotheses_payload(result: FitResult) -> dict:
+    return {"verdicts": [v.__dict__ for v in classify_hypotheses(result)]}
 
 
 def _mediation_payload(decs: list[EffectDecomposition]) -> dict:
@@ -270,17 +290,13 @@ def _cmd_fit(args) -> int:
     moments = covariance(dataset, divisor=args.divisor)
     opts = _options(args)
     result = fit(spec, moments, opts, standardize_latents=args.std_lv)
-    prov = provenance(args.model, args.data, seed=_default_seed(), options=opts)
-    prov["covariance_divisor"] = args.divisor
-    report = Report(prov, args.stars)
+    report = _new_report(args, opts)
     report.add("fit", "fit", _fit_payload(result))
     report.add("regression_weights", "regression_weights", _regression_payload(result))
     report.add("fit_indices", "fit_indices",
                _indices_payload(fit_indices.from_fit(result)))
     if spec.labels:
-        verdicts = classify_hypotheses(result)
-        report.add("hypotheses", "hypotheses",
-                   {"verdicts": [v.__dict__ for v in verdicts]})
+        report.add("hypotheses", "hypotheses", _hypotheses_payload(result))
     _emit(report, args)
     return 0 if result.converged else 1
 
@@ -291,14 +307,12 @@ def _cmd_cfa(args) -> int:
     moments = covariance(dataset, divisor=args.divisor)
     opts = _options(args)
     result = fit(spec, moments, opts, standardize_latents=args.std_lv)
-    prov = provenance(args.model, args.data, seed=_default_seed(), options=opts)
-    prov["covariance_divisor"] = args.divisor
-    report = Report(prov, args.stars)
+    convergent = _convergent_payload(_constructs(spec), result)
+    report = _new_report(args, opts)
     report.add("fit", "cfa_fit", _fit_payload(result))
-    report.add("convergent_validity", "convergent_validity",
-               _convergent_payload(result, spec))
+    report.add("convergent_validity", "convergent_validity", convergent)
     report.add("discriminant_validity", "discriminant_validity",
-               _discriminant_payload(result, spec))
+               _discriminant_payload(result, convergent))
     report.add("fit_indices", "fit_indices",
                _indices_payload(fit_indices.from_fit(result)))
     _emit(report, args)
@@ -310,12 +324,10 @@ def _cmd_efa(args) -> int:
     moments = covariance(dataset, divisor=args.divisor)
     loadings = efa_mod.extract(moments.R, retention=args.retain,
                                names=moments.names, method=args.method)
-    prov = provenance(data_path=args.data, seed=_default_seed(), options={
+    report = _new_report(args, {
         "retain": args.retain, "suppress": args.suppress,
         "rotation": args.rotation, "method": args.method,
     })
-    prov["covariance_divisor"] = args.divisor
-    report = Report(prov, args.stars)
     report.add("efa", "efa", _efa_payload(loadings, args.rotation, args.suppress))
     _emit(report, args)
     return 0
@@ -324,24 +336,20 @@ def _cmd_efa(args) -> int:
 def _cmd_reliability(args) -> int:
     dataset = load_table(args.data, delimiter=args.delimiter)
     constructs = [_parse_construct(c) for c in args.construct]
-    payload = _reliability_payload(dataset, constructs, divisor=args.divisor)
-    prov = provenance(data_path=args.data, seed=_default_seed(),
-                      options={"constructs": args.construct})
-    prov["covariance_divisor"] = args.divisor
-    report = Report(prov, args.stars)
-    report.add("reliability", "reliability", payload)
-    report.add("sampling_adequacy", "sampling_adequacy", payload)
-    report.add("convergent_validity", "convergent_validity", {
-        "constructs": [
-            {
-                "name": blk["name"], "items": blk["items"],
-                "loadings": blk["loadings"] or [None] * len(blk["items"]),
-                "p_values": [None] * len(blk["items"]),
-                "cr": blk["cr"], "ave": blk["ave"],
-            }
-            for blk in payload["constructs"]
-        ]
-    })
+    reliability, adequacy = _psychometric_payloads(dataset, constructs, args.divisor)
+    convergent = []  # no model given: one one-factor fit per construct
+    for name, items in constructs:
+        try:
+            one_factor = parse_model(f"{name} =~ " + " + ".join(items))
+            result = fit(one_factor, covariance(dataset.subset(items), divisor=args.divisor),
+                         compute_se=False)
+        except (LatentPathError, ValueError):
+            result = None
+        convergent += _convergent_payload([(name, items)], result)["constructs"]
+    report = _new_report(args, {"constructs": args.construct})
+    report.add("reliability", "reliability", reliability)
+    report.add("sampling_adequacy", "sampling_adequacy", adequacy)
+    report.add("convergent_validity", "convergent_validity", {"constructs": convergent})
     _emit(report, args)
     return 0
 
@@ -351,21 +359,17 @@ def _cmd_mediate(args) -> int:
     dataset = load_table(args.data, delimiter=args.delimiter)
     opts = _options(args)
     effects = [_parse_effect(e) for e in args.effect]
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.boot > 0:
         decs = bootstrap_ci(
             dataset, spec, effects, replicates=args.boot,
-            level=args.level, seed=seed, opts=opts,
+            level=args.level, seed=_seed(args), opts=opts,
             standardize_latents=args.std_lv, workers=args.workers,
         )
     else:
         moments = covariance(dataset, divisor=args.divisor)
         result = fit(spec, moments, opts, standardize_latents=args.std_lv)
         decs = delta_ci(result, effects, level=args.level)
-    prov = provenance(args.model, args.data, seed=seed, options=opts)
-    prov["covariance_divisor"] = args.divisor
-    prov["bootstrap"] = {"replicates": args.boot, "level": args.level}
-    report = Report(prov, args.stars)
+    report = _new_report(args, opts)
     report.add("mediation", "mediation", _mediation_payload(decs))
     _emit(report, args)
     return 0
@@ -377,7 +381,7 @@ def _cmd_simulate(args) -> int:
     std_lv = bool(config.get("standardize_latents", False))
     m = build_matrices(spec, spec.indicator_names, standardize_latents=std_lv)
     theta = theta_from_config(m, config.get("values"), config.get("defaults"))
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     dataset = simulate(m, theta, args.n, seed)
     save_table(dataset, args.out)
     prov = provenance(args.model, seed=seed)
@@ -399,32 +403,28 @@ def _cmd_report(args) -> int:
     dataset = load_table(args.data, delimiter=args.delimiter)
     moments = covariance(dataset, divisor=args.divisor)
     opts = _options(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    prov = provenance(args.model, args.data, seed=seed, options=opts)
-    prov["covariance_divisor"] = args.divisor
-    prov["bootstrap"] = {"replicates": args.boot, "level": args.level}
-    report = Report(prov, args.stars)
+    report = _new_report(args, opts)
     report.add("dataset", "dataset", {
         "n": dataset.n, "p": dataset.p,
         "n_complete": int((~dataset.missing.any(axis=1)).sum()),
         "zero_variance": moments.zero_variance,
     })
-    constructs = [(lat.name, list(lat.indicators)) for lat in spec.latents]
-    rel = _reliability_payload(dataset, constructs, divisor=args.divisor)
-    report.add("reliability", "reliability", rel)
-    report.add("sampling_adequacy", "sampling_adequacy", rel)
+    constructs = _constructs(spec)
+    reliability, adequacy = _psychometric_payloads(dataset, constructs, args.divisor)
+    report.add("reliability", "reliability", reliability)
+    report.add("sampling_adequacy", "sampling_adequacy", adequacy)
 
     model_vars = spec.indicator_names
     sub_moments = covariance(dataset.subset(model_vars), divisor=args.divisor)
     loadings = efa_mod.extract(sub_moments.R, retention="kaiser", names=model_vars)
     report.add("efa", "efa", _efa_payload(loadings, "varimax", 0.4))
 
-    cfa_spec = spec.without_regressions()
-    cfa_result = fit(cfa_spec, moments, opts, standardize_latents=args.std_lv)
-    report.add("convergent_validity", "convergent_validity",
-               _convergent_payload(cfa_result, cfa_spec))
+    cfa_result = fit(spec.without_regressions(), moments, opts,
+                     standardize_latents=args.std_lv)
+    convergent = _convergent_payload(constructs, cfa_result)
+    report.add("convergent_validity", "convergent_validity", convergent)
     report.add("discriminant_validity", "discriminant_validity",
-               _discriminant_payload(cfa_result, cfa_spec))
+               _discriminant_payload(cfa_result, convergent))
     report.add("fit_indices", "cfa_fit_indices",
                _indices_payload(fit_indices.from_fit(cfa_result)))
 
@@ -436,18 +436,15 @@ def _cmd_report(args) -> int:
 
     triples = [_parse_effect(e) for e in args.effect] if args.effect \
         else _derive_mediation_triples(spec)
-    decs = []
     if triples and args.boot > 0:
         decs = bootstrap_ci(
             dataset, spec, triples, replicates=args.boot, level=args.level,
-            seed=seed, opts=opts, standardize_latents=args.std_lv,
+            seed=_seed(args), opts=opts, standardize_latents=args.std_lv,
             workers=args.workers,
         )
         report.add("mediation", "mediation", _mediation_payload(decs))
     if spec.labels:
-        verdicts = classify_hypotheses(result)
-        report.add("hypotheses", "hypotheses",
-                   {"verdicts": [v.__dict__ for v in verdicts]})
+        report.add("hypotheses", "hypotheses", _hypotheses_payload(result))
     _emit(report, args)
     ok = result.converged and cfa_result.converged
     return 0 if ok else 1
@@ -498,9 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--effect", action="append", required=True,
                    help="SRC:MED:DST (repeatable)")
-    p.add_argument("--boot", type=int, default=2000,
+    p.add_argument("--boot", type=_REPLICATES, default=2000,
                    help="bootstrap replicates; 0 switches to the delta method")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_LEVEL, default=0.95)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     _add_estimation(p)
@@ -518,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--effect", action="append", default=None,
                    help="SRC:MED:DST (repeatable; default: derived from the model)")
-    p.add_argument("--boot", type=int, default=500)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--boot", type=_REPLICATES, default=500)
+    p.add_argument("--level", type=_LEVEL, default=0.95)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     _add_estimation(p)

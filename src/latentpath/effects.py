@@ -261,6 +261,8 @@ def delta_ci(
     mediator named. A fit without a finite acov (``compute_se=False``, or
     a singular information matrix) raises EstimationError.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be inside (0, 1)")
     if not np.all(np.isfinite(result.acov)):
         raise EstimationError(
             "delta-method intervals need standard errors, and this fit has none "

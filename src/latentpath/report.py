@@ -1,7 +1,11 @@
 """Report rendering: aligned text tables and stable-keyed JSON.
 
-Every number shown in a text table is also present, unrounded, in the
-JSON emission; text display rounds to 3 decimals (4 for CR/AVE). The
+A report is a provenance header plus ordered named sections; each section
+has a kind, which picks its text renderer, and a payload that carries
+only that section's own keys (CR/AVE, for instance, live only under
+``convergent_validity``). Every number shown in a text table is also
+present, unrounded, in the JSON emission; text display rounds to 3
+decimals (4 for CR/AVE), and an absent (None) number shows as blank. The
 significance-star convention defaults to the survey-report style
 (* < 0.1, ** < 0.05, *** < 0.001) and can be switched to the conventional
 one (* < 0.05, ** < 0.01, *** < 0.001).
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def stars(p: float | None, convention: str = "survey") -> str:
@@ -160,17 +164,6 @@ def render_report(report: Report, fmt: str = "text") -> str:
 # --- section text renderers -------------------------------------------------
 
 
-def _frequency_text(name, payload, _stars):
-    rows = [
-        [level, count, f"{pct:.2f}%"]
-        for level, count, pct in payload["levels"]
-    ]
-    return render_table(
-        ["Level", "N", "Percentage"], rows,
-        title=f"Frequencies: {payload['variable']} (n={payload['n']})",
-    )
-
-
 def _reliability_text(name, payload, _stars):
     rows = []
     for block in payload["constructs"]:
@@ -205,8 +198,8 @@ def _convergent_text(name, payload, star_convention):
                 f"{item} <- {block['name']}",
                 _fmt(loading),
                 stars(p, star_convention) if p is not None else "",
-                f"{block['cr']:.4f}" if i == 0 else "",
-                f"{block['ave']:.4f}" if i == 0 else "",
+                _fmt(block["cr"], 4) if i == 0 else "",
+                _fmt(block["ave"], 4) if i == 0 else "",
             ])
     return render_table(["Path", "Estimate", "P", "CR", "AVE"], rows,
                         title="Convergent validity")
@@ -366,7 +359,6 @@ def _dataset_text(name, payload, _stars):
 
 _TEXT_RENDERERS = {
     "fit": _fit_text,
-    "frequency": _frequency_text,
     "reliability": _reliability_text,
     "sampling_adequacy": _sampling_adequacy_text,
     "convergent_validity": _convergent_text,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import latentpath as lp
+from latentpath import cli
 from latentpath.cli import dispatch
 from latentpath.report import stars
 
@@ -75,7 +76,7 @@ class TestFit:
                              "--format", "json", "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         doc = json.loads(a.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert "provenance" in doc
         assert doc["provenance"]["model_sha256"]
         fit_section = doc["sections"]["fit"]
@@ -146,13 +147,28 @@ class TestReliability:
             "--construct", "PerVa=PV1,PV2,PV3,PV4",
             "--format", "json", "--output", str(out),
         ]) == 0
-        doc = json.loads(out.read_text())
-        blocks = doc["sections"]["reliability"]["constructs"]
-        by_name = {b["name"]: b for b in blocks}
-        assert 0.6 < by_name["ConsEth"]["alpha"] <= 1.0
-        assert 0 < by_name["ConsEth"]["ave"] <= 1.0
-        assert 0 < by_name["ConsEth"]["cr"] <= 1.0
-        assert by_name["ConsEth"]["kmo"] > 0.5
+        sections = json.loads(out.read_text())["sections"]
+
+        def block(section):
+            return {b["name"]: b for b in sections[section]["constructs"]}["ConsEth"]
+
+        assert 0.6 < block("reliability")["alpha"] <= 1.0
+        assert 0 < block("convergent_validity")["ave"] <= 1.0
+        assert 0 < block("convergent_validity")["cr"] <= 1.0
+        assert block("sampling_adequacy")["kmo"] > 0.5
+
+    def test_unidentified_one_factor_leaves_cr_ave_blank(self, sim_csv, tmp_path):
+        # two items cannot identify a one-factor model, so it has no CR/AVE
+        txt, js = tmp_path / "rel2.txt", tmp_path / "rel2.json"
+        for fmt, out in (("text", txt), ("json", js)):
+            assert dispatch([
+                "reliability", "--data", sim_csv, "--construct", "EnvSt=ES1,ES3",
+                "--format", fmt, "--output", str(out),
+            ]) == 0
+        assert "ES1 <- EnvSt" in txt.read_text()
+        (block,) = json.loads(js.read_text())["sections"]["convergent_validity"]["constructs"]
+        assert block["cr"] is None and block["ave"] is None
+        assert block["loadings"] == [None, None]
 
     def test_bad_construct_spec_exits_2(self, sim_csv):
         assert dispatch(["reliability", "--data", sim_csv,
@@ -244,6 +260,57 @@ class TestReport:
                         "Discriminant validity", "Regression weights",
                         "Hypotheses", "Effects:"):
             assert heading in text, heading
+
+
+class TestReportSections:
+    def run_json(self, sim_csv, out):
+        assert dispatch(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0",
+                         "--format", "json", "--output", str(out)]) == 0
+        return json.loads(out.read_text())["sections"]
+
+    def test_each_section_carries_its_own_keys(self, sim_csv, tmp_path):
+        sections = self.run_json(sim_csv, tmp_path / "r.json")
+        rel = sections["reliability"]["constructs"]
+        adequacy = sections["sampling_adequacy"]["constructs"]
+        assert [b["name"] for b in rel] == [b["name"] for b in adequacy]
+        for r, a in zip(rel, adequacy):
+            assert set(r) & set(a) == {"name", "items"}
+            assert r["items"] == a["items"]
+        holders = {name for name, section in sections.items()
+                   for b in section.get("constructs", ()) if {"cr", "ave"} & set(b)}
+        assert holders == {"convergent_validity"}
+
+    def test_cr_ave_come_from_the_cfa_alone(self, sim_csv, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return lp.fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", counted)
+        self.run_json(sim_csv, tmp_path / "r.json")
+        # the CFA and the structural model; no one-factor fit per construct
+        assert len(calls) == 2
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("argv", [
+        ["mediate", "--effect", "EnvSt:PerVa:PB", "--boot", "1"],
+        ["mediate", "--effect", "EnvSt:PerVa:PB", "--boot", "99"],
+        ["report", "--boot", "-5"],
+        ["mediate", "--effect", "EnvSt:PerVa:PB", "--boot", "0", "--level", "1.5"],
+        ["report", "--boot", "0", "--level", "0"],
+        ["mediate", "--effect", "EnvSt:PerVa:PB", "--level", "nan"],
+        ["fit", "--max-iter", "0"],
+        ["cfa", "--max-iter", "-3"],
+        ["fit", "--gtol", "0"],
+        ["report", "--boot", "0", "--gtol", "nan"],
+    ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
+    def test_out_of_range_exits_2(self, sim_csv, argv, capsys):
+        status = dispatch(argv[:1] + ["--model", MODEL, "--data", sim_csv] + argv[1:])
+        assert status == 2
+        flag = argv[-2]
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestModuleEntry:

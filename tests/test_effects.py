@@ -403,3 +403,12 @@ class TestDeltaCi:
                      compute_se=False)
         with pytest.raises(EstimationError, match="standard errors"):
             lp.delta_ci(res, [("X", "M", "Y")])
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_level_outside_unit_interval_raises(self, level):
+        # ndtri(0.5 + level / 2) is NaN or infinite there, and NaN bounds
+        # would read as "no mediation"
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 300, seed=21)
+        res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
+        with pytest.raises(ValueError, match="level"):
+            lp.delta_ci(res, [("X", "M", "Y")], level=level)
