@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--params", required=True,
                    help="JSON with 'values', 'defaults', 'standardize_latents'")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE_INT, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV file to write")
 

@@ -2,13 +2,15 @@
 
 Input files are delimiter-separated UTF-8 text with a mandatory header
 row. Empty cells and ``NA`` are missing; any other cell that does not
-parse as a number is treated as missing in the numeric view but kept as a
-raw level for frequency tabulation.
+parse as a finite number (``nan`` and ``inf`` included) is treated as
+missing in the numeric view but kept as a raw level for frequency
+tabulation.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,12 +110,13 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
         cells = [cell.strip() for cell in row]
         raw.append(cells)
         for j, cell in enumerate(cells):
-            if cell in MISSING_MARKERS:
-                values[i, j], mask[i, j] = np.nan, True
-                continue
             try:
-                values[i, j] = float(cell)
-            except ValueError:
+                value = float(cell)
+            except ValueError:  # the missing markers and any other text
+                value = math.nan
+            if math.isfinite(value):
+                values[i, j] = value
+            else:
                 values[i, j], mask[i, j] = np.nan, True
     return Dataset(header, values, mask, raw)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset, covariance
 from .errors import EstimationError, LatentPathError, ModelSpecificationError
@@ -268,8 +267,10 @@ def delta_ci(
             "delta-method intervals need standard errors, and this fit has none "
             "(fitted with compute_se=False, or its information matrix is singular)"
         )
+    from scipy.special import ndtri
+
     eff = decompose_fit(result)
-    z = special.ndtri(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     out = []
     for src, med, dst in effects:
         _validate_mediator(result.matrices.spec, src, med, dst)

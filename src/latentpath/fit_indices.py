@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import NotPositiveDefiniteError
 
@@ -31,6 +30,20 @@ THRESHOLDS = {
     "pcfi": (">", 0.5),
     "pgfi": (">", 0.5),
 }
+
+
+def chisq_tail(chisq: float, df: int) -> float:
+    """Upper chi-square tail P(X > chisq) on df degrees of freedom.
+
+    1 when df is not positive, and for a negative statistic, as
+    ``scipy.stats.chi2.sf`` gives. scipy.special is imported on the first
+    call, not with the package: it outweighs the rest of the import.
+    """
+    if df <= 0:
+        return 1.0
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, max(chisq, 0.0)))
 
 
 def baseline(S: np.ndarray, n: int, multiplier: str = "n-1") -> tuple[float, int]:
@@ -100,7 +113,7 @@ def indices(
 
     chisq_df = chisq / df if df > 0 else None
     rmsea = float(np.sqrt(max(chisq - df, 0.0) / (df * (n - 1)))) if df > 0 else None
-    p_value = float(special.chdtrc(df, max(chisq, 0.0))) if df > 0 else 1.0
+    p_value = chisq_tail(chisq, df)
 
     # absolute fit from Sigma_hat^-1 S
     W = np.linalg.solve(sigma_hat, S)

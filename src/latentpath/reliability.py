@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, NotPositiveDefiniteError
+from .fit_indices import chisq_tail
 
 
 def cronbach_alpha(items: np.ndarray) -> float:
@@ -104,8 +104,7 @@ def bartlett(R: np.ndarray, n: int) -> tuple[float, int, float]:
         raise NotPositiveDefiniteError("correlation matrix is not positive definite")
     chi2 = -(n - 1 - (2 * p + 5) / 6.0) * logdet
     df = p * (p - 1) // 2
-    p_value = float(special.chdtrc(df, max(chi2, 0.0))) if df > 0 else 1.0
-    return float(chi2), df, p_value
+    return float(chi2), df, chisq_tail(chi2, df)
 
 
 @dataclass

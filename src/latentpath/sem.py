@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset, SampleMoments
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnderIdentifiedError,
 )
+from .fit_indices import chisq_tail
 from .model import VARIANCE_KINDS, ModelSpec, ParamMatrices, build_matrices, count_df
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -304,7 +304,6 @@ class FitResult:
     f_min: float
     chisq: float
     df: int
-    chisq_p: float
     n: int
     p: int
     iterations: int
@@ -321,6 +320,11 @@ class FitResult:
     matrices: ParamMatrices | None = field(repr=False, default=None)
     options: EstimationOptions | None = field(repr=False, default=None)
     S: np.ndarray | None = field(repr=False, default=None)
+
+    @property
+    def chisq_p(self) -> float:
+        # computed on read, so a bootstrap replicate never pays for a tail it ignores
+        return chisq_tail(self.chisq, self.df)
 
     @property
     def estimates(self) -> dict[str, float]:
@@ -449,7 +453,6 @@ def fit(
     n = moments.n
     mult = (n - 1) if opts.chisq_multiplier == "n-1" else n
     chisq = mult * opt.f
-    chisq_p = float(special.chdtrc(dfres.value, max(chisq, 0.0))) if dfres.value > 0 else 1.0
 
     t = m.n_free
     acov = np.full((t, t), np.nan)
@@ -465,7 +468,13 @@ def fit(
     se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = opt.theta / se
-    p_values = 2.0 * special.ndtr(-np.abs(crit))
+    # two-sided Wald p-values; without SEs every ratio is NaN, and so is its p
+    if compute_se and t:
+        from scipy.special import ndtr
+
+        p_values = 2.0 * ndtr(-np.abs(crit))
+    else:
+        p_values = np.full(t, np.nan)
 
     labels = m.labels
     heywood = [
@@ -484,7 +493,6 @@ def fit(
         f_min=opt.f,
         chisq=chisq,
         df=dfres.value,
-        chisq_p=chisq_p,
         n=n,
         p=len(names),
         iterations=opt.iterations,

@@ -56,6 +56,15 @@ class TestSimulate:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_nonpositive_n_exits_2(self, tmp_path, n, capsys):
+        out = tmp_path / "sim.csv"
+        status = dispatch(["simulate", "--model", MODEL, "--params", PARAMS,
+                           "--n", n, "--out", str(out)])
+        assert status == 2
+        assert "argument --n: must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_happy_path_text(self, sim_csv, tmp_path):

@@ -35,6 +35,18 @@ class TestLoadTable:
         assert ds.missing[:, 1].all()
         assert ds.raw[0][1] == "Male"
 
+    def test_non_finite_cells_are_missing(self, tmp_path):
+        # float() parses these, but a NaN or inf row would poison S under listwise deletion
+        ds = lp.load_table(write(tmp_path, "a,b,c\n1,2,3\n2,nan,1\n3,1,4\n"
+                                           "4,5,-inf\n5,3,2\n"))
+        assert ds.missing[1, 1] and ds.missing[3, 2]
+        assert ds.missing.sum() == 2
+        assert np.isnan(ds.values[ds.missing]).all()
+        assert ds.raw[1][1] == "nan"
+        moments = lp.covariance(ds)
+        assert moments.n == 3
+        assert np.isfinite(moments.S).all()
+
     def test_header_only_errors(self, tmp_path):
         with pytest.raises(DataError, match="no data rows"):
             lp.load_table(write(tmp_path, "a,b\n"))

@@ -30,6 +30,46 @@ def test_import_does_not_load_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+MEDIATION_MODEL = "X =~ x1 + x2 + x3\nM =~ m1 + m2 + m3\nY =~ y1 + y2 + y3\nM ~ X\nY ~ M + X\n"
+
+COLD_START = f"""
+import sys
+import latentpath as lp, latentpath.cli
+
+spec = lp.parse_model({MEDIATION_MODEL!r})
+m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
+theta = lp.theta_from_config(m, {{"M~X": 0.5, "Y~M": 0.3, "Y~X": 0.2}}, dict(
+    loading=0.75, latent_variance=1.0, disturbance_variance=0.6, error_variance=0.4375))
+data = lp.simulate(m, theta, 300, seed=7)
+moments = lp.covariance(data)
+lp.fit(spec, moments, standardize_latents=True, compute_se=False)
+lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=3,
+                standardize_latents=True)
+print("scipy.special" in sys.modules)
+lp.fit(spec, moments, standardize_latents=True)
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_no_se_fit_and_bootstrap_do_not_load_scipy_special():
+    # scipy.special outweighs the rest of the import; only p-values and quantiles need it
+    env = dict(os.environ)
+    src_dir = str(Path(lp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_no_se_fit_has_nan_p_values_and_the_same_chisq_p(survey_spec, survey_sim_moments):
+    bare = lp.fit(survey_spec, survey_sim_moments, compute_se=False)
+    full = lp.fit(survey_spec, survey_sim_moments)
+    assert np.isnan(bare.p_values).all()
+    assert bare.p_values.shape == full.p_values.shape
+    assert bare.chisq_p == full.chisq_p
+
+
 class TestBundledModel:
     @pytest.fixture(scope="class")
     def result(self, survey_spec, survey_sim_moments):
