@@ -1,16 +1,19 @@
 """Tabular ingestion and sample moments.
 
 Input files are delimiter-separated UTF-8 text with a mandatory header
-row. Empty cells and ``NA`` are missing; any other cell that does not
-parse as a finite number (``nan`` and ``inf`` included) is treated as
-missing in the numeric view but kept as a raw level for frequency
-tabulation.
+row; rows whose cells are all blank are skipped. Empty cells and ``NA``
+are missing, and so is any other cell that does not parse as a finite
+number (``nan`` and ``inf`` included). Loading keeps only the numbers
+and the decoded text: the raw cells, which ``frequency_table`` tabulates
+as levels, are parsed from that text the first time ``Dataset.raw`` is
+read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,14 +28,24 @@ MISSING_MARKERS = {"", "NA"}
 class Dataset:
     """Rectangular observations: numeric view plus raw cells.
 
-    ``values[i, j]`` is NaN wherever ``missing[i, j]`` is set. ``raw``
-    keeps the original strings so categorical columns can be tabulated.
+    ``values[i, j]`` is NaN wherever ``missing[i, j]`` is set. A dataset
+    read by ``load_table`` keeps the file's text in ``source`` (text,
+    delimiter, column indices); ``raw`` parses the stripped cells of those
+    columns from it on first access and caches them. Datasets built from
+    arrays have no source, and their ``raw`` is ``[]``.
     """
 
     names: list[str]
     values: np.ndarray
     missing: np.ndarray
-    raw: list[list[str]] = field(repr=False, default_factory=list)
+    source: tuple[str, str, tuple[int, ...]] | None = field(default=None, repr=False)
+    _raw: list[list[str]] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def raw(self) -> list[list[str]]:
+        if self._raw is None:
+            self._raw = _raw_cells(*self.source) if self.source else []
+        return self._raw
 
     @property
     def n(self) -> int:
@@ -61,12 +74,19 @@ class Dataset:
                 idx.append(self.names.index(name))
             except ValueError:
                 raise DataError(f"unknown variable {name!r}") from None
-        raw = [[row[i] for i in idx] for row in self.raw] if self.raw else []
-        return Dataset(list(names), self.values[:, idx], self.missing[:, idx], raw)
+        source = None
+        if self.source:
+            text, delimiter, columns = self.source
+            source = (text, delimiter, tuple(columns[i] for i in idx))
+        return Dataset(list(names), self.values[:, idx], self.missing[:, idx], source)
 
 
 def from_array(values: np.ndarray, names: list[str] | None = None) -> Dataset:
-    """Wrap an in-memory numeric array as a Dataset (NaN marks missing)."""
+    """Wrap an in-memory numeric array as a Dataset.
+
+    Non-finite cells (NaN and ``inf``) are missing; they are set to NaN in
+    a copy, so the caller's array is never modified.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise DataError("expected a 2-d array")
@@ -74,65 +94,84 @@ def from_array(values: np.ndarray, names: list[str] | None = None) -> Dataset:
         names = [f"v{j + 1}" for j in range(values.shape[1])]
     if len(names) != values.shape[1]:
         raise DataError("names do not match the number of columns")
-    return Dataset(list(names), values, np.isnan(values), [])
+    missing = ~np.isfinite(values)
+    if missing.any():
+        values = np.where(missing, np.nan, values)
+    return Dataset(list(names), values, missing)
+
+
+def _kept_rows(reader):
+    """The rows of a csv reader that hold at least one non-blank cell."""
+    return (row for row in reader if len(row) > 1 or any(cell.strip() for cell in row))
+
+
+def _raw_cells(text: str, delimiter: str, columns: tuple[int, ...]) -> list[list[str]]:
+    """Stripped cells of the given columns for every data row of ``text``."""
+    rows = _kept_rows(csv.reader(text.splitlines(), delimiter=delimiter))
+    next(rows)  # the header
+    return [[row[j].strip() for j in columns] for row in rows]
 
 
 def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
-    """Read a delimited text file into a Dataset.
+    """Read a delimited UTF-8 text file into a Dataset.
 
-    The first row is the header. Rows whose arity differs from the header
-    are a hard error, as is a header-only file.
+    The first non-blank row is the header. One pass converts each cell
+    with ``float`` into a single buffer; non-finite results and cells that
+    do not parse are missing. Text that is not UTF-8, duplicate column
+    names, rows whose arity differs from the header, a cell over the csv
+    module's field size limit, an empty and a header-only file all raise
+    ``DataError``. The raw cells are not kept; ``Dataset.raw`` parses them
+    from the retained text when read.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in csv.reader(text.splitlines(), delimiter=delimiter)]
-    rows = [row for row in rows if any(cell.strip() for cell in row) or len(row) > 1]
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    body = rows[1:]
-    if not body:
+    rows = _kept_rows(csv.reader(text.splitlines(), delimiter=delimiter))
+    buffer = array("d")
+    n_rows = 0  # rows read, the header included
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path} is empty")
+        n_rows = 1
+        header = [cell.strip() for cell in first]
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        p = len(header)
+        for row in rows:
+            n_rows += 1
+            if len(row) != p:
+                raise DataError(f"{path}: row {n_rows} has {len(row)} cells, expected {p}")
+            for cell in row:
+                try:
+                    buffer.append(float(cell))
+                except ValueError:  # the missing markers and any other text
+                    buffer.append(math.nan)
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {n_rows + 1}: {exc}") from exc
+    if n_rows == 1:
         raise DataError(f"{path} has a header but no data rows")
-    p = len(header)
-    values = np.empty((len(body), p))
-    mask = np.zeros((len(body), p), dtype=bool)
-    raw: list[list[str]] = []
-    for i, row in enumerate(body):
-        if len(row) != p:
-            raise DataError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {p}"
-            )
-        cells = [cell.strip() for cell in row]
-        raw.append(cells)
-        for j, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:  # the missing markers and any other text
-                value = math.nan
-            if math.isfinite(value):
-                values[i, j] = value
-            else:
-                values[i, j], mask[i, j] = np.nan, True
-    return Dataset(header, values, mask, raw)
+    values = np.frombuffer(buffer).reshape(n_rows - 1, p)
+    missing = ~np.isfinite(values)
+    values[missing] = np.nan
+    return Dataset(header, values, missing, (text, delimiter, tuple(range(p))))
 
 
 def save_table(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:
     """Write the numeric view back out (missing cells as ``NA``)."""
     path = Path(path)
+    values = np.asarray(dataset.values, dtype=float).tolist()
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(dataset.names)
-        for i in range(dataset.n):
-            row = [
-                "NA" if dataset.missing[i, j] else repr(float(dataset.values[i, j]))
-                for j in range(dataset.p)
-            ]
-            writer.writerow(row)
+        writer.writerows(
+            ["NA" if gone else repr(value) for value, gone in zip(row, row_missing)]
+            for row, row_missing in zip(values, dataset.missing.tolist())
+        )
 
 
 @dataclass

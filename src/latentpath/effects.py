@@ -125,7 +125,7 @@ def _bootstrap_replicate(args):
     idx = rng.integers(0, X.shape[0], X.shape[0])
     sample = X[idx]
     try:
-        moments = covariance(Dataset(list(names), sample, np.zeros_like(sample, dtype=bool), []))
+        moments = covariance(Dataset(list(names), sample, np.zeros_like(sample, dtype=bool)))
         res = fit(spec, moments, opts, standardize_latents=standardize_latents,
                   compute_se=False)
     except (LatentPathError, np.linalg.LinAlgError):
@@ -175,7 +175,7 @@ def bootstrap_ci(
     names = dataset.names
 
     # full-sample point estimates
-    full = fit(spec, covariance(Dataset(list(names), X, np.zeros_like(X, dtype=bool), [])),
+    full = fit(spec, covariance(Dataset(list(names), X, np.zeros_like(X, dtype=bool))),
                opts, standardize_latents=standardize_latents, compute_se=False)
     full_eff = decompose_fit(full)
 

@@ -521,7 +521,7 @@ def simulate(m: ParamMatrices, theta: np.ndarray, n: int, seed: int) -> Dataset:
         )
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, sigma.shape[0])) @ L.T
-    return Dataset(list(m.variable_order), X, np.zeros_like(X, dtype=bool), [])
+    return Dataset(list(m.variable_order), X, np.zeros_like(X, dtype=bool))
 
 
 def theta_from_config(

@@ -120,6 +120,14 @@ class TestFit:
                            str(tmp_path / "ghost.csv")])
         assert status == 2
 
+    def test_undecodable_data_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("café,x\n1,2\n".encode("latin-1"))
+        status = dispatch(["fit", "--model", MODEL, "--data", str(bad)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv is not UTF-8 text" in err
+
     def test_under_identified_exits_1(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
         rng = np.random.default_rng(0)

@@ -1,9 +1,14 @@
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
+from latentpath.data import save_table
 from latentpath.errors import DataError
 
 
@@ -69,14 +74,196 @@ class TestLoadTable:
         assert ds.values[1, 1] == 4
 
     def test_save_round_trip(self, tmp_path):
-        from latentpath.data import save_table
-
         ds = lp.load_table(write(tmp_path, "a,b\n1.5,\n3,4\n"))
         out = tmp_path / "echo.csv"
         save_table(ds, out)
         again = lp.load_table(out)
         np.testing.assert_array_equal(ds.missing, again.missing)
         assert np.allclose(ds.values, again.values, equal_nan=True)
+
+    def test_latin1_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes("caf\xe9,b\n1,2\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin.csv is not UTF-8 text"):
+            lp.load_table(path)
+
+    def test_oversized_cell_names_path_and_row(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,2\n3," + "9" * 200_000 + "\n")
+        with pytest.raises(DataError, match=r"data\.csv: row 3: field larger than field limit"):
+            lp.load_table(path)
+
+    def test_raw_follows_subset(self, tmp_path):
+        ds = lp.load_table(write(tmp_path, "a,b,c\n 1 ,x,NA\n\n2,\"y, z\",3\n"))
+        assert ds.raw == [["1", "x", "NA"], ["2", "y, z", "3"]]
+        assert ds.subset(["c", "a"]).raw == [["NA", "1"], ["3", "2"]]
+        assert lp.from_array(ds.values).raw == []
+
+
+def eager_load(text, delimiter=","):
+    """The eager parser load_table replaced: every stripped cell kept as a str."""
+    rows = [row for row in csv.reader(text.splitlines(), delimiter=delimiter)]
+    rows = [row for row in rows if any(cell.strip() for cell in row) or len(row) > 1]
+    if not rows:
+        raise DataError("is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataError("duplicate column names in header")
+    body = rows[1:]
+    if not body:
+        raise DataError("has a header but no data rows")
+    p = len(header)
+    values = np.empty((len(body), p))
+    mask = np.zeros((len(body), p), dtype=bool)
+    raw = []
+    for i, row in enumerate(body):
+        if len(row) != p:
+            raise DataError(f"row {i + 2} has {len(row)} cells, expected {p}")
+        cells = [cell.strip() for cell in row]
+        raw.append(cells)
+        for j, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                values[i, j] = value
+            else:
+                values[i, j], mask[i, j] = np.nan, True
+    return header, values, mask, raw
+
+
+def eager_frequency(cells):
+    """frequency_table's levels, counts and percentages over raw cells."""
+    counts, n_missing = {}, 0
+    for cell in cells:
+        if cell in ("", "NA"):
+            n_missing += 1
+        else:
+            counts[cell] = counts.get(cell, 0) + 1
+
+    def level_key(level):
+        try:
+            return (0, float(level), "")
+        except ValueError:
+            return (1, 0.0, level)
+
+    n = len(cells)
+    table = [(lvl, c, 100.0 * c / n) for lvl, c in sorted(counts.items(),
+                                                          key=lambda kv: level_key(kv[0]))]
+    if n_missing:
+        table.append(("NA", n_missing, 100.0 * n_missing / n))
+    return table
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.nan]
+
+CELL_WORDS = ["", "NA", "nan", "-nan", "inf", "-Infinity", "Male", "Female", "1_000",
+              "1e999", "yes no", "0x10", "\u0663", "\u00a03\u00a0"]
+
+
+@st.composite
+def csv_texts(draw):
+    p = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.sampled_from(CELL_WORDS),
+        st.integers(-50, 50).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    )
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+
+    def render(value):
+        value = draw(pad) + value + draw(pad)
+        if draw(st.booleans()) or any(ch in value for ch in ',"\r\n'):
+            value = '"' + value.replace('"', '""') + '"'
+        return value
+
+    names = [draw(pad) + f"c{j}" + draw(pad) for j in range(p)]
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        arity = p + draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1]))
+        lines.append(",".join(render(draw(cell)) for _ in range(max(arity, 1))))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestLoadTableProperties:
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        n, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        cell = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                         st.floats(allow_nan=True, allow_infinity=True))
+        X = np.array(data.draw(st.lists(st.lists(cell, min_size=p, max_size=p),
+                                        min_size=n, max_size=n)), dtype=float)
+        ds = lp.from_array(X)
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        save_table(ds, path)
+        again = lp.load_table(path)
+        assert again.names == ds.names
+        np.testing.assert_array_equal(again.missing, ~np.isfinite(X))
+        np.testing.assert_array_equal(bits(again.values), bits(ds.values))
+
+    @given(csv_texts())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_eager_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("eager") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            header, values, mask, raw = eager_load(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                lp.load_table(path)
+            assert str(got.value).endswith(str(exc))
+            return
+        ds = lp.load_table(path)
+        assert ds.names == header
+        np.testing.assert_array_equal(ds.missing, mask)
+        np.testing.assert_array_equal(bits(ds.values), bits(values))
+        assert ds.raw == raw
+        for j, name in enumerate(header):
+            assert lp.frequency_table(ds, name) == eager_frequency([row[j] for row in raw])
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_bytes_load_or_raise_data_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("bytes") / "b.csv"
+        path.write_bytes(blob)
+        try:
+            ds = lp.load_table(path)
+        except DataError:
+            return
+        assert len(ds.raw) == ds.n
+
+
+class TestLoadTableMemory:
+    def test_load_holds_numbers_not_cells(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "wide.csv"
+        save_table(lp.from_array(rng.standard_normal((2000, 48))), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = lp.load_table(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size  # the eager parser peaked at 6.0x
+        assert held <= 2 * size  # and held 4.4x after returning
+
+        names = ds.names[5:17]
+        sub = ds.subset(names)
+        lp.covariance(sub)
+        assert sub._raw is None and ds._raw is None
+
+        _, _, _, eager_raw = eager_load(path.read_text(encoding="utf-8"))
+        assert sub.raw == [row[5:17] for row in eager_raw]
+        assert ds.raw == eager_raw
 
 
 def brute_force_cov(X, ddof=1):
@@ -128,6 +315,17 @@ class TestCovariance:
         X = np.array([[1.0, 2.0], [np.nan, 3.0], [2.0, 1.0], [4.0, 5.0]])
         mom = lp.covariance(lp.from_array(X))
         assert mom.n == 3
+
+    def test_from_array_infinite_cell_is_missing(self):
+        X = np.random.default_rng(8).standard_normal((5, 3))
+        X[2, 1] = np.inf
+        ds = lp.from_array(X)
+        assert ds.missing.sum() == 1 and ds.missing[2, 1]
+        assert np.isnan(ds.values[2, 1])
+        assert X[2, 1] == np.inf  # the caller's array is left alone
+        mom = lp.covariance(ds)
+        assert mom.n == 4
+        assert np.isfinite(mom.S).all()
 
     def test_insufficient_rows(self):
         X = np.array([[1.0, 2.0], [np.nan, 3.0]])
