@@ -49,8 +49,9 @@ report.add("mediation", "mediation", {
 print()
 print(render_report(report, "text"))
 
-# The same intervals are reproducible with more workers; replicate r
-# always draws from a generator seeded seed + r.
+# The same intervals are reproducible; replicate r always draws from a
+# generator seeded seed + r. ``workers`` is still accepted but has no
+# effect: the replicates are refitted together as one stacked problem.
 again = lp.bootstrap_ci(data, spec, triples[:1], replicates=400, level=0.95,
                         seed=2024, workers=4)
 assert again[0].indirect_bounds == decs[0].indirect_bounds

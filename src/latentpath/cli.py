@@ -499,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates; 0 switches to the delta method")
     p.add_argument("--level", type=_LEVEL, default=0.95)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: the replicates are refitted "
+                        "together in one thread")
     _add_estimation(p)
 
     p = add("simulate", _cmd_simulate, "draw a dataset from a parameterized model")
@@ -518,7 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boot", type=_REPLICATES, default=500)
     p.add_argument("--level", type=_LEVEL, default=0.95)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: the replicates are refitted "
+                        "together in one thread")
     _add_estimation(p)
 
     return parser

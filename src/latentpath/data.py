@@ -105,9 +105,29 @@ def _kept_rows(reader):
     return (row for row in reader if len(row) > 1 or any(cell.strip() for cell in row))
 
 
+def _lines(text: str):
+    """The lines of ``text``, each with its closing "\\n", one at a time.
+
+    Reading decodes "\\r\\n" and "\\r" to "\\n", so a reader fed these lines
+    sees every line break, and a quoted cell keeps the ones it holds;
+    ``str.splitlines`` would drop them, and breaks lines at further
+    separators too. A generator holds one line at a time, where
+    ``io.StringIO`` would copy the text at four bytes a character.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _reader(text: str, delimiter: str):
+    return csv.reader(_lines(text), delimiter=delimiter)
+
+
 def _raw_cells(text: str, delimiter: str, columns: tuple[int, ...]) -> list[list[str]]:
     """Stripped cells of the given columns for every data row of ``text``."""
-    rows = _kept_rows(csv.reader(text.splitlines(), delimiter=delimiter))
+    rows = _kept_rows(_reader(text, delimiter))
     next(rows)  # the header
     return [[row[j].strip() for j in columns] for row in rows]
 
@@ -120,8 +140,10 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     do not parse are missing. Text that is not UTF-8, duplicate column
     names, rows whose arity differs from the header, a cell over the csv
     module's field size limit, an empty and a header-only file all raise
-    ``DataError``. The raw cells are not kept; ``Dataset.raw`` parses them
-    from the retained text when read.
+    ``DataError``; the row number in a message is the line of the file on
+    which that row ends. A quoted cell may hold line breaks. The raw cells
+    are not kept; ``Dataset.raw`` parses them from the retained text when
+    read.
     """
     path = Path(path)
     try:
@@ -130,7 +152,8 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = _kept_rows(csv.reader(text.splitlines(), delimiter=delimiter))
+    reader = _reader(text, delimiter)
+    rows = _kept_rows(reader)
     buffer = array("d")
     n_rows = 0  # rows read, the header included
     try:
@@ -145,14 +168,15 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
         for row in rows:
             n_rows += 1
             if len(row) != p:
-                raise DataError(f"{path}: row {n_rows} has {len(row)} cells, expected {p}")
+                raise DataError(
+                    f"{path}: row {reader.line_num} has {len(row)} cells, expected {p}")
             for cell in row:
                 try:
                     buffer.append(float(cell))
                 except ValueError:  # the missing markers and any other text
                     buffer.append(math.nan)
     except csv.Error as exc:
-        raise DataError(f"{path}: row {n_rows + 1}: {exc}") from exc
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
     if n_rows == 1:
         raise DataError(f"{path} has a header but no data rows")
     values = np.frombuffer(buffer).reshape(n_rows - 1, p)
@@ -187,6 +211,13 @@ class SampleMoments:
     zero_variance: list[str] = field(default_factory=list)
 
 
+def _covariance_matrix(X: np.ndarray, denom: int) -> np.ndarray:
+    """Cross-products of the mean-centred rows of X over ``denom``, symmetrized."""
+    centered = X - X.mean(axis=0)
+    S = centered.T @ centered / denom
+    return (S + S.T) / 2.0
+
+
 def covariance(dataset: Dataset, divisor: str = "n-1",
                deletion: str = "listwise") -> SampleMoments:
     """Sample moments from mean-centered complete rows.
@@ -204,10 +235,7 @@ def covariance(dataset: Dataset, divisor: str = "n-1",
     n = X.shape[0]
     if n < 2:
         raise DataError(f"need at least 2 complete rows, have {n}")
-    centered = X - X.mean(axis=0)
-    denom = n - 1 if divisor == "n-1" else n
-    S = centered.T @ centered / denom
-    S = (S + S.T) / 2.0
+    S = _covariance_matrix(X, n - 1 if divisor == "n-1" else n)
     sd = np.sqrt(np.diag(S))
     zero = sd == 0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,21 +8,25 @@ and the total indirect part is T - D. The specific indirect effect of a
 source through one mediator is T[mediator, source] * T[target, mediator],
 the sum over the routes that pass through that mediator (Bollen 1987).
 Interval estimates come from nonparametric case-resampling bootstrap
-(percentile intervals) or from the delta method, g' acov g, with g the
-analytic gradient of an effect in the free parameters and acov their
-full asymptotic covariance.
+(percentile intervals; Efron & Tibshirani 1993) or from the delta
+method, g' acov g, with g the analytic gradient of an effect in the free
+parameters and acov their full asymptotic covariance. The bootstrap
+compiles the model once, refits the replicates' sample covariances as
+one stacked Fisher-scoring problem in blocks (``sem._minimize``), and
+reads their effects from one batched (I - D)^-1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, covariance
-from .errors import EstimationError, LatentPathError, ModelSpecificationError
+from .data import Dataset, _covariance_matrix, covariance
+from .errors import EstimationError, ModelSpecificationError, NotPositiveDefiniteError
 from .model import ModelSpec, ParamMatrices
-from .sem import EstimationOptions, FitResult, fit
+from .sem import EstimationOptions, FitResult, _minimize, _Objective, fit, start_values
 
 
 @dataclass
@@ -41,25 +45,28 @@ class EffectMatrices:
         one, it is the effect through that mediator alone.
         """
         i, j = self.names.index(target), self.names.index(source)
-        total, direct = self.total[i, j], self.direct[i, j]
+        total, direct = self.total[..., i, j], self.direct[..., i, j]
         if mediator is None:
             indirect = total - direct
         else:
             k = self.names.index(mediator)
-            indirect = self.total[k, j] * self.total[i, k]
+            indirect = self.total[..., k, j] * self.total[..., i, k]
+        if self.total.ndim > 2:
+            return total, direct, indirect  # one entry per matrix of the stack
         return float(total), float(direct), float(indirect)
 
 
 def decompose(A: np.ndarray, names: list[str] | None = None) -> EffectMatrices:
-    """Decompose the effects of a direct-effect matrix A[target, source]."""
+    """Decompose the effects of a direct-effect matrix A[target, source], or
+    of each matrix of a stack (B, k, k)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    I = np.eye(A.shape[0])
+    I = np.eye(A.shape[-1])
     try:
         E = np.linalg.inv(I - A)
     except np.linalg.LinAlgError:
         raise ModelSpecificationError("I - A is singular; effects undefined") from None
     if names is None:
-        names = [f"v{i + 1}" for i in range(A.shape[0])]
+        names = [f"v{i + 1}" for i in range(A.shape[-1])]
     return EffectMatrices(names=list(names), direct=A.copy(), total=E - I)
 
 
@@ -118,24 +125,6 @@ class EffectDecomposition:
         return "partial" if excludes_zero(self.direct_bounds) else "full"
 
 
-def _bootstrap_replicate(args):
-    """One case-resampling refit; returns per-route effect triples or None."""
-    (X, names, spec, routes, opts, standardize_latents, seed) = args
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, X.shape[0], X.shape[0])
-    sample = X[idx]
-    try:
-        moments = covariance(Dataset(list(names), sample, np.zeros_like(sample, dtype=bool)))
-        res = fit(spec, moments, opts, standardize_latents=standardize_latents,
-                  compute_se=False)
-    except (LatentPathError, np.linalg.LinAlgError):
-        return None
-    if not res.converged:
-        return None
-    eff = decompose_fit(res)
-    return [eff.effect(src, dst, med) for src, med, dst in routes]
-
-
 def bootstrap_ci(
     dataset: Dataset,
     spec: ModelSpec,
@@ -151,10 +140,14 @@ def bootstrap_ci(
     """Percentile bootstrap intervals for effect decompositions.
 
     Case resampling with replacement; each replicate refits the model and
-    re-decomposes. Replicate r draws from a generator seeded seed + r, so
-    the result is independent of worker count and execution order.
-    Replicates that fail to converge are dropped and counted; more than
-    ``max_failure_rate`` of them failing is an error.
+    re-decomposes. Replicate r draws from a generator seeded seed + r. The
+    replicates are refitted together, as one stacked Fisher-scoring
+    problem in the calling thread, in which each follows the path it would
+    take alone, so the result does not depend on how they are grouped.
+    ``workers`` is accepted for compatibility and has no effect. Replicates
+    that fail to converge are dropped and counted; more than
+    ``max_failure_rate`` of them failing is an error that counts the drops
+    by reason.
     """
     if replicates < 100:
         raise ValueError("use at least 100 replicates")
@@ -174,35 +167,25 @@ def bootstrap_ci(
     X = dataset.values[keep]
     names = dataset.names
 
-    # full-sample point estimates
+    # full-sample point estimates; the replicates reuse its compiled model
     full = fit(spec, covariance(Dataset(list(names), X, np.zeros_like(X, dtype=bool))),
                opts, standardize_latents=standardize_latents, compute_se=False)
     full_eff = decompose_fit(full)
 
-    tasks = [
-        (X, names, spec, routes, opts, standardize_latents, seed + r)
-        for r in range(replicates)
-    ]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_bootstrap_replicate, tasks))
-    else:
-        raw = [_bootstrap_replicate(task) for task in tasks]
-
-    kept = [r for r in raw if r is not None]
-    n_dropped = replicates - len(kept)
+    draws, reasons = _refit_replicates(X, names, full.matrices, routes, opts,
+                                       seed, replicates)
+    n_dropped = replicates - len(draws)
     if n_dropped > max_failure_rate * replicates:
+        counts = ", ".join(f"{count} {reason}" for reason, count in
+                           sorted(Counter(reasons).items(), key=lambda rc: -rc[1]))
         raise EstimationError(
             f"bootstrap failed: {n_dropped}/{replicates} replicates did not "
-            f"converge (limit {max_failure_rate:.0%}); the model may be "
+            f"converge (limit {max_failure_rate:.0%}; {counts}); the model may be "
             "ill-conditioned for this sample size"
         )
 
     alpha = (1.0 - level) / 2.0
     out = []
-    draws = np.asarray(kept)  # (kept, n_routes, 3)
     for k, (src, med, dst) in enumerate(routes):
         tot, dire, ind = full_eff.effect(src, dst, med)
         bounds = []
@@ -216,9 +199,59 @@ def bootstrap_ci(
             total_bounds=bounds[0], direct_bounds=bounds[1],
             indirect_bounds=bounds[2],
             level=level, method="percentile-bootstrap",
-            n_replicates=len(kept), n_dropped=n_dropped,
+            n_replicates=len(draws), n_dropped=n_dropped,
         ))
     return out
+
+
+# the largest stacked temporary of a block of replicates, in bytes. About
+# eight such stacks are alive at once inside the information, so this sets
+# the bootstrap's share of peak RSS: 32 KB (one survey replicate per block,
+# nine of the X -> M -> Y model) keeps a survey report's peak at the level
+# of one replicate at a time, where 256 KB raised it by 1.4 MB
+_BLOCK_BYTES = 32 * 1024
+
+
+def _drop_reason(error: Exception | None) -> str:
+    if error is None:
+        return "not converged"
+    if isinstance(error, np.linalg.LinAlgError):
+        return "LinAlgError"
+    if isinstance(error, NotPositiveDefiniteError):
+        return "non-PD sample covariance"
+    return "non-PD start values"
+
+
+def _refit_replicates(X: np.ndarray, names: list[str], m: ParamMatrices,
+                      routes: list[tuple], opts: EstimationOptions, seed: int,
+                      replicates: int) -> tuple[np.ndarray, list[str]]:
+    """Effects (kept, routes, 3) of the replicates that converge, in replicate
+    order, and the reason each other one dropped.
+
+    Replicate r resamples the rows of X with a generator seeded seed + r.
+    The replicates are fitted in blocks, stacked so that no temporary
+    passes _BLOCK_BYTES; the widest are the (cells x cells) products of the
+    information, over every free cell of A and S.
+    """
+    n, p = X.shape[0], m.n_observed
+    idx = [names.index(v) for v in m.variable_order]
+    width = max(m.A.slots.size + m.S.slots.size, len(m.variables))
+    block = max(1, _BLOCK_BYTES // (8 * width * width))
+    draws, reasons = [], []
+    for first in range(0, replicates, block):
+        members = range(first, min(first + block, replicates))
+        S = np.empty((len(members), p, p))
+        for b, r in enumerate(members):
+            # the resampled rows are dropped at once; the stack keeps only S
+            rows = np.random.default_rng(seed + r).integers(0, n, n)
+            S[b] = _covariance_matrix(X[rows], n - 1)[np.ix_(idx, idx)]
+        opt = _minimize(_Objective(m, S), start_values(m, S), opts)
+        reasons += [_drop_reason(err) for err, ok in zip(opt.errors, opt.converged) if not ok]
+        # one batched (I - D)^-1 over the replicates that converged
+        eff = decompose(m.A.materialize(opt.theta[opt.converged])[:, p:, p:], m.latent_names)
+        draws.append(np.stack([np.stack(eff.effect(src, dst, med), axis=1)
+                               for src, med, dst in routes], axis=1))
+    return np.concatenate(draws), reasons
 
 
 def _effect_gradients(m: ParamMatrices, eff: EffectMatrices,

@@ -355,8 +355,10 @@ class MatrixTemplate:
         self.slots = self.index[self.rows, self.cols]
 
     def materialize(self, theta: np.ndarray) -> np.ndarray:
-        out = self.values.copy()
-        out[self.rows, self.cols] = theta[self.slots]
+        """The matrix at theta (t,), or one matrix per row of a stack (B, t)."""
+        out = np.empty(theta.shape[:-1] + self.values.shape)
+        out[...] = self.values
+        out[..., self.rows, self.cols] = theta[..., self.slots]
         return out
 
 

@@ -12,12 +12,18 @@ log|S_obs| - p, driven by Fisher scoring with an Armijo backtracking
 line search; a proposal that leaves Sigma non-positive-definite is
 rejected by step halving. The expected information I steers each step;
 the inverse of (n-1)/2 * I at the optimum gives the SEs.
+
+The optimizer works on a stack of sample covariances of one model: a fit
+is a stack of one, and the bootstrap refits all its replicates as one
+stack. Every member keeps its own step size, stop and result, which are
+bit for bit those of its fit alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,33 +57,43 @@ class EstimationOptions:
             raise ValueError("chisq_multiplier must be 'n-1' or 'n'")
 
 
-def _chol_logdet(M: np.ndarray):
-    """Cholesky factor and log-determinant, or (None, None) when not PD."""
+def _chol_logdet(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log-determinants of a stack of matrices (B, k, k).
+
+    The log-determinant is NaN where a matrix is not positive definite. A
+    stacked factorization fails as a whole when one matrix is not PD, so
+    only then are the matrices factored one at a time.
+    """
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return None, None
-    diag = np.diag(L)
-    if not np.all(diag > 0):
-        return None, None
-    return L, 2.0 * float(np.log(diag).sum())
+        L = np.full_like(M, np.nan)
+        for b, one in enumerate(M):
+            try:
+                L[b] = np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                pass
+    # the factorization rejects a pivot that is not positive, and passes
+    # NaN through, so a diagonal entry is either positive or NaN
+    return L, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
 
 
 def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A, S and E = (I - A)^-1 at theta.
+    """A, S and E = (I - A)^-1 at theta (t,), or at each row of theta (B, t).
 
     No arrow leaves an observed variable, so A's first p columns are zero
     and E = [[I, A_ol T], [0, T]] with T = (I - A_ll)^-1 over the latents
     alone, a much smaller inverse.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (m.n_free,):
+    if theta.shape[-1:] != (m.n_free,):
         raise ValueError(f"theta must have length {m.n_free}, got {theta.shape}")
     A = m.A.materialize(theta)
     p = m.n_observed
-    E = np.eye(A.shape[0])
-    E[p:, p:] = np.linalg.inv(E[p:, p:] - A[p:, p:])
-    E[:p, p:] = A[:p, p:] @ E[p:, p:]
+    E = np.empty_like(A)
+    E[...] = np.eye(A.shape[-1])
+    E[..., p:, p:] = np.linalg.inv(E[..., p:, p:] - A[..., p:, p:])
+    E[..., :p, p:] = A[..., :p, p:] @ E[..., p:, p:]
     return A, m.S.materialize(theta), E
 
 
@@ -100,14 +116,14 @@ def _ml_terms(sigma: np.ndarray, S: np.ndarray) -> tuple[float, float, float]:
     """log|Sigma|, tr(S Sigma^-1) and log|S|, after checking both are PD."""
     sigma = np.asarray(sigma, dtype=float)
     S = np.asarray(S, dtype=float)
-    _, logdet_S = _chol_logdet(S)
-    if logdet_S is None:
+    _, (logdet_S,) = _chol_logdet(S[None])
+    if np.isnan(logdet_S):
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
-    L, logdet = _chol_logdet(sigma)
-    if L is None:
+    (L,), (logdet,) = _chol_logdet(sigma[None])
+    if np.isnan(logdet):
         raise NotPositiveDefiniteError("implied covariance is not positive definite")
     Z = np.linalg.solve(L, S)
-    return logdet, float(np.trace(np.linalg.solve(L.T, Z))), logdet_S
+    return float(logdet), float(np.trace(np.linalg.solve(L.T, Z))), float(logdet_S)
 
 
 def f_ml(sigma: np.ndarray, S: np.ndarray, p: int | None = None) -> float:
@@ -131,17 +147,52 @@ def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int, p: int | None = Non
     return -(n / 2.0) * (logdet + tr + p * _LN_2PI)
 
 
+def _t(X: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed (a view)."""
+    return X.transpose(0, 2, 1)
+
+
+class _Point(NamedTuple):
+    """F at k thetas, with the pieces of Sigma its gradient and information
+    reuse. Where Sigma is not PD, f is inf and the pieces are NaN."""
+
+    f: np.ndarray  # (k,)
+    S: np.ndarray  # RAM S, (k, v, v) over all v variables
+    E: np.ndarray  # (I - A)^-1, (k, v, v)
+    L: np.ndarray  # Sigma = L L', (k, p, p)
+    sigma_inv: np.ndarray
+    SiS: np.ndarray  # Sigma^-1 S_obs
+
+    @staticmethod
+    def empty(k: int, v: int, p: int) -> "_Point":
+        return _Point(np.full(k, np.inf), *(np.full((k, n, n), np.nan) for n in (v, v, p, p, p)))
+
+    def take(self, idx) -> "_Point":
+        return _Point(*(piece[idx] for piece in self))
+
+    def put(self, idx, other: "_Point") -> None:
+        for mine, theirs in zip(self, other):
+            mine[idx] = theirs
+
+
 class _Objective:
-    """F_ML, its analytic gradient and expected information over theta."""
+    """F_ML, its analytic gradient and expected information over theta, for
+    a stack of sample covariances of one model (one matrix for a single fit).
+
+    ``point`` evaluates F at thetas (k, t) of k members of the stack, named
+    by ``rows``; ``gradients`` and ``informations`` continue from the
+    point. ``value``, ``value_and_grad``, ``gradient`` and ``information``
+    serve an objective built from one (p, p) matrix, at a theta (t,).
+    """
 
     def __init__(self, m: ParamMatrices, S: np.ndarray):
+        S = np.asarray(S, dtype=float)
         self.m = m
-        self.S_obs = S
-        _, logdet_S = _chol_logdet(S)
-        if logdet_S is None:
+        self.S_obs = S.reshape((-1,) + S.shape[-2:])
+        _, self.logdet_S = _chol_logdet(self.S_obs)  # NaN where S is not PD
+        if S.ndim == 2 and np.isnan(self.logdet_S[0]):
             raise NotPositiveDefiniteError("sample covariance is not positive definite")
-        self.logdet_S = logdet_S
-        self.p = S.shape[0]
+        self.p = S.shape[-1]
         # every free cell of A, then of S: its parameter (incidence K) and
         # its weight, 1/2 in S, where a covariance fills (i,j) and (j,i)
         slots = np.concatenate([m.A.slots, m.S.slots])
@@ -149,13 +200,81 @@ class _Objective:
         self.K[slots, np.arange(slots.size)] = 1.0
         w = np.repeat([1.0, 0.5], [m.A.slots.size, m.S.slots.size])
         self.ww = 2.0 * w[:, None] * w[None, :]
+        self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
-    def _implied(self, theta: np.ndarray):
-        """S, E and the Cholesky factor and log-determinant of Sigma."""
+    def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
+        """F at thetas (k, t) of the members ``rows`` of the stack."""
         _, S, E = _ram(self.m, theta)
-        Ep = E[:self.p]
-        sigma = Ep @ S @ Ep.T
-        return (S, E) + _chol_logdet((sigma + sigma.T) / 2.0)
+        Ep = E[:, :self.p]
+        sigma = Ep @ S @ _t(Ep)
+        L, logdet = _chol_logdet((sigma + _t(sigma)) / 2.0)
+        pt = _Point(np.full(len(theta), np.inf), S, E, L,
+                    np.full_like(L, np.nan), np.full_like(L, np.nan))
+        pd = ~np.isnan(logdet)
+        if pd.all():
+            pd = slice(None)  # views, not copies
+        Linv = np.linalg.inv(L[pd])
+        sigma_inv = _t(Linv) @ Linv
+        SiS = sigma_inv @ self.S_obs[rows[pd]]
+        pt.sigma_inv[pd], pt.SiS[pd] = sigma_inv, SiS
+        pt.f[pd] = (logdet[pd] + np.trace(SiS, axis1=1, axis2=2)
+                    - self.logdet_S[rows[pd]] - self.p)
+        return pt
+
+    def gradients(self, pt: _Point) -> np.ndarray:
+        """dF/dtheta (k, t) at a point."""
+        m, p = self.m, self.p
+        # dF/dSigma = G; dF/dS = M = E_p' G E_p; dF/dA = 2 M S E', of
+        # which only the latent columns can hold free cells
+        G = pt.sigma_inv - pt.SiS @ pt.sigma_inv
+        G = (G + _t(G)) / 2.0
+        Ep = pt.E[:, :p]
+        M = _t(Ep) @ G @ Ep
+        dA = 2.0 * (M @ pt.S[:, :, p:]) @ _t(pt.E[:, p:, p:])
+        g = np.zeros((len(pt.f), m.n_free))
+        # S lists each off-diagonal parameter at (i,j) and (j,i);
+        # accumulating both cells yields the correct chain-rule sum
+        np.add.at(g.T, m.A.slots, dA[:, m.A.rows, m.A.cols - p].T)
+        np.add.at(g.T, m.S.slots, M[:, m.S.rows, m.S.cols].T)
+        return g
+
+    def informations(self, pt: _Point) -> np.ndarray:
+        """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
+        the expected Hessian of F (Bollen 1989, ch. 4), (k, t, t) at a point.
+
+        Free cell c adds w_c (u_c v_c' + v_c u_c') to its parameter's
+        dSigma, with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A,
+        E_p[:, col] in S. Whitened by Sigma = L L', two such terms have
+        trace 2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)].
+        """
+        info = self.K @ self._cell_products(pt) @ self.K.T
+        info = info + _t(info)
+        info /= 2.0
+        return info
+
+    def _cell_products(self, pt: _Point) -> np.ndarray:
+        """2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)] over every
+        pair of free cells, (k, cells, cells); built in place, and apart
+        from ``informations``, so that fewer stacks are alive at once."""
+        m = self.m
+        W = np.linalg.solve(pt.L, pt.E[:, :self.p])
+        U = W[:, :, self.u_cells]
+        V = np.concatenate([(W @ pt.S) @ _t(pt.E[:, m.A.cols]), W[:, :, m.S.cols]], axis=2)
+        UV = _t(U) @ V
+        C = _t(U) @ U
+        C *= _t(V) @ V
+        C += UV * _t(UV)
+        C *= self.ww
+        return C
+
+    def _one(self, theta: np.ndarray) -> _Point:
+        return self.point(np.asarray(theta, dtype=float)[None], np.zeros(1, dtype=int))
+
+    def value_and_grad(self, theta: np.ndarray, need_grad: bool = True):
+        pt = self._one(theta)
+        if not np.isfinite(pt.f[0]):
+            return np.inf, None
+        return float(pt.f[0]), self.gradients(pt)[0] if need_grad else None
 
     def value(self, theta: np.ndarray) -> float:
         f, _ = self.value_and_grad(theta, need_grad=False)
@@ -167,56 +286,15 @@ class _Objective:
             raise NotPositiveDefiniteError("implied covariance is not positive definite")
         return g
 
-    def value_and_grad(self, theta: np.ndarray, need_grad: bool = True):
-        m = self.m
-        S, E, L, logdet = self._implied(theta)
-        if L is None:
-            return np.inf, None
-        Ep = E[:self.p]
-        Linv = np.linalg.inv(L)
-        sigma_inv = Linv.T @ Linv
-        SiS = sigma_inv @ self.S_obs
-        f = logdet + float(np.trace(SiS)) - self.logdet_S - self.p
-        if not need_grad:
-            return f, None
-
-        # dF/dSigma = G; dF/dS = M = E_p' G E_p; dF/dA = 2 M S E', of
-        # which only the latent columns can hold free cells
-        G = sigma_inv - SiS @ sigma_inv
-        G = (G + G.T) / 2.0
-        M = Ep.T @ G @ Ep
-        p = self.p
-        dA = 2.0 * (M @ S[:, p:]) @ E[p:, p:].T
-        g = np.zeros(m.n_free)
-        # S lists each off-diagonal parameter at (i,j) and (j,i);
-        # accumulating both cells yields the correct chain-rule sum
-        np.add.at(g, m.A.slots, dA[m.A.rows, m.A.cols - p])
-        np.add.at(g, m.S.slots, M[m.S.rows, m.S.cols])
-        return f, g
-
     def information(self, theta: np.ndarray) -> np.ndarray:
-        """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
-        the expected Hessian of F (Bollen 1989, ch. 4).
-
-        Free cell c adds w_c (u_c v_c' + v_c u_c') to its parameter's
-        dSigma, with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A,
-        E_p[:, col] in S. Whitened by Sigma = L L', two such terms have
-        trace 2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)].
-        """
-        m = self.m
-        S, E, L, _ = self._implied(theta)
-        if L is None:
+        pt = self._one(theta)
+        if np.isinf(pt.f[0]):
             raise NotPositiveDefiniteError("implied covariance is not positive definite")
-        W = np.linalg.solve(L, E[:self.p])
-        U = W[:, np.concatenate([m.A.rows, m.S.rows])]
-        V = np.hstack([(W @ S) @ E[m.A.cols].T, W[:, m.S.cols]])
-        UV = U.T @ V
-        info = self.K @ (self.ww * ((U.T @ U) * (V.T @ V) + UV * UV.T)) @ self.K.T
-        return (info + info.T) / 2.0
+        return self.informations(pt)[0]
 
 
 def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
-    """Conventional starting vector.
+    """Conventional starting vector, or one per matrix of a stack S (B, p, p).
 
     Free loadings 0.7, paths 0, latent and error variances at half the
     relevant sample variance (the marker's for latents, the indicator's
@@ -224,74 +302,157 @@ def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
     """
     markers = {lat.name: lat.indicators[0] for lat in m.spec.latents}
     var_pos = {name: i for i, name in enumerate(m.variable_order)}
-    diag = np.diag(S)
-    theta0 = np.zeros(m.n_free)
+    diag = np.diagonal(S, axis1=-2, axis2=-1)
+    theta0 = np.zeros(diag.shape[:-1] + (m.n_free,))
     for k, par in enumerate(m.parameters):
         if par.kind == "loading":
-            theta0[k] = 0.7
+            theta0[..., k] = 0.7
         elif par.kind == "error_variance":
-            theta0[k] = 0.5 * diag[var_pos[par.lhs]]
+            theta0[..., k] = 0.5 * diag[..., var_pos[par.lhs]]
         elif par.kind in VARIANCE_KINDS:
-            theta0[k] = 0.5 * diag[var_pos[markers[par.lhs]]]
+            theta0[..., k] = 0.5 * diag[..., var_pos[markers[par.lhs]]]
         # paths and covariances stay 0
     return theta0
 
 
 @dataclass
 class _OptimResult:
-    theta: np.ndarray
-    f: float
-    grad: np.ndarray
-    history: list[float]
-    iterations: int
-    converged: bool
+    """One entry per member of the stack."""
+
+    theta: np.ndarray  # (B, t)
+    f: np.ndarray
+    grad: np.ndarray  # (B, t)
+    history: list[list[float]]
+    iterations: np.ndarray
+    converged: np.ndarray
+    # why a member was given up: its sample covariance or start values are
+    # not PD, or a LinAlgError; None for a member that ran its course
+    errors: list[Exception | None]
 
 
 def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions) -> _OptimResult:
-    """Fisher scoring with Armijo backtracking: d solves (I + 1e-10 diag I) d
-    = -g, I the expected information. The unit-free floor keeps the system
-    regular where I is singular (a non-identified ridge, whose null space g
-    has no part in) and barely moves any other step; a pseudo-inverse would
-    need an eigendecomposition, several times the cost of the solve. Steps
-    that break positive definiteness are halved away."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    f, g = objective.value_and_grad(theta)
-    if not np.isfinite(f):
-        raise EstimationError("starting values give a non-positive-definite implied covariance")
-    history = [f]
-    iterations = 0
-    converged = bool(np.max(np.abs(g), initial=0.0) < opts.gtol)
-    stalls = 0
-    for it in range(1, opts.max_iter + 1):
-        if converged:
-            break
-        info = objective.information(theta)
-        floor = 1e-10 * np.where(np.diag(info) > 0, np.diag(info), 1.0)
-        d = -np.linalg.solve(info + np.diag(floor), g)
-        gd = float(g @ d)
-        step = 1.0
-        f_new = None
+    """Fisher scoring with Armijo backtracking, for every member of the
+    objective's stack at once from the starts theta0 (B, t).
+
+    d solves (I + 1e-10 diag I) d = -g, I the expected information. The
+    unit-free floor keeps the system regular where I is singular (a
+    non-identified ridge, whose null space g has no part in) and barely
+    moves any other step; a pseudo-inverse would need an eigendecomposition,
+    several times the cost of the solve. Steps that break positive
+    definiteness are halved away. Each member keeps its own step size,
+    acceptance, stall count and stop, and leaves the stack when it stops,
+    so its path is the one it would take alone. Sigma is factored once per
+    trial point; the accepted one serves the gradient and the next
+    information. An iteration whose stacked call raises LinAlgError is
+    redone one member at a time, and a member that raises alone is given
+    up with the error recorded.
+    """
+    theta = np.array(theta0, dtype=float)
+    B = len(theta)
+    errors: list[Exception | None] = [None] * B
+    for b in np.flatnonzero(np.isnan(objective.logdet_S)):
+        errors[b] = NotPositiveDefiniteError("sample covariance is not positive definite")
+
+    def alive():
+        return np.array([err is None for err in errors], dtype=bool)
+
+    v, p = len(objective.m.variables), objective.p
+    at = _Point.empty(B, v, p)  # every member at its theta
+    g = np.full(theta.shape, np.nan)
+
+    def start(rows):
+        pt = objective.point(theta[rows], rows)
+        g[rows] = objective.gradients(pt)
+        at.put(rows, pt)
+
+    rows = np.flatnonzero(alive())
+    _each_member(start, rows, errors)
+    for b in rows[~np.isfinite(at.f[rows])]:
+        if errors[b] is None:
+            errors[b] = EstimationError(
+                "starting values give a non-positive-definite implied covariance")
+    history = [[f] for f in at.f.tolist()]
+    iterations = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    stalls = np.zeros(B, dtype=int)
+    active = alive()
+    converged[active] = np.max(np.abs(g[active]), axis=1, initial=0.0) < opts.gtol
+    active &= ~converged
+
+    def iterate(rows, it):
+        # every linear-algebra call comes before the first write to the
+        # state, so a member redone alone starts from where it was
+        info = objective.informations(at if len(rows) == B else at.take(rows))
+        cells = np.arange(info.shape[1])
+        diag = info[:, cells, cells]
+        floor = 1e-10 * np.where(diag > 0, diag, 1.0)
+        info += 0.0  # what adding diag(floor)'s zeros does off the diagonal: -0.0 to 0.0
+        info[:, cells, cells] += floor
+        g_rows = g[rows]
+        d = -np.linalg.solve(info, g_rows[:, :, None])[:, :, 0]
+        gd = (g_rows[:, None, :] @ d[:, :, None])[:, 0, 0]
+        f = at.f[rows]
+        step = np.ones(len(rows))
+        accepted = []  # (positions in rows, thetas, points) per halving
+        pending = np.arange(len(rows))
         for _ in range(60):
-            trial = theta + step * d
-            f_try, _ = objective.value_and_grad(trial, need_grad=False)
-            if np.isfinite(f_try) and f_try <= f + 1e-4 * step * gd:
-                f_new = f_try
+            tried = theta[rows[pending]] + step[pending, None] * d[pending]
+            pt = objective.point(tried, rows[pending])
+            ok = np.isfinite(pt.f) & (pt.f <= f[pending] + 1e-4 * step[pending] * gd[pending])
+            if ok.all():
+                accepted.append((pending, tried, pt))
+                pending = pending[:0]
                 break
-            step *= 0.5
-        if f_new is None:
-            break  # no acceptable step; report whatever we have
-        theta = trial
-        _, g = objective.value_and_grad(theta)
-        f_prev, f = f, f_new
-        history.append(f)
-        iterations = it
-        converged = bool(np.max(np.abs(g)) < opts.gtol)
+            if ok.any():
+                accepted.append((pending[ok], tried[ok], pt.take(ok)))
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        if not accepted:
+            active[rows] = False  # no acceptable step; report whatever we have
+            return
+        moved, trial, new = accepted[0]
+        if len(accepted) > 1:
+            moved, trial = (np.concatenate(part) for part in list(zip(*accepted))[:2])
+            new = _Point(*map(np.concatenate, zip(*(part[2] for part in accepted))))
+        g_moved = objective.gradients(new)
+
+        active[rows[pending]] = False
+        rows, f_prev = rows[moved], f[moved]
+        theta[rows] = trial
+        g[rows] = g_moved
+        at.put(rows, new)
+        for b, f_new in zip(rows, new.f.tolist()):
+            history[b].append(f_new)
+        iterations[rows] = it
+        converged[rows] = np.max(np.abs(g_moved), axis=1, initial=0.0) < opts.gtol
         # give up only after the objective stalls repeatedly; near an
         # optimum the steps keep shrinking the gradient after F stops moving
-        stalls = stalls + 1 if abs(f_prev - f) < opts.ftol * max(1.0, abs(f_prev)) else 0
-        if stalls >= 3:
+        stalled = np.abs(f_prev - new.f) < opts.ftol * np.maximum(1.0, np.abs(f_prev))
+        stalls[rows] = np.where(stalled, stalls[rows] + 1, 0)
+        active[rows] = ~converged[rows] & (stalls[rows] < 3)
+
+    for it in range(1, opts.max_iter + 1):
+        rows = np.flatnonzero(active)
+        if not rows.size:
             break
-    return _OptimResult(theta, f, g, history, iterations, converged)
+        _each_member(lambda r: iterate(r, it), rows, errors)
+        active &= alive()
+    return _OptimResult(theta, at.f, g, history, iterations, converged, errors)
+
+
+def _each_member(step, rows: np.ndarray, errors: list) -> None:
+    """step(rows) on the stack; if it raises LinAlgError, step on one member
+    at a time, recording the error of each member that raises alone."""
+    if not rows.size:
+        return
+    try:
+        step(rows)
+    except np.linalg.LinAlgError:
+        for b in rows:
+            try:
+                step(np.array([b]))
+            except np.linalg.LinAlgError as exc:
+                errors[b] = exc
 
 
 @dataclass
@@ -447,18 +608,20 @@ def fit(
             f"{dfres.n_free} free parameters exceed {dfres.n_moments} sample moments"
         )
     objective = _Objective(m, S)
-    theta0 = start_values(m, S)
-    opt = _minimize(objective, theta0, opts)
+    opt = _minimize(objective, start_values(m, S)[None], opts)
+    if opt.errors[0] is not None:
+        raise opt.errors[0]
+    theta, f_min, converged = opt.theta[0], float(opt.f[0]), bool(opt.converged[0])
 
     n = moments.n
     mult = (n - 1) if opts.chisq_multiplier == "n-1" else n
-    chisq = mult * opt.f
+    chisq = mult * f_min
 
     t = m.n_free
     acov = np.full((t, t), np.nan)
     if compute_se and t:
-        H = ((n - 1) / 2.0) * objective.information(opt.theta)
-        if opt.converged:
+        H = ((n - 1) / 2.0) * objective.information(theta)
+        if converged:
             _check_identified(H, m.labels)
         try:
             acov = np.linalg.inv(H)
@@ -467,7 +630,7 @@ def fit(
     diag = np.diag(acov)
     se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        crit = opt.theta / se
+        crit = theta / se
     # two-sided Wald p-values; without SEs every ratio is NaN, and so is its p
     if compute_se and t:
         from scipy.special import ndtr
@@ -478,32 +641,32 @@ def fit(
 
     labels = m.labels
     heywood = [
-        par.label for par, value in zip(m.parameters, opt.theta)
+        par.label for par, value in zip(m.parameters, theta)
         if par.kind in VARIANCE_KINDS and value < 0
     ]
     try:
-        standardized = standardize(m, opt.theta)
+        standardized = standardize(m, theta)
     except EstimationError:
         standardized = {}
 
     return FitResult(
-        theta=opt.theta,
+        theta=theta,
         labels=labels,
         se=se,
-        f_min=opt.f,
+        f_min=f_min,
         chisq=chisq,
         df=dfres.value,
         n=n,
         p=len(names),
-        iterations=opt.iterations,
-        gradient_norm=float(np.max(np.abs(opt.grad), initial=0.0)),
-        converged=opt.converged,
+        iterations=int(opt.iterations[0]),
+        gradient_norm=float(np.max(np.abs(opt.grad[0]), initial=0.0)),
+        converged=converged,
         standardized=standardized,
-        implied=implied_covariance(m, opt.theta),
+        implied=implied_covariance(m, theta),
         crit_ratio=crit,
         p_values=p_values,
         heywood=heywood,
-        f_history=opt.history,
+        f_history=opt.history[0],
         acov=acov,
         matrices=m,
         options=opts,
@@ -514,8 +677,8 @@ def fit(
 def simulate(m: ParamMatrices, theta: np.ndarray, n: int, seed: int) -> Dataset:
     """Draw n rows from a zero-mean normal with covariance Sigma(theta)."""
     sigma = implied_covariance(m, theta)
-    L, _ = _chol_logdet(sigma)
-    if L is None:
+    (L,), (logdet,) = _chol_logdet(sigma[None])
+    if np.isnan(logdet):
         raise NotPositiveDefiniteError(
             "Sigma(theta) is not positive definite; check the parameter values"
         )

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import tracemalloc
 
@@ -64,6 +65,19 @@ class TestLoadTable:
         with pytest.raises(DataError, match="row 3 has 3 cells"):
             lp.load_table(write(tmp_path, "a,b\n1,2\n1,2,3\n"))
 
+    def test_ragged_row_names_its_file_line(self, tmp_path):
+        with pytest.raises(DataError, match="row 5 has 3 cells"):
+            lp.load_table(write(tmp_path, "a,b\n\n\n1,2\n1,2,3\n"))
+
+    def test_quoted_cell_keeps_its_line_break(self, tmp_path):
+        ds = lp.load_table(write(tmp_path, 'a,b\n"1\n2",3\n4,5\n'))
+        assert ds.raw == [["1\n2", "3"], ["4", "5"]]
+        np.testing.assert_array_equal(ds.missing, [[True, False], [False, False]])
+        np.testing.assert_array_equal(ds.values[:, 1], [3.0, 5.0])
+        # separators other than line breaks stay inside a cell too
+        ds = lp.load_table(write(tmp_path, "a,b\nx\u2028y,1\n"))
+        assert ds.raw == [["x\u2028y", "1"]]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             lp.load_table(tmp_path / "nope.csv")
@@ -100,12 +114,16 @@ class TestLoadTable:
 
 
 def eager_load(text, delimiter=","):
-    """The eager parser load_table replaced: every stripped cell kept as a str."""
-    rows = [row for row in csv.reader(text.splitlines(), delimiter=delimiter)]
-    rows = [row for row in rows if any(cell.strip() for cell in row) or len(row) > 1]
+    """An eager parser: every stripped cell kept as a str. It reads rows as
+    load_table does: a quoted cell keeps its line breaks, and a ragged row
+    is numbered by the file line it ends on."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    rows = [(row, reader.line_num) for row in reader]
+    rows = [(row, line) for row, line in rows
+            if any(cell.strip() for cell in row) or len(row) > 1]
     if not rows:
         raise DataError("is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][0]]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     body = rows[1:]
@@ -115,9 +133,9 @@ def eager_load(text, delimiter=","):
     values = np.empty((len(body), p))
     mask = np.zeros((len(body), p), dtype=bool)
     raw = []
-    for i, row in enumerate(body):
+    for i, (row, line) in enumerate(body):
         if len(row) != p:
-            raise DataError(f"row {i + 2} has {len(row)} cells, expected {p}")
+            raise DataError(f"row {line} has {len(row)} cells, expected {p}")
         cells = [cell.strip() for cell in row]
         raw.append(cells)
         for j, cell in enumerate(cells):
@@ -215,7 +233,8 @@ class TestLoadTableProperties:
         path = tmp_path_factory.mktemp("eager") / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
-            header, values, mask, raw = eager_load(text)
+            # as read in text mode, with "\r" and "\r\n" turned to "\n"
+            header, values, mask, raw = eager_load(path.read_text(encoding="utf-8"))
         except DataError as exc:
             with pytest.raises(DataError) as got:
                 lp.load_table(path)

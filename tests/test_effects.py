@@ -1,12 +1,13 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import latentpath as lp
-from latentpath import effects
-from latentpath.errors import EstimationError, ModelSpecificationError
+from latentpath import effects, sem
+from latentpath.errors import EstimationError, ModelSpecificationError, NotPositiveDefiniteError
 
 
 def ram_latent_block(B, Gamma):
@@ -290,19 +291,37 @@ class TestFullCovarianceDelta:
 
 class TestBootstrap:
     def test_programming_errors_propagate(self, monkeypatch):
+        # a bug inside the stacked replicate refits surfaces; it is not a drop
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
-        real_fit = effects.fit
-        calls = []
 
-        def broken_fit(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > 1:  # the full-sample fit runs, every refit breaks
+        class BrokenObjective(sem._Objective):
+            def informations(self, pt):
                 raise TypeError("bug in a replicate")
-            return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(effects, "fit", broken_fit)
+        # the full-sample fit keeps the real objective; only the stack breaks
+        monkeypatch.setattr(effects, "_Objective", BrokenObjective)
         with pytest.raises(TypeError, match="bug in a replicate"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2)
+
+    def test_failure_error_counts_drops_by_reason(self):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+        with pytest.raises(EstimationError, match=r"100/100 replicates did not converge "
+                                                  r"\(limit 20%; 100 not converged\)"):
+            lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2,
+                            opts=lp.EstimationOptions(max_iter=1))
+        # x1 is constant but for two rows; a resample without both has a
+        # singular sample covariance, and the others barely fit
+        X = data.values.copy()
+        X[:, 0] = 0.0
+        X[:2, 0] = (1.0, -1.0)
+        with pytest.raises(EstimationError) as err:
+            lp.bootstrap_ci(lp.from_array(X, data.names), spec, [("X", "M", "Y")],
+                            replicates=100, seed=2, opts=lp.EstimationOptions(max_iter=30))
+        counts = re.search(r"(\d+)/100 .*; (\d+) not converged, (\d+) non-PD sample "
+                           r"covariance\)", str(err.value))
+        assert counts is not None, str(err.value)
+        dropped, not_converged, not_pd = map(int, counts.groups())
+        assert not_pd > 0 and not_converged + not_pd == dropped
 
     def test_seed_determinism_and_worker_invariance(self):
         spec, data = planted_mediation_data(0.5, 0.3, 0.2, 300, seed=55)
@@ -342,6 +361,92 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match="replicates did not converge"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100,
                             seed=4, opts=opts, standardize_latents=True)
+
+
+def resampled_fits(spec, data, seed, replicates, opts=None):
+    """fit(compute_se=False) on each replicate's moments, as a lone refit makes them."""
+    n = data.n
+    fits = []
+    for r in range(replicates):
+        rows = np.random.default_rng(seed + r).integers(0, n, n)
+        sample = data.values[rows]
+        moments = lp.covariance(lp.Dataset(data.names, sample, np.zeros(sample.shape, bool)))
+        fits.append(lp.fit(spec, moments, opts, compute_se=False))
+    return fits
+
+
+class TestStackedRefits:
+    """The stacked optimizer against lone fits of the same resampled moments."""
+
+    def check_stack(self, spec, data, seed, replicates, monkeypatch, opts=None):
+        opts = opts or lp.EstimationOptions()
+        fits = resampled_fits(spec, data, seed, replicates, opts)
+        m = fits[0].matrices
+        S = np.array([res.S for res in fits])
+        lone_factorizations = []
+        real_cholesky = np.linalg.cholesky
+
+        def spy(M):
+            if M.ndim == 2:  # the stacked factorization failed; one at a time
+                lone_factorizations.append(1)
+            return real_cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S), opts)
+        monkeypatch.undo()
+        for b, res in enumerate(fits):
+            assert opt.errors[b] is None
+            assert opt.theta[b].tobytes() == res.theta.tobytes(), b
+            assert opt.iterations[b] == res.iterations, b
+            assert opt.converged[b] == res.converged, b
+        return fits, lone_factorizations
+
+    def test_survey_model_matches_lone_fits(self, survey_spec, planted, monkeypatch):
+        data = lp.simulate(*planted, 519, seed=42)
+        self.check_stack(survey_spec, data, 1, 20, monkeypatch)
+
+    def test_mediation_model_matches_lone_fits(self, monkeypatch):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
+        fits, lone = self.check_stack(spec, data, 2, 100, monkeypatch)
+        # some line-search trials left the PD cone, so the per-slice
+        # Cholesky fallback ran inside the stack
+        assert lone
+        # the bootstrap builds the same moments and reads the same effects
+        routes = [("X", "M", "Y"), ("X", None, "Y")]
+        draws, reasons = effects._refit_replicates(
+            data.values, data.names, fits[0].matrices, routes,
+            lp.EstimationOptions(), 2, 100)
+        assert reasons == []
+        expected = [[lp.decompose_fit(res).effect(src, dst, med) for src, med, dst in routes]
+                    for res in fits]
+        assert draws.tobytes() == np.array(expected).tobytes()
+
+    def test_stall_stops_match_lone_fits(self, monkeypatch):
+        # no fit can reach this gtol, so every member stops on three stalls,
+        # each after its own count of iterations
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
+        fits, _ = self.check_stack(spec, data, 2, 30, monkeypatch,
+                                   lp.EstimationOptions(gtol=1e-13))
+        assert not any(res.converged for res in fits)
+        assert len({res.iterations for res in fits}) > 1
+
+    def test_non_pd_sample_covariance_is_given_up_alone(self):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
+        fits = resampled_fits(spec, data, 2, 3)
+        m = fits[0].matrices
+        S = np.array([res.S for res in fits])
+        S[1, 0, :] = S[1, 1, :]  # a repeated indicator: singular
+        S[1, :, 0] = S[1, :, 1]
+        with pytest.raises(NotPositiveDefiniteError) as lone:
+            sem.fit(spec, lp.SampleMoments(S[1], S[1], 100, 9, m.variable_order),
+                    compute_se=False)
+        opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S),
+                            lp.EstimationOptions())
+        assert isinstance(opt.errors[1], NotPositiveDefiniteError)
+        assert str(opt.errors[1]) == str(lone.value)
+        assert not opt.converged[1]
+        for b in (0, 2):
+            assert opt.theta[b].tobytes() == fits[b].theta.tobytes()
 
 
 class TestVerdicts:
