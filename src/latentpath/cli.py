@@ -57,7 +57,14 @@ _DOMAIN_ERRORS = (UnderIdentifiedError, EstimationError, NotPositiveDefiniteErro
 def _seed(args) -> int:
     """``--seed`` where the subcommand has one and it was given, else the default."""
     seed = getattr(args, "seed", None)
-    return seed if seed is not None else int(os.environ.get("LATENTPATH_SEED", "0"))
+    if seed is not None:
+        return seed
+    text = os.environ.get("LATENTPATH_SEED", "0")
+    try:
+        return _SEED(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DataError(
+            f"LATENTPATH_SEED must be a non-negative integer, got {text!r}") from None
 
 
 def _ranged(convert, ok, wanted: str):
@@ -75,6 +82,20 @@ _POSITIVE_INT = _ranged(int, lambda v: v > 0, "positive")
 _POSITIVE_FLOAT = _ranged(float, lambda v: v > 0, "positive")
 _LEVEL = _ranged(float, lambda v: 0 < v < 1, "inside (0, 1)")
 _REPLICATES = _ranged(int, lambda v: v == 0 or v >= 100, "0 or at least 100")
+_SEED = _ranged(int, lambda v: v >= 0, "non-negative")  # numpy's generators reject v < 0
+
+
+def _retention(text: str) -> str:
+    """An argparse ``type`` for --retain: 'kaiser', or 'm=' and an integer."""
+    if text == "kaiser":
+        return text
+    try:
+        if text.startswith("m="):
+            int(text[2:])
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'kaiser' or 'm=<k>', got {text}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -478,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("efa", _cmd_efa, "exploratory factor analysis")
     p.add_argument("--data", required=True)
-    p.add_argument("--retain", default="kaiser",
+    p.add_argument("--retain", type=_retention, default="kaiser",
                    help="'kaiser' or 'm=<k>' (default kaiser)")
     p.add_argument("--suppress", type=float, default=0.4)
     p.add_argument("--rotation", choices=("varimax", "none"), default="varimax")
@@ -498,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boot", type=_REPLICATES, default=2000,
                    help="bootstrap replicates; 0 switches to the delta method")
     p.add_argument("--level", type=_LEVEL, default=0.95)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: the replicates are refitted "
                         "together in one thread")
@@ -509,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True,
                    help="JSON with 'values', 'defaults', 'standardize_latents'")
     p.add_argument("--n", type=_POSITIVE_INT, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--out", required=True, help="CSV file to write")
 
     p = add("report", _cmd_report, "full pipeline: psychometrics, EFA, CFA, SEM, mediation")
@@ -519,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SRC:MED:DST (repeatable; default: derived from the model)")
     p.add_argument("--boot", type=_REPLICATES, default=500)
     p.add_argument("--level", type=_LEVEL, default=0.95)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: the replicates are refitted "
                         "together in one thread")

@@ -106,17 +106,25 @@ def _kept_rows(reader):
 
 
 def _lines(text: str):
-    """The lines of ``text``, each with its closing "\\n", one at a time.
+    """The lines of ``text``, each with its terminator, one at a time.
 
-    Reading decodes "\\r\\n" and "\\r" to "\\n", so a reader fed these lines
-    sees every line break, and a quoted cell keeps the ones it holds;
-    ``str.splitlines`` would drop them, and breaks lines at further
-    separators too. A generator holds one line at a time, where
-    ``io.StringIO`` would copy the text at four bytes a character.
+    A line ends at "\\r\\n", a bare "\\r" or "\\n", as in a file opened with
+    ``newline=""``, so a reader fed these lines sees every line break as
+    written, and a quoted cell keeps the ones it holds; ``str.splitlines``
+    would drop them, and breaks lines at further separators too. A
+    generator holds one line at a time, where ``io.StringIO`` would copy
+    the text at four bytes a character.
     """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
+    start, size, newline = 0, len(text), -1
+    while start < size:
+        if newline < start:  # the next "\n", or the end of the text
+            newline = text.find("\n", start)
+            if newline < 0:
+                newline = size
+        end = newline + 1
+        cr = text.find("\r", start, end)
+        if cr >= 0 and cr + 1 != newline:  # a bare "\r" ends the line first
+            end = cr + 1
         yield text[start:end]
         start = end
 
@@ -141,13 +149,14 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     names, rows whose arity differs from the header, a cell over the csv
     module's field size limit, an empty and a header-only file all raise
     ``DataError``; the row number in a message is the line of the file on
-    which that row ends. A quoted cell may hold line breaks. The raw cells
-    are not kept; ``Dataset.raw`` parses them from the retained text when
-    read.
+    which that row ends. Lines end at "\\r\\n", "\\r" or "\\n", and a quoted
+    cell keeps the line breaks it holds as written. The raw cells are not
+    kept; ``Dataset.raw`` parses them from the retained text when read.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8", newline="") as fh:  # line ends as written
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:

@@ -78,7 +78,10 @@ def extract(
     if retention == "kaiser":
         m = int((w > 1.0).sum())
     elif retention.startswith("m="):
-        m = int(retention[2:])
+        try:
+            m = int(retention[2:])
+        except ValueError:
+            raise DataError(f"factor count of {retention!r} is not an integer") from None
         if not 1 <= m <= p:
             raise DataError(f"factor count must be in 1..{p}")
     else:

@@ -457,7 +457,8 @@ def _each_member(step, rows: np.ndarray, errors: list) -> None:
 
 @dataclass
 class FitResult:
-    """Estimates, inference, and diagnostics from one ML fit."""
+    """Estimates, inference, and diagnostics from one ML fit; ``p_values``
+    and ``chisq_p`` are properties computed on read, not fields."""
 
     theta: np.ndarray
     labels: list[str]
@@ -473,7 +474,6 @@ class FitResult:
     standardized: dict[str, float]
     implied: np.ndarray
     crit_ratio: np.ndarray
-    p_values: np.ndarray
     heywood: list[str]
     f_history: list[float] = field(repr=False, default_factory=list)
     # asymptotic covariance of theta (inverse information); NaN without SEs
@@ -488,6 +488,16 @@ class FitResult:
         return chisq_tail(self.chisq, self.df)
 
     @property
+    def p_values(self) -> np.ndarray:
+        # two-sided Wald p-values, computed on read so that a fit whose p-values
+        # go unread never loads scipy.special; without SEs every ratio is NaN, and so is p
+        if np.isnan(self.crit_ratio).all():
+            return np.full(self.crit_ratio.shape, np.nan)
+        from scipy.special import ndtr
+
+        return 2.0 * ndtr(-np.abs(self.crit_ratio))
+
+    @property
     def estimates(self) -> dict[str, float]:
         return dict(zip(self.labels, self.theta))
 
@@ -495,6 +505,7 @@ class FitResult:
         """Per-parameter records; kind filters to 'loading', 'path' or 'covariance'."""
         m = self.matrices
         hypotheses = {pair: lab for lab, pair in m.spec.labels.items()}
+        p_values = self.p_values
         rows = []
         for i, par in enumerate(m.parameters):
             k = par.kind if par.kind in ("loading", "path") else "covariance"
@@ -506,7 +517,7 @@ class FitResult:
                 "estimate": float(self.theta[i]),
                 "se": float(self.se[i]),
                 "crit_ratio": float(self.crit_ratio[i]),
-                "p": float(self.p_values[i]),
+                "p": float(p_values[i]),
                 "standardized": self.standardized.get(par.label),
                 "hypothesis": hypotheses.get((par.lhs, par.rhs)) if k == "path" else None,
             })
@@ -595,9 +606,12 @@ def fit(
     """Estimate a model against sample moments by maximum likelihood.
 
     Returns a FitResult even when the iteration limit is hit (flagged via
-    ``converged``); raises UnderIdentifiedError when the model has more
-    free parameters than sample moments or, with SEs, a converged fit has a
-    singular information; NotPositiveDefiniteError for a non-PD sample covariance.
+    ``converged``). With ``compute_se`` it carries SEs, critical ratios and
+    the asymptotic covariance; its Wald p-values are computed from the
+    ratios when ``p_values`` is read. Raises UnderIdentifiedError when the
+    model has more free parameters than sample moments or, with SEs, a
+    converged fit has a singular information; NotPositiveDefiniteError for
+    a non-PD sample covariance.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
@@ -631,13 +645,6 @@ def fit(
     se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = theta / se
-    # two-sided Wald p-values; without SEs every ratio is NaN, and so is its p
-    if compute_se and t:
-        from scipy.special import ndtr
-
-        p_values = 2.0 * ndtr(-np.abs(crit))
-    else:
-        p_values = np.full(t, np.nan)
 
     labels = m.labels
     heywood = [
@@ -664,7 +671,6 @@ def fit(
         standardized=standardized,
         implied=implied_covariance(m, theta),
         crit_ratio=crit,
-        p_values=p_values,
         heywood=heywood,
         f_history=opt.history[0],
         acov=acov,

@@ -65,6 +65,17 @@ class TestSimulate:
         assert "argument --n: must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", "-1"])
+    def test_bad_env_seed_exits_2(self, tmp_path, seed, monkeypatch, capsys):
+        monkeypatch.setenv("LATENTPATH_SEED", seed)
+        out = tmp_path / "sim.csv"
+        status = dispatch(["simulate", "--model", MODEL, "--params", PARAMS,
+                           "--n", "10", "--out", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"LATENTPATH_SEED must be a non-negative integer, got '{seed}'" in err
+        assert not out.exists()
+
 
 class TestFit:
     def test_happy_path_text(self, sim_csv, tmp_path):
@@ -211,6 +222,11 @@ class TestEfa:
         doc = json.loads(out.read_text())
         assert doc["sections"]["efa"]["n_factors"] == 2
 
+    @pytest.mark.parametrize("retain", ["m=abc", "m=", "three"])
+    def test_malformed_retention_exits_2(self, sim_csv, retain, capsys):
+        assert dispatch(["efa", "--data", sim_csv, "--retain", retain]) == 2
+        assert "argument --retain: must be 'kaiser' or 'm=<k>'" in capsys.readouterr().err
+
 
 class TestMediate:
     def test_bootstrap_output(self, sim_csv, tmp_path):
@@ -322,6 +338,8 @@ class TestFlagRanges:
         ["cfa", "--max-iter", "-3"],
         ["fit", "--gtol", "0"],
         ["report", "--boot", "0", "--gtol", "nan"],
+        ["mediate", "--effect", "EnvSt:PerVa:PB", "--boot", "100", "--seed", "-1"],
+        ["report", "--boot", "100", "--seed", "-3"],
     ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
     def test_out_of_range_exits_2(self, sim_csv, argv, capsys):
         status = dispatch(argv[:1] + ["--model", MODEL, "--data", sim_csv] + argv[1:])

@@ -19,6 +19,12 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def as_written(path):
+    """The file's text with its line ends as written, as load_table reads it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 class TestLoadTable:
     def test_numeric_file(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")
@@ -77,6 +83,23 @@ class TestLoadTable:
         # separators other than line breaks stay inside a cell too
         ds = lp.load_table(write(tmp_path, "a,b\nx\u2028y,1\n"))
         assert ds.raw == [["x\u2028y", "1"]]
+
+    def test_quoted_cell_keeps_its_line_ends_as_written(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b'a,b\r\n"x\r\ny",1\r\n"u\rv",2\r\n')
+        ds = lp.load_table(path)
+        assert ds.raw == [["x\r\ny", "1"], ["u\rv", "2"]]
+        np.testing.assert_array_equal(ds.values[:, 1], [1.0, 2.0])
+
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"a,b\r1,2\r\r3,4\r")
+        ds = lp.load_table(path)
+        assert ds.raw == [["1", "2"], ["3", "4"]]
+        np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+        path.write_bytes(b"a,b\r1,2\r\r1,2,3\r")
+        with pytest.raises(DataError, match="row 4 has 3 cells"):
+            lp.load_table(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -233,8 +256,7 @@ class TestLoadTableProperties:
         path = tmp_path_factory.mktemp("eager") / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
-            # as read in text mode, with "\r" and "\r\n" turned to "\n"
-            header, values, mask, raw = eager_load(path.read_text(encoding="utf-8"))
+            header, values, mask, raw = eager_load(as_written(path))
         except DataError as exc:
             with pytest.raises(DataError) as got:
                 lp.load_table(path)
@@ -280,7 +302,7 @@ class TestLoadTableMemory:
         lp.covariance(sub)
         assert sub._raw is None and ds._raw is None
 
-        _, _, _, eager_raw = eager_load(path.read_text(encoding="utf-8"))
+        _, _, _, eager_raw = eager_load(as_written(path))
         assert sub.raw == [row[5:17] for row in eager_raw]
         assert ds.raw == eager_raw
 

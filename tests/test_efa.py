@@ -68,6 +68,10 @@ class TestExtract:
         lm = lp.extract(two_cluster_correlation(), retention="m=3")
         assert lm.n_factors == 3
 
+    def test_non_integer_factor_count_rejected(self):
+        with pytest.raises(DataError, match="factor count of 'm=abc' is not an integer"):
+            lp.extract(two_cluster_correlation(), retention="m=abc")
+
     def test_non_symmetric_rejected(self):
         R = np.eye(3)
         R[0, 1] = 0.5

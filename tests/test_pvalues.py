@@ -46,20 +46,44 @@ lp.fit(spec, moments, standardize_latents=True, compute_se=False)
 lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=3,
                 standardize_latents=True)
 print("scipy.special" in sys.modules)
-lp.fit(spec, moments, standardize_latents=True)
+result = lp.fit(spec, moments, standardize_latents=True)
+print("scipy.special" in sys.modules)
+result.p_values
+print("scipy.special" in sys.modules)
+"""
+
+NO_SE_P_VALUES = f"""
+import sys
+import numpy as np
+import latentpath as lp
+
+spec = lp.parse_model({MEDIATION_MODEL!r})
+data = lp.from_array(np.random.default_rng(5).standard_normal((200, 9)), spec.indicator_names)
+result = lp.fit(spec, lp.covariance(data), compute_se=False)
+print(np.isnan(result.p_values).all(), result.p_values.shape == result.theta.shape)
 print("scipy.special" in sys.modules)
 """
 
 
-def test_no_se_fit_and_bootstrap_do_not_load_scipy_special():
-    # scipy.special outweighs the rest of the import; only p-values and quantiles need it
+def run_cold(code):
+    """stdout of code run in a fresh interpreter that imports this package's source."""
     env = dict(os.environ)
     src_dir = str(Path(lp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    return proc.stdout.split()
+
+
+def test_no_se_fit_and_bootstrap_do_not_load_scipy_special():
+    # scipy.special outweighs the rest of the import; only p-values and quantiles need
+    # it, so not even a fit with SEs loads it until its p-values are read
+    assert run_cold(COLD_START) == ["False", "False", "True"]
+
+
+def test_no_se_p_values_are_nan_without_scipy_special():
+    assert run_cold(NO_SE_P_VALUES) == ["True", "True", "False"]
 
 
 def test_no_se_fit_has_nan_p_values_and_the_same_chisq_p(survey_spec, survey_sim_moments):
@@ -83,6 +107,11 @@ class TestBundledModel:
         assert np.isfinite(result.crit_ratio).all()
         np.testing.assert_array_equal(result.p_values,
                                       2.0 * stats.norm.sf(np.abs(result.crit_ratio)))
+
+    def test_parameter_table_p_is_p_values_row_for_row(self, result):
+        table = result.parameter_table()
+        assert [row["label"] for row in table] == result.labels
+        assert [row["p"] for row in table] == result.p_values.tolist()
 
     def test_fit_indices_p_value(self, result):
         assert lp.from_fit(result).p == float(stats.chi2.sf(result.chisq, result.df))
