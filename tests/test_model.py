@@ -150,6 +150,34 @@ def random_specs(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def random_specs_with_covariance(draw):
+    """random_specs plus one ``~~`` statement between two latents, a latent
+    and an indicator, or two indicators (an error covariance), and one fixed
+    value: either that statement's or a loading's."""
+    text = draw(random_specs())
+    spec = lp.parse_model(text)
+    kind = draw(st.sampled_from(["latent", "latent_indicator", "error"]))
+    if kind == "latent":
+        a, b = draw(st.permutations(spec.latent_names))[:2]
+    elif kind == "latent_indicator":
+        a = draw(st.sampled_from(spec.latent_names))
+        b = draw(st.sampled_from(spec.indicator_names))
+    else:
+        a, b = draw(st.permutations(spec.indicator_names))[:2]
+    lines = text.splitlines()
+    fix_statement = draw(st.booleans())
+    if not fix_statement:
+        k = draw(st.integers(0, len(spec.latents) - 1))  # the =~ lines come first
+        lhs, _, rhs = lines[k].partition(" =~ ")
+        items = rhs.split(" + ")
+        j = draw(st.integers(0, len(items) - 1))
+        items[j] = "0.8*" + items[j]
+        lines[k] = f"{lhs} =~ " + " + ".join(items)
+    lines.append(f"{a} ~~ {'0.1*' if fix_statement else ''}{b}")
+    return "\n".join(lines)
+
+
 class TestProperties:
     @given(random_specs())
     @settings(max_examples=40, deadline=None)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latentpath as lp
 from latentpath.errors import NotPositiveDefiniteError, UnderIdentifiedError
+from latentpath.model import VARIANCE_KINDS
 from latentpath.sem import _Objective
 
 from conftest import one_factor_spec
+from test_model import count_free_by_enumeration, random_specs_with_covariance
 
 
 def numerical_hessian(obj, theta):
@@ -272,6 +276,63 @@ class TestInformation:
         H = ((n - 1) / 2.0) * numerical_hessian(_Objective(res.matrices, res.S), res.theta)
         se_observed = np.sqrt(np.diag(np.linalg.inv(H)))
         np.testing.assert_allclose(res.se, se_observed, rtol=0.02)
+
+
+class TestKernelOracle:
+    """The objective's kernel on random RAM models, against finite
+    differences and against one call per member of a stack."""
+
+    @staticmethod
+    def draw_theta(m, rng):
+        # S, and so Sigma, is PD: S is diagonally dominant, with variances
+        # of at least 1 and at most four covariances of at most 0.2 a row
+        theta = np.empty(m.n_free)
+        for k, par in enumerate(m.parameters):
+            if par.kind == "loading":
+                theta[k] = rng.uniform(0.6, 1.0)
+            elif par.kind == "path":
+                theta[k] = rng.uniform(-0.4, 0.4)
+            elif par.kind in VARIANCE_KINDS:
+                theta[k] = rng.uniform(1.0, 2.0)
+            else:
+                theta[k] = rng.uniform(-0.2, 0.2)
+        return theta
+
+    @given(random_specs_with_covariance(), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_random_models(self, text, std_lv, seed):
+        spec = lp.parse_model(text)
+        m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=std_lv)
+        assert m.n_free == count_free_by_enumeration(spec, std_lv)
+        rng = np.random.default_rng(seed)
+        theta = self.draw_theta(m, rng)
+        sigma = lp.implied_covariance(m, theta)
+        obj = _Objective(m, sigma)
+        np.testing.assert_allclose(obj.information(theta), numerical_hessian(obj, theta),
+                                   rtol=1e-5, atol=1e-7)
+
+        # the gradient vanishes at theta, so check it a step away
+        point = theta + 0.05 * rng.standard_normal(theta.size)
+        fd = np.empty(theta.size)
+        for k in range(theta.size):
+            h = 1e-5 * max(1.0, abs(point[k]))
+            up, down = point.copy(), point.copy()
+            up[k] += h
+            down[k] -= h
+            fd[k] = (obj.value(up) - obj.value(down)) / (2.0 * h)
+        np.testing.assert_allclose(obj.gradient(point), fd, rtol=1e-5, atol=1e-7)
+
+        thetas = np.stack([theta, point, self.draw_theta(m, rng)])
+        S = np.stack([sigma, lp.implied_covariance(m, thetas[2]), sigma + 0.1 * np.eye(len(sigma))])
+        stacked = _Objective(m, S)
+        pt = stacked.point(thetas, np.arange(3))
+        g, info = stacked.gradients(pt), stacked.informations(pt)
+        for b in range(3):
+            one = _Objective(m, S[b])
+            pt_b = one.point(thetas[b:b + 1], np.zeros(1, dtype=int))
+            np.testing.assert_array_equal(pt.f[b:b + 1], pt_b.f)
+            np.testing.assert_array_equal(g[b:b + 1], one.gradients(pt_b))
+            np.testing.assert_array_equal(info[b:b + 1], one.informations(pt_b))
 
 
 class TestFit:
