@@ -227,19 +227,15 @@ def _covariance_matrix(X: np.ndarray, denom: int) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def covariance(dataset: Dataset, divisor: str = "n-1",
-               deletion: str = "listwise") -> SampleMoments:
-    """Sample moments from mean-centered complete rows.
+def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
+    """Sample moments from mean-centered complete rows (listwise deletion).
 
     ``divisor`` is ``"n-1"`` (unbiased, default) or ``"n"``, the form the
-    normal-theory derivation uses. Only listwise deletion is supported.
-    Zero-variance columns are flagged and excluded from R (their
-    correlations are NaN).
+    normal-theory derivation uses. Zero-variance columns are flagged and
+    excluded from R (their correlations are NaN).
     """
     if divisor not in ("n-1", "n"):
         raise ValueError("divisor must be 'n-1' or 'n'")
-    if deletion != "listwise":
-        raise ValueError("only listwise deletion is supported")
     X = dataset.complete_rows()
     n = X.shape[0]
     if n < 2:

@@ -15,6 +15,7 @@ order never matters: parsing canonicalizes latents by name, regressions by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -341,24 +342,35 @@ class MatrixTemplate:
 
     ``index[i, j]`` is the position in theta of the parameter occupying
     that cell, or -1 when the cell is the fixed constant ``values[i, j]``.
+    A symmetric index (that of S) puts a covariance at (i, j) and (j, i).
     """
 
     values: np.ndarray
     index: np.ndarray
-    # the free cells, and the position in theta of each
+    # one cell per free parameter (i >= j if symmetric), in theta order,
+    # and the position in theta of each
     rows: np.ndarray = field(init=False, repr=False)
     cols: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rows, self.cols = np.nonzero(self.index >= 0)
+        free = self.index >= 0
+        rows, cols = np.nonzero(np.tril(free) if self.symmetric else free)
+        order = np.argsort(self.index[rows, cols])
+        self.rows, self.cols = rows[order], cols[order]
         self.slots = self.index[self.rows, self.cols]
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        return bool(np.array_equal(self.index, self.index.T))
 
     def materialize(self, theta: np.ndarray) -> np.ndarray:
         """The matrix at theta (t,), or one matrix per row of a stack (B, t)."""
         out = np.empty(theta.shape[:-1] + self.values.shape)
         out[...] = self.values
         out[..., self.rows, self.cols] = theta[..., self.slots]
+        if self.symmetric:
+            out[..., self.cols, self.rows] = theta[..., self.slots]
         return out
 
 
@@ -371,7 +383,8 @@ class ParamMatrices:
     effects, loadings at ``[indicator, latent]`` and paths at
     ``[dependent, predictor]``; the symmetric ``S`` holds every variance
     and covariance. With E = (I - A)^-1, the covariance of all variables is
-    E S E' and that of the observed ones is its top-left p x p block.
+    E S E' and that of the observed ones is its top-left p x p block. Each
+    free parameter owns one cell, and theta lists A's before S's.
     """
 
     A: MatrixTemplate

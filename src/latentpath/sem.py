@@ -193,13 +193,11 @@ class _Objective:
         if S.ndim == 2 and np.isnan(self.logdet_S[0]):
             raise NotPositiveDefiniteError("sample covariance is not positive definite")
         self.p = S.shape[-1]
-        # every free cell of A, then of S: its parameter (incidence K) and
-        # its weight, 1/2 in S, where a covariance fills (i,j) and (j,i)
-        slots = np.concatenate([m.A.slots, m.S.slots])
-        self.K = np.zeros((m.n_free, slots.size))
-        self.K[slots, np.arange(slots.size)] = 1.0
-        w = np.repeat([1.0, 0.5], [m.A.slots.size, m.S.slots.size])
-        self.ww = 2.0 * w[:, None] * w[None, :]
+        if not np.array_equal(np.concatenate([m.A.slots, m.S.slots]), np.arange(m.n_free)):
+            raise ValueError("theta must list the parameters of A, then those of S")
+        # the weight of each cell, as in ``informations``: 1/2 on S's diagonal
+        self.w = np.ones(m.n_free)
+        self.w[m.S.slots[m.S.rows == m.S.cols]] = 0.5
         self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
@@ -222,50 +220,40 @@ class _Objective:
         return pt
 
     def gradients(self, pt: _Point) -> np.ndarray:
-        """dF/dtheta (k, t) at a point."""
+        """dF/dtheta (k, t) at a point: 2 w_c (M S E')_c at A's cells, 2 w_c M_c
+        at S's, with M = dF/dS and the weights w of ``informations``."""
         m, p = self.m, self.p
-        # dF/dSigma = G; dF/dS = M = E_p' G E_p; dF/dA = 2 M S E', of
-        # which only the latent columns can hold free cells
+        # G = dF/dSigma; only the latent columns of A can hold free cells
         G = pt.sigma_inv - pt.SiS @ pt.sigma_inv
         G = (G + _t(G)) / 2.0
         Ep = pt.E[:, :p]
         M = _t(Ep) @ G @ Ep
-        dA = 2.0 * (M @ pt.S[:, :, p:]) @ _t(pt.E[:, p:, p:])
-        g = np.zeros((len(pt.f), m.n_free))
-        # S lists each off-diagonal parameter at (i,j) and (j,i);
-        # accumulating both cells yields the correct chain-rule sum
-        np.add.at(g.T, m.A.slots, dA[:, m.A.rows, m.A.cols - p].T)
-        np.add.at(g.T, m.S.slots, M[:, m.S.rows, m.S.cols].T)
+        MSE = (M @ pt.S[:, :, p:]) @ _t(pt.E[:, p:, p:])
+        g = np.concatenate([MSE[:, m.A.rows, m.A.cols - p], M[:, m.S.rows, m.S.cols]], axis=1)
+        g *= 2.0 * self.w
         return g
 
     def informations(self, pt: _Point) -> np.ndarray:
         """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
         the expected Hessian of F (Bollen 1989, ch. 4), (k, t, t) at a point.
 
-        Free cell c adds w_c (u_c v_c' + v_c u_c') to its parameter's
-        dSigma, with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A,
-        E_p[:, col] in S. Whitened by Sigma = L L', two such terms have
-        trace 2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)].
+        The cell of parameter c makes dSigma_c = w_c (u_c v_c' + v_c u_c'),
+        with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A, E_p[:, col]
+        in S; w_c is 1/2 on S's diagonal and 1 elsewhere. Whitened by
+        Sigma = L L', two such terms have trace
+        2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)].
         """
-        info = self.K @ self._cell_products(pt) @ self.K.T
-        info = info + _t(info)
-        info /= 2.0
-        return info
-
-    def _cell_products(self, pt: _Point) -> np.ndarray:
-        """2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)] over every
-        pair of free cells, (k, cells, cells); built in place, and apart
-        from ``informations``, so that fewer stacks are alive at once."""
         m = self.m
         W = np.linalg.solve(pt.L, pt.E[:, :self.p])
         U = W[:, :, self.u_cells]
         V = np.concatenate([(W @ pt.S) @ _t(pt.E[:, m.A.cols]), W[:, :, m.S.cols]], axis=2)
+        V *= self.w
         UV = _t(U) @ V
-        C = _t(U) @ U
-        C *= _t(V) @ V
-        C += UV * _t(UV)
-        C *= self.ww
-        return C
+        info = _t(U) @ U
+        info *= _t(V) @ V
+        info += UV * _t(UV)
+        info *= 2.0
+        return info
 
     def _one(self, theta: np.ndarray) -> _Point:
         return self.point(np.asarray(theta, dtype=float)[None], np.zeros(1, dtype=int))

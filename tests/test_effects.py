@@ -353,6 +353,17 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="100"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=50, seed=2)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_seed_checked_before_fitting(self, monkeypatch, seed):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the seed")
+
+        monkeypatch.setattr(effects, "fit", no_fit)
+        with pytest.raises(EstimationError, match="seed must be a non-negative integer"):
+            lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=seed)
+
     def test_failure_rate_guard(self):
         # a model that cannot converge on most resamples: under 3 complete
         # indicators the X construct is weakly identified at tiny n

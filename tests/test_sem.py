@@ -256,7 +256,8 @@ class TestInformation:
     def test_equals_hessian_at_model_covariance(self, model, survey_spec, planted):
         # at S = Sigma(theta) the expected and observed information coincide;
         # the cross-covariance model adds an off-diagonal latent S cell
-        # (weight 1/2) to the paths and loadings in A
+        # (weight 1, as in A; a variance's cell on S's diagonal weighs 1/2)
+        # to the paths and loadings in A
         if model == "exo_endo_latents":
             _, m, theta, _ = planted_cross_covariance(model)
         else:
