@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DataError
 
 MISSING_MARKERS = {"", "NA"}
+# Every character of a float's repr ("-1.5e-07", "inf", "nan").
+_FLOAT_TEXT = "0123456789.-+einfa"
 
 
 @dataclass
@@ -63,9 +65,18 @@ class Dataset:
         return self.values[:, j]
 
     def complete_rows(self) -> np.ndarray:
-        """Numeric rows remaining after listwise deletion."""
-        keep = ~self.missing.any(axis=1)
-        return self.values[keep]
+        """Numeric rows remaining after listwise deletion, in C order.
+
+        When no cell is missing and ``values`` is C-contiguous, this is a
+        read-only view of ``values``, not a copy; otherwise it is a copy of
+        the complete rows. Either way the moments computed from it are
+        the same bits, which a view in another memory order would not give.
+        """
+        if self.values.flags.c_contiguous and not self.missing.any():
+            view = self.values.view()
+            view.flags.writeable = False
+            return view
+        return self.values[~self.missing.any(axis=1)]
 
     def subset(self, names: list[str]) -> "Dataset":
         idx = []
@@ -78,7 +89,10 @@ class Dataset:
         if self.source:
             text, delimiter, columns = self.source
             source = (text, delimiter, tuple(columns[i] for i in idx))
-        return Dataset(list(names), self.values[:, idx], self.missing[:, idx], source)
+        # take() copies in C order, where [:, idx] gives F order, so that
+        # complete_rows can return a view of the copy
+        return Dataset(list(names), self.values.take(idx, axis=1),
+                       self.missing.take(idx, axis=1), source)
 
 
 def from_array(values: np.ndarray, names: list[str] | None = None) -> Dataset:
@@ -143,15 +157,17 @@ def _raw_cells(text: str, delimiter: str, columns: tuple[int, ...]) -> list[list
 def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     """Read a delimited UTF-8 text file into a Dataset.
 
-    The first non-blank row is the header. One pass converts each cell
-    with ``float`` into a single buffer; non-finite results and cells that
-    do not parse are missing. Text that is not UTF-8, duplicate column
-    names, rows whose arity differs from the header, a cell over the csv
-    module's field size limit, an empty and a header-only file all raise
-    ``DataError``; the row number in a message is the line of the file on
-    which that row ends. Lines end at "\\r\\n", "\\r" or "\\n", and a quoted
-    cell keeps the line breaks it holds as written. The raw cells are not
-    kept; ``Dataset.raw`` parses them from the retained text when read.
+    The first non-blank row is the header. One pass converts each row
+    with ``float`` into a single buffer, in one call for the whole row;
+    a row holding a cell that does not parse is converted cell by cell.
+    Non-finite results and cells that do not parse are missing. Text
+    that is not UTF-8, duplicate column names, rows whose arity differs
+    from the header, a cell over the csv module's field size limit, an
+    empty and a header-only file all raise ``DataError``; the row number
+    in a message is the line of the file on which that row ends. Lines
+    end at "\\r\\n", "\\r" or "\\n", and a quoted cell keeps the line breaks
+    it holds as written. The raw cells are not kept; ``Dataset.raw``
+    parses them from the retained text when read.
     """
     path = Path(path)
     try:
@@ -179,11 +195,14 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
             if len(row) != p:
                 raise DataError(
                     f"{path}: row {reader.line_num} has {len(row)} cells, expected {p}")
-            for cell in row:
-                try:
-                    buffer.append(float(cell))
-                except ValueError:  # the missing markers and any other text
-                    buffer.append(math.nan)
+            try:  # list() first, so that a failed row leaves no cells behind
+                buffer.extend(list(map(float, row)))
+            except ValueError:  # the missing markers and any other text
+                for cell in row:
+                    try:
+                        buffer.append(float(cell))
+                    except ValueError:
+                        buffer.append(math.nan)
     except csv.Error as exc:
         raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
     if n_rows == 1:
@@ -195,16 +214,27 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
 
 
 def save_table(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:
-    """Write the numeric view back out (missing cells as ``NA``)."""
+    """Write the numeric view back out (missing cells as ``NA``).
+
+    Rows are formatted and written one at a time, each value as its
+    ``repr``, so the write holds one row of text at a time. A row with no
+    missing cell is joined directly when the delimiter cannot occur in a
+    float's ``repr``: ``csv.writer`` would quote nothing in it and write
+    the same bytes. Every other row goes through the writer.
+    """
     path = Path(path)
-    values = np.asarray(dataset.values, dtype=float).tolist()
+    values = np.asarray(dataset.values, dtype=float)
+    incomplete = dataset.missing.any(axis=1).tolist()
+    direct = delimiter not in _FLOAT_TEXT
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(dataset.names)
-        writer.writerows(
-            ["NA" if gone else repr(value) for value, gone in zip(row, row_missing)]
-            for row, row_missing in zip(values, dataset.missing.tolist())
-        )
+        for row, row_missing, gone in zip(values, dataset.missing, incomplete):
+            if direct and not gone:
+                fh.write(delimiter.join(map(repr, row.tolist())) + "\r\n")
+            else:
+                writer.writerow(["NA" if cell_gone else repr(value) for value, cell_gone
+                                 in zip(row.tolist(), row_missing.tolist())])
 
 
 @dataclass

@@ -150,9 +150,9 @@ def bootstrap_ci(
     by reason.
     """
     if replicates < 100:
-        raise ValueError("use at least 100 replicates")
+        raise EstimationError("use at least 100 replicates")
     if not 0.0 < level < 1.0:
-        raise ValueError("level must be inside (0, 1)")
+        raise EstimationError("level must be inside (0, 1)")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise EstimationError(f"seed must be a non-negative integer, got {seed!r}")
     opts = opts or EstimationOptions()
@@ -165,8 +165,7 @@ def bootstrap_ci(
         else:
             routes.append((item[0], None, item[1]))
 
-    keep = ~dataset.missing.any(axis=1)
-    X = dataset.values[keep]
+    X = dataset.complete_rows()
     names = dataset.names
 
     # full-sample point estimates; the replicates reuse its compiled model
@@ -296,7 +295,7 @@ def delta_ci(
     a singular information matrix) raises EstimationError.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError("level must be inside (0, 1)")
+        raise EstimationError("level must be inside (0, 1)")
     if not np.all(np.isfinite(result.acov)):
         raise EstimationError(
             "delta-method intervals need standard errors, and this fit has none "

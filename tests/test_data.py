@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
-from latentpath.data import save_table
+from latentpath.data import _covariance_matrix, save_table
 from latentpath.errors import DataError
 
 
@@ -134,6 +134,17 @@ class TestLoadTable:
         assert ds.raw == [["1", "x", "NA"], ["2", "y, z", "3"]]
         assert ds.subset(["c", "a"]).raw == [["NA", "1"], ["3", "2"]]
         assert lp.from_array(ds.values).raw == []
+
+    def test_numeric_row_after_rows_that_fall_back_to_cells(self, tmp_path):
+        # a row converts in one call, or cell by cell once a cell fails;
+        # no partly converted row may stay in the buffer
+        path = write(tmp_path, "a,b,c\n1,NA,2\n3,4,word\n5,6,1e999\n7,8,9\n")
+        ds = lp.load_table(path)
+        header, values, mask, raw = eager_load(as_written(path))
+        assert ds.n == len(raw) == 4
+        np.testing.assert_array_equal(ds.missing, mask)
+        np.testing.assert_array_equal(bits(ds.values), bits(values))
+        assert ds.values[3].tolist() == [7.0, 8.0, 9.0]
 
 
 def eager_load(text, delimiter=","):
@@ -307,6 +318,51 @@ class TestLoadTableMemory:
         assert ds.raw == eager_raw
 
 
+def csv_writer_bytes(dataset, delimiter):
+    """The file save_table writes, with every row written by csv.writer."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, delimiter=delimiter)
+    writer.writerow(dataset.names)
+    for row, gone in zip(dataset.values.tolist(), dataset.missing.tolist()):
+        writer.writerow(["NA" if g else repr(v) for v, g in zip(row, gone)])
+    return out.getvalue().encode("utf-8")
+
+
+class TestSaveTable:
+    # complete rows and rows with missing cells, signed zero, the smallest
+    # subnormal and a value near the largest double
+    VALUES = np.array([
+        [-0.0, 5e-324, 1e308],
+        [1.5, np.nan, -2.25],
+        [-1e-07, 3.0, 1e22],
+        [np.inf, 0.1, -0.0],
+        [12.0, -1e308, 2.5e-300],
+    ])
+
+    @pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", ".", "e", "-", "N"])
+    def test_bytes_match_csv_writer(self, tmp_path, delimiter):
+        ds = lp.from_array(self.VALUES, ["a", "N-e", 'q"t'])
+        path = tmp_path / "out.csv"
+        save_table(ds, path, delimiter=delimiter)
+        assert path.read_bytes() == csv_writer_bytes(ds, delimiter)
+        again = lp.load_table(path, delimiter=delimiter)
+        np.testing.assert_array_equal(again.missing, ds.missing)
+        np.testing.assert_array_equal(bits(again.values), bits(ds.values))
+
+    def test_write_holds_one_row_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        ds = lp.from_array(rng.standard_normal((2000, 48)))
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            save_table(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * path.stat().st_size  # building every row first peaked at 2.2x
+        assert path.read_bytes() == csv_writer_bytes(ds, ",")
+
+
 def brute_force_cov(X, ddof=1):
     """Direct double-loop covariance, the slow way."""
     n, p = X.shape
@@ -390,6 +446,44 @@ class TestCovariance:
         mom = lp.covariance(lp.from_array(X))
         assert np.all(mom.R <= 1.0 + 1e-12) and np.all(mom.R >= -1.0 - 1e-12)
         np.testing.assert_allclose(np.diag(mom.R), 1.0)
+
+
+class TestCompleteRows:
+    def test_complete_dataset_gives_a_read_only_view(self):
+        ds = lp.from_array(np.random.default_rng(4).standard_normal((30, 4)))
+        X = ds.complete_rows()
+        assert np.shares_memory(X, ds.values)
+        assert not X.flags.writeable
+        assert ds.values.flags.writeable
+        np.testing.assert_array_equal(X, ds.values)
+
+    def test_missing_row_is_left_out_of_a_copy(self):
+        X = np.random.default_rng(4).standard_normal((30, 4))
+        X[7, 2] = np.nan
+        ds = lp.from_array(X)
+        kept = ds.complete_rows()
+        assert not np.shares_memory(kept, ds.values)
+        np.testing.assert_array_equal(kept, np.delete(X, 7, axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("missing_row", [None, 11])
+    def test_covariance_bits_match_a_copy_of_the_kept_rows(self, order, missing_row):
+        X = np.random.default_rng(9).standard_normal((500, 6)) * 3.0 + 1.0
+        if missing_row is not None:
+            X[missing_row, 4] = np.nan
+        ds = lp.from_array(np.asarray(X, order=order))
+        keep = ~ds.missing.any(axis=1)
+        expected = _covariance_matrix(ds.values[keep], int(keep.sum()) - 1)
+        np.testing.assert_array_equal(bits(lp.covariance(ds).S), bits(expected))
+
+    def test_loaded_subset_gives_a_view(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "t.csv"
+        save_table(lp.from_array(rng.standard_normal((200, 8))), path)
+        sub = lp.load_table(path).subset(["v7", "v2", "v5"])
+        assert np.shares_memory(sub.complete_rows(), sub.values)
+        expected = _covariance_matrix(sub.values[np.ones(sub.n, dtype=bool)], sub.n - 1)
+        np.testing.assert_array_equal(bits(lp.covariance(sub).S), bits(expected))
 
 
 class TestFrequencyTable:

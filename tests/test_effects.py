@@ -350,8 +350,13 @@ class TestBootstrap:
 
     def test_replicate_floor(self):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
-        with pytest.raises(ValueError, match="100"):
+        with pytest.raises(EstimationError, match="100"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=50, seed=2)
+
+    def test_level_outside_unit_interval_raises(self):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+        with pytest.raises(EstimationError, match="level"):
+            lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, level=1.5)
 
     @pytest.mark.parametrize("seed", [-3, 1.5])
     def test_seed_checked_before_fitting(self, monkeypatch, seed):
@@ -526,5 +531,5 @@ class TestDeltaCi:
         # would read as "no mediation"
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 300, seed=21)
         res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(EstimationError, match="level"):
             lp.delta_ci(res, [("X", "M", "Y")], level=level)
