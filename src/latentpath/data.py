@@ -4,15 +4,16 @@ Input files are delimiter-separated UTF-8 text with a mandatory header
 row; rows whose cells are all blank are skipped. Empty cells and ``NA``
 are missing, and so is any other cell that does not parse as a finite
 number (``nan`` and ``inf`` included). Loading keeps only the numbers
-and the decoded text: the raw cells, which ``frequency_table`` tabulates
-as levels, are parsed from that text the first time ``Dataset.raw`` is
-read.
+and the file's bytes, compressed: the raw cells, which ``frequency_table``
+tabulates as levels, are parsed from them the first time ``Dataset.raw``
+is read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,8 +23,6 @@ import numpy as np
 from .errors import DataError
 
 MISSING_MARKERS = {"", "NA"}
-# Every character of a float's repr ("-1.5e-07", "inf", "nan").
-_FLOAT_TEXT = "0123456789.-+einfa"
 
 
 @dataclass
@@ -31,16 +30,16 @@ class Dataset:
     """Rectangular observations: numeric view plus raw cells.
 
     ``values[i, j]`` is NaN wherever ``missing[i, j]`` is set. A dataset
-    read by ``load_table`` keeps the file's text in ``source`` (text,
-    delimiter, column indices); ``raw`` parses the stripped cells of those
-    columns from it on first access and caches them. Datasets built from
-    arrays have no source, and their ``raw`` is ``[]``.
+    read by ``load_table`` keeps the file in ``source`` (its zlib-compressed
+    bytes, delimiter, column indices); ``raw`` parses the stripped cells of
+    those columns from it on first access and caches them. Datasets built
+    from arrays have no source, and their ``raw`` is ``[]``.
     """
 
     names: list[str]
     values: np.ndarray
     missing: np.ndarray
-    source: tuple[str, str, tuple[int, ...]] | None = field(default=None, repr=False)
+    source: tuple[bytes, str, tuple[int, ...]] | None = field(default=None, repr=False)
     _raw: list[list[str]] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -87,8 +86,8 @@ class Dataset:
                 raise DataError(f"unknown variable {name!r}") from None
         source = None
         if self.source:
-            text, delimiter, columns = self.source
-            source = (text, delimiter, tuple(columns[i] for i in idx))
+            packed, delimiter, columns = self.source
+            source = (packed, delimiter, tuple(columns[i] for i in idx))
         # take() copies in C order, where [:, idx] gives F order, so that
         # complete_rows can return a view of the copy
         return Dataset(list(names), self.values.take(idx, axis=1),
@@ -147,8 +146,10 @@ def _reader(text: str, delimiter: str):
     return csv.reader(_lines(text), delimiter=delimiter)
 
 
-def _raw_cells(text: str, delimiter: str, columns: tuple[int, ...]) -> list[list[str]]:
-    """Stripped cells of the given columns for every data row of ``text``."""
+def _raw_cells(packed: bytes, delimiter: str, columns: tuple[int, ...]) -> list[list[str]]:
+    """Stripped cells of the given columns for every data row of a file
+    whose bytes ``load_table`` compressed into ``packed``."""
+    text = zlib.decompress(packed).decode("utf-8")
     rows = _kept_rows(_reader(text, delimiter))
     next(rows)  # the header
     return [[row[j].strip() for j in columns] for row in rows]
@@ -157,26 +158,27 @@ def _raw_cells(text: str, delimiter: str, columns: tuple[int, ...]) -> list[list
 def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     """Read a delimited UTF-8 text file into a Dataset.
 
-    The first non-blank row is the header. One pass converts each row
-    with ``float`` into a single buffer, in one call for the whole row;
-    a row holding a cell that does not parse is converted cell by cell.
-    Non-finite results and cells that do not parse are missing. Text
-    that is not UTF-8, duplicate column names, rows whose arity differs
-    from the header, a cell over the csv module's field size limit, an
-    empty and a header-only file all raise ``DataError``; the row number
-    in a message is the line of the file on which that row ends. Lines
-    end at "\\r\\n", "\\r" or "\\n", and a quoted cell keeps the line breaks
-    it holds as written. The raw cells are not kept; ``Dataset.raw``
-    parses them from the retained text when read.
+    The first non-blank row is the header. One pass converts each cell
+    with ``float`` into a single buffer; non-finite results and cells that
+    do not parse are missing. Text that is not UTF-8, duplicate column
+    names, rows whose arity differs from the header, a cell over the csv
+    module's field size limit, an empty and a header-only file all raise
+    ``DataError``; the row number in a message is the line of the file on
+    which that row ends. Lines end at "\\r\\n", "\\r" or "\\n", and a quoted
+    cell keeps the line breaks it holds as written. The raw cells are not
+    kept; ``Dataset.raw`` parses them when read from the file's bytes,
+    which the dataset keeps compressed.
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline="") as fh:  # line ends as written
-            text = fh.read()
+        data = path.read_bytes()
+        packed = zlib.compress(data, 1)
+        text = data.decode("utf-8")  # line ends as written
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    del data  # before the buffer grows
     reader = _reader(text, delimiter)
     rows = _kept_rows(reader)
     buffer = array("d")
@@ -195,14 +197,11 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
             if len(row) != p:
                 raise DataError(
                     f"{path}: row {reader.line_num} has {len(row)} cells, expected {p}")
-            try:  # list() first, so that a failed row leaves no cells behind
-                buffer.extend(list(map(float, row)))
-            except ValueError:  # the missing markers and any other text
-                for cell in row:
-                    try:
-                        buffer.append(float(cell))
-                    except ValueError:
-                        buffer.append(math.nan)
+            for cell in row:
+                try:
+                    buffer.append(float(cell))
+                except ValueError:  # the missing markers and any other text
+                    buffer.append(math.nan)
     except csv.Error as exc:
         raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
     if n_rows == 1:
@@ -210,31 +209,23 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     values = np.frombuffer(buffer).reshape(n_rows - 1, p)
     missing = ~np.isfinite(values)
     values[missing] = np.nan
-    return Dataset(header, values, missing, (text, delimiter, tuple(range(p))))
+    return Dataset(header, values, missing, (packed, delimiter, tuple(range(p))))
 
 
 def save_table(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:
     """Write the numeric view back out (missing cells as ``NA``).
 
-    Rows are formatted and written one at a time, each value as its
-    ``repr``, so the write holds one row of text at a time. A row with no
-    missing cell is joined directly when the delimiter cannot occur in a
-    float's ``repr``: ``csv.writer`` would quote nothing in it and write
-    the same bytes. Every other row goes through the writer.
+    Each value is written as its ``repr``, one row at a time, so the
+    write holds one row of text, not the whole table.
     """
     path = Path(path)
     values = np.asarray(dataset.values, dtype=float)
-    incomplete = dataset.missing.any(axis=1).tolist()
-    direct = delimiter not in _FLOAT_TEXT
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(dataset.names)
-        for row, row_missing, gone in zip(values, dataset.missing, incomplete):
-            if direct and not gone:
-                fh.write(delimiter.join(map(repr, row.tolist())) + "\r\n")
-            else:
-                writer.writerow(["NA" if cell_gone else repr(value) for value, cell_gone
-                                 in zip(row.tolist(), row_missing.tolist())])
+        for row, row_missing in zip(values, dataset.missing):
+            writer.writerow(["NA" if gone else repr(value)
+                             for value, gone in zip(row.tolist(), row_missing.tolist())])
 
 
 @dataclass
