@@ -150,6 +150,14 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(rendered)
 
 
+def _dataset_payload(dataset: Dataset, zero_variance: list[str]) -> dict:
+    return {
+        "n": dataset.n, "p": dataset.p,
+        "n_complete": int((~dataset.missing.any(axis=1)).sum()),
+        "zero_variance": zero_variance,
+    }
+
+
 def _fit_payload(result: FitResult) -> dict:
     return {
         "estimates": result.estimates,
@@ -380,6 +388,7 @@ def _cmd_mediate(args) -> int:
     dataset = load_table(args.data, delimiter=args.delimiter)
     opts = _options(args)
     effects = [_parse_effect(e) for e in args.effect]
+    converged = True  # the bootstrap raises when too many replicates do not converge
     if args.boot > 0:
         decs = bootstrap_ci(
             dataset, spec, effects, replicates=args.boot,
@@ -390,10 +399,11 @@ def _cmd_mediate(args) -> int:
         moments = covariance(dataset, divisor=args.divisor)
         result = fit(spec, moments, opts, standardize_latents=args.std_lv)
         decs = delta_ci(result, effects, level=args.level)
+        converged = result.converged
     report = _new_report(args, opts)
     report.add("mediation", "mediation", _mediation_payload(decs))
     _emit(report, args)
-    return 0
+    return 0 if converged else 1
 
 
 def _cmd_simulate(args) -> int:
@@ -411,10 +421,7 @@ def _cmd_simulate(args) -> int:
     prov["rows"] = args.n
     prov["written"] = str(args.out)
     report = Report(prov, args.stars)
-    report.add("dataset", "dataset", {
-        "n": dataset.n, "p": dataset.p, "n_complete": dataset.n,
-        "zero_variance": [],
-    })
+    report.add("dataset", "dataset", _dataset_payload(dataset, []))
     _emit(report, args)
     return 0
 
@@ -425,11 +432,7 @@ def _cmd_report(args) -> int:
     moments = covariance(dataset, divisor=args.divisor)
     opts = _options(args)
     report = _new_report(args, opts)
-    report.add("dataset", "dataset", {
-        "n": dataset.n, "p": dataset.p,
-        "n_complete": int((~dataset.missing.any(axis=1)).sum()),
-        "zero_variance": moments.zero_variance,
-    })
+    report.add("dataset", "dataset", _dataset_payload(dataset, moments.zero_variance))
     constructs = _constructs(spec)
     reliability, adequacy = _psychometric_payloads(dataset, constructs, args.divisor)
     report.add("reliability", "reliability", reliability)

@@ -23,7 +23,6 @@ class LoadingMatrix:
     loadings: np.ndarray
     eigenvalues: np.ndarray
     names: list[str]
-    rotated: bool = False
     rotation_matrix: np.ndarray | None = None
 
     @property
@@ -113,32 +112,28 @@ def _varimax_criterion(L: np.ndarray) -> float:
     return float(((sq**2).sum(axis=0) / p - (sq.sum(axis=0) / p) ** 2).sum())
 
 
-def varimax(
-    loadings: LoadingMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    kaiser_normalize: bool = True,
-) -> LoadingMatrix:
+_VARIMAX_TOL = 1e-10
+_VARIMAX_SWEEPS = 100
+
+
+def varimax(loadings: LoadingMatrix) -> LoadingMatrix:
     """Orthogonal varimax rotation by pairwise planar rotations.
 
-    Each pair of factors is rotated by the closed-form optimal angle, so
-    the criterion never decreases; sweeps stop when a full sweep improves
-    it by less than ``tol``. Row communalities are preserved exactly
-    because the result is ``loadings @ T`` with orthogonal ``T``.
+    The rows are Kaiser-normalized first. Each pair of factors is rotated
+    by the closed-form optimal angle, so the criterion never decreases;
+    sweeps stop when a full sweep improves it by less than _VARIMAX_TOL,
+    or after _VARIMAX_SWEEPS sweeps. Row communalities are preserved
+    exactly because the result is ``loadings @ T`` with orthogonal ``T``.
     """
     lam = loadings.loadings
     p, m = lam.shape
     if m < 2:
-        return replace(
-            loadings, rotated=True,
-            rotation_matrix=np.eye(max(m, 1))[:m, :m],
-        )
+        return replace(loadings, rotation_matrix=np.eye(max(m, 1))[:m, :m])
     h = np.sqrt((lam**2).sum(axis=1))
-    scale = np.where(h > 0, h, 1.0)[:, None]
-    X = lam / scale if kaiser_normalize else lam.copy()
+    X = lam / np.where(h > 0, h, 1.0)[:, None]
     T = np.eye(m)
     crit = _varimax_criterion(X)
-    for _ in range(max_iter):
+    for _ in range(_VARIMAX_SWEEPS):
         for j in range(m - 1):
             for k in range(j + 1, m):
                 x, y = X[:, j], X[:, k]
@@ -157,7 +152,7 @@ def varimax(
                 X[:, [j, k]] = X[:, [j, k]] @ rot
                 T[:, [j, k]] = T[:, [j, k]] @ rot
         new_crit = _varimax_criterion(X)
-        if new_crit - crit < tol:
+        if new_crit - crit < _VARIMAX_TOL:
             crit = new_crit
             break
         crit = new_crit
@@ -170,10 +165,7 @@ def varimax(
     rotated, T = rotated * signs, T * signs
     # order factors by explained sum of squares, largest first
     order = np.argsort(-(rotated**2).sum(axis=0), kind="stable")
-    return replace(
-        loadings, loadings=rotated[:, order], rotated=True,
-        rotation_matrix=T[:, order],
-    )
+    return replace(loadings, loadings=rotated[:, order], rotation_matrix=T[:, order])
 
 
 @dataclass

@@ -125,6 +125,10 @@ class EffectDecomposition:
         return "partial" if excludes_zero(self.direct_bounds) else "full"
 
 
+# the share of replicates that may be dropped before the intervals are refused
+_MAX_FAILURE_RATE = 0.2
+
+
 def bootstrap_ci(
     dataset: Dataset,
     spec: ModelSpec,
@@ -135,7 +139,6 @@ def bootstrap_ci(
     opts: EstimationOptions | None = None,
     standardize_latents: bool = False,
     workers: int = 1,
-    max_failure_rate: float = 0.2,
 ) -> list[EffectDecomposition]:
     """Percentile bootstrap intervals for effect decompositions.
 
@@ -146,8 +149,8 @@ def bootstrap_ci(
     take alone, so the result does not depend on how they are grouped.
     ``workers`` is accepted for compatibility and has no effect. Replicates
     that fail to converge are dropped and counted; more than
-    ``max_failure_rate`` of them failing is an error that counts the drops
-    by reason.
+    _MAX_FAILURE_RATE of them failing is an error that counts the drops by
+    reason.
     """
     if replicates < 100:
         raise EstimationError("use at least 100 replicates")
@@ -165,23 +168,20 @@ def bootstrap_ci(
         else:
             routes.append((item[0], None, item[1]))
 
-    X = dataset.complete_rows()
-    names = dataset.names
-
     # full-sample point estimates; the replicates reuse its compiled model
-    full = fit(spec, covariance(Dataset(list(names), X, np.zeros_like(X, dtype=bool))),
-               opts, standardize_latents=standardize_latents, compute_se=False)
+    full = fit(spec, covariance(dataset), opts,
+               standardize_latents=standardize_latents, compute_se=False)
     full_eff = decompose_fit(full)
 
-    draws, reasons = _refit_replicates(X, names, full.matrices, routes, opts,
-                                       seed, replicates)
+    draws, reasons = _refit_replicates(dataset.complete_rows(), dataset.names,
+                                       full.matrices, routes, opts, seed, replicates)
     n_dropped = replicates - len(draws)
-    if n_dropped > max_failure_rate * replicates:
+    if n_dropped > _MAX_FAILURE_RATE * replicates:
         counts = ", ".join(f"{count} {reason}" for reason, count in
                            sorted(Counter(reasons).items(), key=lambda rc: -rc[1]))
         raise EstimationError(
             f"bootstrap failed: {n_dropped}/{replicates} replicates did not "
-            f"converge (limit {max_failure_rate:.0%}; {counts}); the model may be "
+            f"converge (limit {_MAX_FAILURE_RATE:.0%}; {counts}); the model may be "
             "ill-conditioned for this sample size"
         )
 
@@ -322,9 +322,7 @@ def delta_ci(
     return out
 
 
-def _validate_mediator(spec: ModelSpec | None, src: str, med: str, dst: str) -> None:
-    if spec is None:
-        return
+def _validate_mediator(spec: ModelSpec, src: str, med: str, dst: str) -> None:
     names = spec.latent_names
     for name in (src, med, dst):
         if name not in names:
@@ -342,27 +340,20 @@ def _validate_mediator(spec: ModelSpec | None, src: str, med: str, dst: str) -> 
 @dataclass
 class HypothesisVerdict:
     label: str
-    kind: str  # "direct" or "mediation"
+    kind: str  # "direct": every verdict is of a labeled path
     path: str
     estimate: float
-    p: float | None
+    p: float
     verdict: str
     detail: str = ""
 
 
-def classify_hypotheses(
-    result: FitResult,
-    decompositions: list[EffectDecomposition] | None = None,
-    mediation_labels: dict[str, tuple[str, str, str]] | None = None,
-    p_threshold: float = 0.05,
-) -> list[HypothesisVerdict]:
-    """Support verdicts for labeled direct paths and mediation triples.
+def classify_hypotheses(result: FitResult, p_threshold: float = 0.05) -> list[HypothesisVerdict]:
+    """Support verdicts for the labeled direct paths.
 
     A labeled path is supported when its two-sided p-value is below the
-    threshold. Mediation verdicts come from the interval sign patterns of
-    the matching decomposition: indirect excluding zero with direct
-    excluding zero is partial, with direct spanning zero full, and an
-    indirect interval spanning zero is no mediation.
+    threshold. Mediation verdicts come from
+    ``EffectDecomposition.mediation_verdict``.
     """
     spec = result.matrices.spec if result.matrices else None
     if spec is None:
@@ -383,23 +374,4 @@ def classify_hypotheses(
             verdict="supported" if supported else "not supported",
             detail=f"p={p:.3g} {'<' if supported else '>='} {p_threshold:g}",
         ))
-    if decompositions and mediation_labels:
-        by_pair = {(d.source, d.mediator, d.target): d for d in decompositions}
-        for label, (src, med, dst) in sorted(mediation_labels.items()):
-            dec = by_pair.get((src, med, dst))
-            if dec is None:
-                raise ModelSpecificationError(
-                    f"no decomposition supplied for {label}: {src}->{med}->{dst}"
-                )
-            verdict = dec.mediation_verdict()
-            verdicts.append(HypothesisVerdict(
-                label=label, kind="mediation",
-                path=f"{src} -> {med} -> {dst}",
-                estimate=dec.indirect, p=None,
-                verdict={"none": "no mediation", "partial": "partial mediation",
-                         "full": "full mediation"}[verdict],
-                detail=(
-                    f"indirect CI {dec.indirect_bounds}, direct CI {dec.direct_bounds}"
-                ),
-            ))
     return verdicts

@@ -392,7 +392,6 @@ class ParamMatrices:
     parameters: list[Parameter]  # in theta order
     variable_order: list[str]
     spec: ModelSpec
-    standardized_latents: bool = False
 
     @property
     def latent_names(self) -> list[str]:
@@ -513,7 +512,6 @@ def build_matrices(
         parameters=parameters,
         variable_order=list(variable_order),
         spec=spec,
-        standardized_latents=standardize_latents,
     )
 
 

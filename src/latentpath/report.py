@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fit_indices import THRESHOLDS
+
 SCHEMA_VERSION = 2
 
 
@@ -225,28 +227,30 @@ def _discriminant_text(name, payload, _stars):
                         title="Discriminant validity (diagonal = sqrt AVE)")
 
 
+# row order and labels; each standard is the threshold its pass flag tests
 _INDEX_DISPLAY = (
-    ("chisq_df", "Chi/DF", "< 5"),
-    ("p", "P", "< 0.05"),
-    ("gfi", "GFI", "> 0.9"),
-    ("agfi", "AGFI", "> 0.9"),
-    ("tli", "TLI", "> 0.9"),
-    ("nfi", "NFI", "> 0.9"),
-    ("cfi", "CFI", "> 0.9"),
-    ("pnfi", "PNFI", "> 0.5"),
-    ("pcfi", "PCFI", "> 0.5"),
-    ("pgfi", "PGFI", "> 0.5"),
-    ("rmsea", "RMSEA", "< 0.08"),
+    ("chisq_df", "Chi/DF"),
+    ("p", "P"),
+    ("gfi", "GFI"),
+    ("agfi", "AGFI"),
+    ("tli", "TLI"),
+    ("nfi", "NFI"),
+    ("cfi", "CFI"),
+    ("pnfi", "PNFI"),
+    ("pcfi", "PCFI"),
+    ("pgfi", "PGFI"),
+    ("rmsea", "RMSEA"),
 )
 
 
 def _fit_indices_text(name, payload, _stars):
     rows = []
-    for key, label, standard in _INDEX_DISPLAY:
+    for key, label in _INDEX_DISPLAY:
+        op, bound = THRESHOLDS[key]
         value = payload["values"].get(key)
         passed = payload["passed"].get(key)
         rows.append([
-            label, _fmt(value), standard,
+            label, _fmt(value), f"{op} {bound:g}",
             "" if passed is None else ("Yes" if passed else "No"),
         ])
     title = (

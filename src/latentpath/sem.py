@@ -512,21 +512,14 @@ class FitResult:
         return rows
 
 
-def standardize(result_or_matrices, theta=None) -> dict[str, float]:
+def standardize(m: ParamMatrices, theta: np.ndarray) -> dict[str, float]:
     """Rescale estimates by model-implied latent and indicator SDs.
 
-    Accepts either a FitResult or a (ParamMatrices, theta) pair. Loadings
-    become ``lambda * sd(latent) / sd(indicator)``, paths
+    Loadings become ``lambda * sd(latent) / sd(indicator)``, paths
     ``b * sd(predictor) / sd(dependent)``, covariances correlations, and
-    variance entries proportions of their variable's implied variance.
+    variance entries proportions of their variable's implied variance. A
+    fit's are in ``FitResult.standardized``.
     """
-    if isinstance(result_or_matrices, FitResult):
-        m = result_or_matrices.matrices
-        theta = result_or_matrices.theta
-    else:
-        m = result_or_matrices
-    if m is None:
-        raise EstimationError("no parameter matrices attached to the result")
     theta = np.asarray(theta, dtype=float)
     A, S, E = _ram(m, theta)
     var = np.diag(E @ S @ E.T)  # implied variances of all variables

@@ -256,6 +256,16 @@ class TestMediate:
         assert effect["total_indirect"] == pytest.approx(
             effect["total"] - effect["direct"], abs=1e-12)
 
+    def test_delta_mode_exits_1_when_the_fit_did_not_converge(self, sim_csv, tmp_path):
+        out = tmp_path / "med_delta.json"
+        assert dispatch([
+            "mediate", "--model", MODEL, "--data", sim_csv,
+            "--effect", "EnvSt:PerVa:PB", "--boot", "0", "--max-iter", "1",
+            "--format", "json", "--output", str(out),
+        ]) == 1
+        # the intervals are still reported, as fit reports its estimates
+        assert json.loads(out.read_text())["sections"]["mediation"]["effects"]
+
     def test_seed_reproducibility(self, sim_csv, tmp_path):
         outs = []
         for name in ("m1.json", "m2.json"):
@@ -324,6 +334,33 @@ class TestReportSections:
         self.run_json(sim_csv, tmp_path / "r.json")
         # the CFA and the structural model; no one-factor fit per construct
         assert len(calls) == 2
+
+
+class TestReportIsTheUnionOfItsSubcommands:
+    def sections(self, argv, out):
+        assert dispatch(argv + ["--model", MODEL, "--format", "json",
+                                "--output", str(out)]) == 0
+        return {name: json.dumps(section, sort_keys=True) for name, section
+                in json.loads(out.read_text())["sections"].items()}
+
+    def test_sections_match(self, sim_csv, tmp_path):
+        data = ["--data", sim_csv]
+        boot = ["--boot", "100", "--seed", "1"]
+        report = self.sections(["report", *data, *boot], tmp_path / "report.json")
+        fit = self.sections(["fit", *data], tmp_path / "fit.json")
+        cfa = self.sections(["cfa", *data], tmp_path / "cfa.json")
+        mediate = self.sections(["mediate", *data, *boot, "--effect", "EnvSt:PerVa:PB"],
+                                tmp_path / "mediate.json")
+        for name in ("fit", "regression_weights", "hypotheses"):
+            assert report[name] == fit[name], name
+        assert report["sem_fit_indices"] == fit["fit_indices"]
+        for name in ("convergent_validity", "discriminant_validity"):
+            assert report[name] == cfa[name], name
+        assert report["cfa_fit_indices"] == cfa["fit_indices"]
+        entries = {(e["source"], e["mediator"], e["target"]): json.dumps(e, sort_keys=True)
+                   for e in json.loads(report["mediation"])["effects"]}
+        (alone,) = json.loads(mediate["mediation"])["effects"]
+        assert entries[("EnvSt", "PerVa", "PB")] == json.dumps(alone, sort_keys=True)
 
 
 class TestFlagRanges:

@@ -391,6 +391,27 @@ def resampled_fits(spec, data, seed, replicates, opts=None):
     return fits
 
 
+def failing_objective(member, from_call=1):
+    """An _Objective class whose ``point`` raises LinAlgError whenever
+    ``member`` of the first stack built is among the rows evaluated, from
+    the ``from_call``-th such evaluation on."""
+    built, calls = [], []
+
+    class Failing(sem._Objective):
+        def __init__(self, m, S):
+            super().__init__(m, S)
+            built.append(self)
+
+        def point(self, theta, rows):
+            if self is built[0] and member in rows:
+                calls.append(1)
+                if len(calls) >= from_call:
+                    raise np.linalg.LinAlgError("planted")
+            return super().point(theta, rows)
+
+    return Failing
+
+
 class TestStackedRefits:
     """The stacked optimizer against lone fits of the same resampled moments."""
 
@@ -445,6 +466,34 @@ class TestStackedRefits:
                                    lp.EstimationOptions(gtol=1e-13))
         assert not any(res.converged for res in fits)
         assert len({res.iterations for res in fits}) > 1
+
+    # the first call is the start; the third is the second iteration's first trial
+    @pytest.mark.parametrize("from_call", [1, 3])
+    def test_linalg_error_is_given_up_alone(self, from_call):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
+        fits = resampled_fits(spec, data, 2, 6)
+        m = fits[0].matrices
+        S = np.array([res.S for res in fits])
+        objective = failing_objective(2, from_call)(m, S)
+        opt = sem._minimize(objective, sem.start_values(m, S), lp.EstimationOptions())
+        assert isinstance(opt.errors[2], np.linalg.LinAlgError)
+        assert str(opt.errors[2]) == "planted"
+        assert not opt.converged[2]
+        assert opt.iterations[2] == (0 if from_call == 1 else 1)
+        for b, res in enumerate(fits):
+            if b != 2:
+                assert opt.errors[b] is None
+                assert opt.theta[b].tobytes() == res.theta.tobytes(), b
+                assert opt.iterations[b] == res.iterations, b
+
+    def test_bootstrap_counts_a_linalg_error(self, monkeypatch):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+        monkeypatch.setattr(effects, "_Objective", failing_objective(2))
+        with pytest.raises(EstimationError, match=r"100/100 replicates did not converge "
+                                                  r"\(limit 20%; 99 not converged, "
+                                                  r"1 LinAlgError\)"):
+            lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2,
+                            opts=lp.EstimationOptions(max_iter=1))
 
     def test_non_pd_sample_covariance_is_given_up_alone(self):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)

@@ -505,7 +505,7 @@ class TestStandardize:
 
     def test_from_fit_result(self, survey_spec, survey_sim_moments):
         res = lp.fit(survey_spec, survey_sim_moments, compute_se=False)
-        std = lp.standardize(res)
+        std = lp.standardize(res.matrices, res.theta)
         assert std == res.standardized
         # standardized latent variances are one by construction
         for name in ("ConsEth", "EnvSt", "PBC", "PerVa", "PB"):
