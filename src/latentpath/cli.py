@@ -139,6 +139,10 @@ def _new_report(args, options) -> Report:
     prov["covariance_divisor"] = args.divisor
     if hasattr(args, "boot"):
         prov["bootstrap"] = {"replicates": args.boot, "level": args.level}
+        if args.boot > 0:
+            # bootstrap_ci resamples with n-1 whatever --divisor says; the
+            # effects among latents do not change when S is rescaled
+            prov["bootstrap"]["covariance_divisor"] = "n-1"
     return Report(prov, args.stars)
 
 
@@ -176,7 +180,7 @@ def _fit_payload(result: FitResult) -> dict:
         "converged": result.converged,
         "heywood": result.heywood,
         "implied_covariance": result.implied,
-        "variables": result.matrices.variable_order if result.matrices else [],
+        "variables": result.matrices.variable_order,
     }
 
 

@@ -29,7 +29,8 @@ MISSING_MARKERS = {"", "NA"}
 class Dataset:
     """Rectangular observations: numeric view plus raw cells.
 
-    ``values[i, j]`` is NaN wherever ``missing[i, j]`` is set. A dataset
+    A cell is missing where, and only where, ``values`` holds NaN;
+    ``missing`` is that mask, computed on each read. A dataset
     read by ``load_table`` keeps the file in ``source`` (its zlib-compressed
     bytes, delimiter, column indices); ``raw`` parses the stripped cells of
     those columns from it on first access and caches them. Datasets built
@@ -38,7 +39,6 @@ class Dataset:
 
     names: list[str]
     values: np.ndarray
-    missing: np.ndarray
     source: tuple[bytes, str, tuple[int, ...]] | None = field(default=None, repr=False)
     _raw: list[list[str]] | None = field(default=None, init=False, repr=False)
 
@@ -49,19 +49,16 @@ class Dataset:
         return self._raw
 
     @property
+    def missing(self) -> np.ndarray:
+        return np.isnan(self.values)
+
+    @property
     def n(self) -> int:
         return self.values.shape[0]
 
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.names.index(name)
-        except ValueError:
-            raise DataError(f"unknown variable {name!r}") from None
-        return self.values[:, j]
 
     def complete_rows(self) -> np.ndarray:
         """Numeric rows remaining after listwise deletion, in C order.
@@ -71,11 +68,12 @@ class Dataset:
         the complete rows. Either way the moments computed from it are
         the same bits, which a view in another memory order would not give.
         """
-        if self.values.flags.c_contiguous and not self.missing.any():
+        missing = self.missing
+        if self.values.flags.c_contiguous and not missing.any():
             view = self.values.view()
             view.flags.writeable = False
             return view
-        return self.values[~self.missing.any(axis=1)]
+        return self.values[~missing.any(axis=1)]
 
     def subset(self, names: list[str]) -> "Dataset":
         idx = []
@@ -90,8 +88,7 @@ class Dataset:
             source = (packed, delimiter, tuple(columns[i] for i in idx))
         # take() copies in C order, where [:, idx] gives F order, so that
         # complete_rows can return a view of the copy
-        return Dataset(list(names), self.values.take(idx, axis=1),
-                       self.missing.take(idx, axis=1), source)
+        return Dataset(list(names), self.values.take(idx, axis=1), source)
 
 
 def from_array(values: np.ndarray, names: list[str] | None = None) -> Dataset:
@@ -110,7 +107,7 @@ def from_array(values: np.ndarray, names: list[str] | None = None) -> Dataset:
     missing = ~np.isfinite(values)
     if missing.any():
         values = np.where(missing, np.nan, values)
-    return Dataset(list(names), values, missing)
+    return Dataset(list(names), values)
 
 
 def _kept_rows(reader):
@@ -207,9 +204,8 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     if n_rows == 1:
         raise DataError(f"{path} has a header but no data rows")
     values = np.frombuffer(buffer).reshape(n_rows - 1, p)
-    missing = ~np.isfinite(values)
-    values[missing] = np.nan
-    return Dataset(header, values, missing, (packed, delimiter, tuple(range(p))))
+    values[~np.isfinite(values)] = np.nan
+    return Dataset(header, values, (packed, delimiter, tuple(range(p))))
 
 
 def save_table(dataset: Dataset, path: str | Path, delimiter: str = ",") -> None:
@@ -235,9 +231,7 @@ class SampleMoments:
     S: np.ndarray
     R: np.ndarray
     n: int
-    p: int
     names: list[str]
-    divisor: str = "n-1"
     zero_variance: list[str] = field(default_factory=list)
 
 
@@ -270,8 +264,8 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
     R[:, zero] = np.nan
     np.fill_diagonal(R, np.where(zero, np.nan, 1.0))
     return SampleMoments(
-        S=S, R=R, n=n, p=X.shape[1], names=list(dataset.names),
-        divisor=divisor, zero_variance=[nm for nm, z in zip(dataset.names, zero) if z],
+        S=S, R=R, n=n, names=list(dataset.names),
+        zero_variance=[nm for nm, z in zip(dataset.names, zero) if z],
     )
 
 
@@ -290,8 +284,9 @@ def frequency_table(dataset: Dataset, variable: str) -> list[tuple[str, int, flo
     if dataset.raw:
         cells = [row[j] for row in dataset.raw]
     else:
+        missing = dataset.missing
         cells = [
-            "NA" if dataset.missing[i, j] else f"{dataset.values[i, j]:g}"
+            "NA" if missing[i, j] else f"{dataset.values[i, j]:g}"
             for i in range(dataset.n)
         ]
     for cell in cells:

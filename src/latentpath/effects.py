@@ -98,7 +98,6 @@ class EffectDecomposition:
     total: float
     direct: float
     indirect: float  # through ``mediator`` when one is named
-    total_indirect: float  # total - direct: through every mediator
     total_bounds: tuple[float, float] | None
     direct_bounds: tuple[float, float] | None
     indirect_bounds: tuple[float, float] | None
@@ -106,6 +105,11 @@ class EffectDecomposition:
     method: str
     n_replicates: int = 0
     n_dropped: int = 0
+
+    @property
+    def total_indirect(self) -> float:
+        """total - direct: the indirect effect through every mediator."""
+        return self.total - self.direct
 
     @property
     def additivity_gap(self) -> float:
@@ -132,7 +136,7 @@ _MAX_FAILURE_RATE = 0.2
 def bootstrap_ci(
     dataset: Dataset,
     spec: ModelSpec,
-    effects: list[tuple[str, str] | tuple[str, str, str]],
+    effects: list[tuple[str, str, str]],
     replicates: int = 2000,
     level: float = 0.95,
     seed: int = 0,
@@ -140,7 +144,7 @@ def bootstrap_ci(
     standardize_latents: bool = False,
     workers: int = 1,
 ) -> list[EffectDecomposition]:
-    """Percentile bootstrap intervals for effect decompositions.
+    """Percentile bootstrap intervals for (source, mediator, target) effects.
 
     Case resampling with replacement; each replicate refits the model and
     re-decomposes. Replicate r draws from a generator seeded seed + r. The
@@ -160,13 +164,8 @@ def bootstrap_ci(
         raise EstimationError(f"seed must be a non-negative integer, got {seed!r}")
     opts = opts or EstimationOptions()
 
-    routes = []  # (source, mediator or None, target)
-    for item in effects:
-        if len(item) == 3:
-            _validate_mediator(spec, *item)
-            routes.append(tuple(item))
-        else:
-            routes.append((item[0], None, item[1]))
+    for src, med, dst in effects:
+        _validate_mediator(spec, src, med, dst)
 
     # full-sample point estimates; the replicates reuse its compiled model
     full = fit(spec, covariance(dataset), opts,
@@ -174,7 +173,7 @@ def bootstrap_ci(
     full_eff = decompose_fit(full)
 
     draws, reasons = _refit_replicates(dataset.complete_rows(), dataset.names,
-                                       full.matrices, routes, opts, seed, replicates)
+                                       full.matrices, effects, opts, seed, replicates)
     n_dropped = replicates - len(draws)
     if n_dropped > _MAX_FAILURE_RATE * replicates:
         counts = ", ".join(f"{count} {reason}" for reason, count in
@@ -187,7 +186,7 @@ def bootstrap_ci(
 
     alpha = (1.0 - level) / 2.0
     out = []
-    for k, (src, med, dst) in enumerate(routes):
+    for k, (src, med, dst) in enumerate(effects):
         tot, dire, ind = full_eff.effect(src, dst, med)
         bounds = []
         for comp in range(3):
@@ -196,7 +195,7 @@ def bootstrap_ci(
             bounds.append((float(lo), float(hi)))
         out.append(EffectDecomposition(
             source=src, target=dst, mediator=med,
-            total=tot, direct=dire, indirect=ind, total_indirect=tot - dire,
+            total=tot, direct=dire, indirect=ind,
             total_bounds=bounds[0], direct_bounds=bounds[1],
             indirect_bounds=bounds[2],
             level=level, method="percentile-bootstrap",
@@ -315,7 +314,7 @@ def delta_ci(
         tot, dire, ind = point
         out.append(EffectDecomposition(
             source=src, target=dst, mediator=med,
-            total=tot, direct=dire, indirect=ind, total_indirect=tot - dire,
+            total=tot, direct=dire, indirect=ind,
             total_bounds=bounds[0], direct_bounds=bounds[1], indirect_bounds=bounds[2],
             level=level, method="delta",
         ))
@@ -355,9 +354,7 @@ def classify_hypotheses(result: FitResult, p_threshold: float = 0.05) -> list[Hy
     threshold. Mediation verdicts come from
     ``EffectDecomposition.mediation_verdict``.
     """
-    spec = result.matrices.spec if result.matrices else None
-    if spec is None:
-        raise EstimationError("result carries no model specification")
+    spec = result.matrices.spec
     verdicts = []
     table = {row["hypothesis"]: row for row in result.parameter_table("path")}
     for label, (dep, pred) in sorted(spec.labels.items()):

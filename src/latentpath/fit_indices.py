@@ -8,7 +8,7 @@ absolute indices compare the implied and sample covariances directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,7 +65,8 @@ def baseline(S: np.ndarray, n: int, multiplier: str = "n-1") -> tuple[float, int
 
 @dataclass
 class FitIndexReport:
-    """All indices plus pass flags; None marks an undefined index."""
+    """All indices, and a pass flag per thresholded one; None marks an
+    undefined index."""
 
     chisq: float
     df: int
@@ -82,17 +83,23 @@ class FitIndexReport:
     pgfi: float
     chisq_null: float
     df_null: int
-    passed: dict[str, bool | None] = field(default_factory=dict)
 
     def values(self) -> dict[str, float | None]:
-        return {
-            "chisq": self.chisq, "df": self.df, "p": self.p,
-            "chisq_df": self.chisq_df, "rmsea": self.rmsea,
-            "gfi": self.gfi, "agfi": self.agfi, "nfi": self.nfi,
-            "tli": self.tli, "cfi": self.cfi, "pnfi": self.pnfi,
-            "pcfi": self.pcfi, "pgfi": self.pgfi,
-            "chisq_null": self.chisq_null, "df_null": self.df_null,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @property
+    def passed(self) -> dict[str, bool | None]:
+        """Each index of THRESHOLDS against its bound; None where it is undefined."""
+        flags: dict[str, bool | None] = {}
+        for key, (op, bound) in THRESHOLDS.items():
+            value = getattr(self, key)
+            if value is None:
+                flags[key] = None
+            elif op == "<":
+                flags[key] = bool(value < bound)
+            else:
+                flags[key] = bool(value > bound)
+        return flags
 
 
 def indices(
@@ -103,13 +110,11 @@ def indices(
     n: int,
     S: np.ndarray,
     sigma_hat: np.ndarray,
-    p: int | None = None,
 ) -> FitIndexReport:
-    """Compute the full index suite; guarded divisions become None."""
+    """Compute the full index suite for p = S's size; guarded divisions become None."""
     S = np.asarray(S, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if p is None:
-        p = S.shape[0]
+    p = S.shape[0]
 
     chisq_df = chisq / df if df > 0 else None
     rmsea = float(np.sqrt(max(chisq - df, 0.0) / (df * (n - 1)))) if df > 0 else None
@@ -141,37 +146,18 @@ def indices(
     pcfi = (df / df_null) * cfi if df_null > 0 else None
     pgfi = (df / (p * (p + 1) / 2.0)) * gfi
 
-    report = FitIndexReport(
+    return FitIndexReport(
         chisq=float(chisq), df=int(df), p=p_value,
         chisq_df=chisq_df, rmsea=rmsea, gfi=gfi, agfi=agfi,
         nfi=nfi, tli=tli, cfi=float(cfi), pnfi=pnfi, pcfi=pcfi,
         pgfi=float(pgfi), chisq_null=float(chisq_null), df_null=int(df_null),
     )
-    report.passed = _pass_flags(report)
-    return report
-
-
-def _pass_flags(report: FitIndexReport) -> dict[str, bool | None]:
-    flags: dict[str, bool | None] = {}
-    values = report.values()
-    for key, (op, bound) in THRESHOLDS.items():
-        value = values.get(key)
-        if value is None:
-            flags[key] = None
-        elif op == "<":
-            flags[key] = bool(value < bound)
-        else:
-            flags[key] = bool(value > bound)
-    return flags
 
 
 def from_fit(result) -> FitIndexReport:
     """Index report for a FitResult, with its own independence baseline."""
-    if result.S is None:
-        raise ValueError("FitResult carries no sample covariance")
-    multiplier = result.options.chisq_multiplier if result.options else "n-1"
-    chisq_null, df_null = baseline(result.S, result.n, multiplier)
+    chisq_null, df_null = baseline(result.S, result.n, result.options.chisq_multiplier)
     return indices(
         result.chisq, result.df, chisq_null, df_null,
-        result.n, result.S, result.implied, result.p,
+        result.n, result.S, result.implied,
     )

@@ -92,9 +92,6 @@ class ModelSpec:
         """Hypothesis label -> (dependent, predictor)."""
         return {r.label: (r.dependent, r.predictor) for r in self.regressions if r.label}
 
-    def fixed_loading_map(self) -> dict[str, float]:
-        return dict(self.fixed_loadings)
-
     def indicators_of(self, latent: str) -> tuple[str, ...]:
         for lat in self.latents:
             if lat.name == latent:
@@ -103,7 +100,7 @@ class ModelSpec:
 
     def to_text(self) -> str:
         """Serialize back to model-language source; reparsing round-trips."""
-        fixed = self.fixed_loading_map()
+        fixed = dict(self.fixed_loadings)
         lines = []
         for lat in self.latents:
             terms = []
@@ -468,7 +465,7 @@ def build_matrices(
             S_index[i, j] = S_index[j, i] = len(parameters)
             parameters.append(Parameter(f"{a}~~{b}", kind, a, b))
 
-    fixed_loadings = spec.fixed_loading_map()
+    fixed_loadings = dict(spec.fixed_loadings)
     for group in (set(eta), set(xi)):
         for lat in spec.latents:
             if lat.name not in group:
@@ -524,10 +521,9 @@ class DegreesOfFreedom(NamedTuple):
     under_identified: bool
 
 
-def count_df(matrices: ParamMatrices, p: int | None = None) -> DegreesOfFreedom:
+def count_df(matrices: ParamMatrices) -> DegreesOfFreedom:
     """Degrees of freedom p(p+1)/2 - t for p observed variables, t free params."""
-    if p is None:
-        p = matrices.n_observed
+    p = matrices.n_observed
     n_moments = p * (p + 1) // 2
     t = matrices.n_free
     df = n_moments - t

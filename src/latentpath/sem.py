@@ -126,25 +126,21 @@ def _ml_terms(sigma: np.ndarray, S: np.ndarray) -> tuple[float, float, float]:
     return float(logdet), float(np.trace(np.linalg.solve(L.T, Z))), float(logdet_S)
 
 
-def f_ml(sigma: np.ndarray, S: np.ndarray, p: int | None = None) -> float:
-    """ML discrepancy log|Sigma| + tr(S Sigma^-1) - log|S| - p.
+def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
+    """ML discrepancy log|Sigma| + tr(S Sigma^-1) - log|S| - p, p the size of S.
 
     Zero iff Sigma equals S. Raises NotPositiveDefiniteError when either
     matrix is not positive definite (for Sigma this is the signal an
     optimizer uses to backtrack; for S it is a hard error).
     """
     logdet, tr, logdet_S = _ml_terms(sigma, S)
-    if p is None:
-        p = np.shape(S)[0]
-    return logdet + tr - logdet_S - p
+    return logdet + tr - logdet_S - np.shape(S)[0]
 
 
-def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int, p: int | None = None) -> float:
+def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int) -> float:
     """Normal-theory log-likelihood -(n/2)[log|Sigma| + tr(S Sigma^-1) + p log 2pi]."""
     logdet, tr, _ = _ml_terms(sigma, S)
-    if p is None:
-        p = np.shape(S)[0]
-    return -(n / 2.0) * (logdet + tr + p * _LN_2PI)
+    return -(n / 2.0) * (logdet + tr + np.shape(S)[0] * _LN_2PI)
 
 
 def _t(X: np.ndarray) -> np.ndarray:
@@ -181,8 +177,8 @@ class _Objective:
 
     ``point`` evaluates F at thetas (k, t) of k members of the stack, named
     by ``rows``; ``gradients`` and ``informations`` continue from the
-    point. ``value``, ``value_and_grad``, ``gradient`` and ``information``
-    serve an objective built from one (p, p) matrix, at a theta (t,).
+    point. A member whose sample covariance is not PD has a NaN
+    ``logdet_S``; ``_minimize`` gives it up.
     """
 
     def __init__(self, m: ParamMatrices, S: np.ndarray):
@@ -190,8 +186,6 @@ class _Objective:
         self.m = m
         self.S_obs = S.reshape((-1,) + S.shape[-2:])
         _, self.logdet_S = _chol_logdet(self.S_obs)  # NaN where S is not PD
-        if S.ndim == 2 and np.isnan(self.logdet_S[0]):
-            raise NotPositiveDefiniteError("sample covariance is not positive definite")
         self.p = S.shape[-1]
         if not np.array_equal(np.concatenate([m.A.slots, m.S.slots]), np.arange(m.n_free)):
             raise ValueError("theta must list the parameters of A, then those of S")
@@ -255,31 +249,6 @@ class _Objective:
         info *= 2.0
         return info
 
-    def _one(self, theta: np.ndarray) -> _Point:
-        return self.point(np.asarray(theta, dtype=float)[None], np.zeros(1, dtype=int))
-
-    def value_and_grad(self, theta: np.ndarray, need_grad: bool = True):
-        pt = self._one(theta)
-        if not np.isfinite(pt.f[0]):
-            return np.inf, None
-        return float(pt.f[0]), self.gradients(pt)[0] if need_grad else None
-
-    def value(self, theta: np.ndarray) -> float:
-        f, _ = self.value_and_grad(theta, need_grad=False)
-        return f
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        f, g = self.value_and_grad(theta)
-        if not np.isfinite(f):
-            raise NotPositiveDefiniteError("implied covariance is not positive definite")
-        return g
-
-    def information(self, theta: np.ndarray) -> np.ndarray:
-        pt = self._one(theta)
-        if np.isinf(pt.f[0]):
-            raise NotPositiveDefiniteError("implied covariance is not positive definite")
-        return self.informations(pt)[0]
-
 
 def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
     """Conventional starting vector, or one per matrix of a stack S (B, p, p).
@@ -313,6 +282,7 @@ class _OptimResult:
     history: list[list[float]]
     iterations: np.ndarray
     converged: np.ndarray
+    at: _Point  # each member's last accepted point, the one at its theta
     # why a member was given up: its sample covariance or start values are
     # not PD, or a LinAlgError; None for a member that ran its course
     errors: list[Exception | None]
@@ -425,7 +395,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             break
         _each_member(lambda r: iterate(r, it), rows, errors)
         active &= alive()
-    return _OptimResult(theta, at.f, g, history, iterations, converged, errors)
+    return _OptimResult(theta, at.f, g, history, iterations, converged, at, errors)
 
 
 def _each_member(step, rows: np.ndarray, errors: list) -> None:
@@ -463,12 +433,12 @@ class FitResult:
     implied: np.ndarray
     crit_ratio: np.ndarray
     heywood: list[str]
-    f_history: list[float] = field(repr=False, default_factory=list)
+    f_history: list[float] = field(repr=False)
     # asymptotic covariance of theta (inverse information); NaN without SEs
-    acov: np.ndarray | None = field(repr=False, default=None)
-    matrices: ParamMatrices | None = field(repr=False, default=None)
-    options: EstimationOptions | None = field(repr=False, default=None)
-    S: np.ndarray | None = field(repr=False, default=None)
+    acov: np.ndarray = field(repr=False)
+    matrices: ParamMatrices = field(repr=False)
+    options: EstimationOptions = field(repr=False)
+    S: np.ndarray = field(repr=False)
 
     @property
     def chisq_p(self) -> float:
@@ -615,7 +585,7 @@ def fit(
     t = m.n_free
     acov = np.full((t, t), np.nan)
     if compute_se and t:
-        H = ((n - 1) / 2.0) * objective.information(theta)
+        H = ((n - 1) / 2.0) * objective.informations(opt.at)[0]
         if converged:
             _check_identified(H, m.labels)
         try:
@@ -671,7 +641,7 @@ def simulate(m: ParamMatrices, theta: np.ndarray, n: int, seed: int) -> Dataset:
         )
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, sigma.shape[0])) @ L.T
-    return Dataset(list(m.variable_order), X, np.zeros_like(X, dtype=bool))
+    return Dataset(list(m.variable_order), X)
 
 
 def theta_from_config(

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latentpath as lp
@@ -40,6 +41,13 @@ def survey_sim_moments(survey_spec, planted):
     m, theta = planted
     data = lp.simulate(m, theta, 5000, seed=20240601)
     return lp.covariance(data)
+
+
+def evaluate(obj, theta):
+    """F, its gradient and its expected information at one theta (t,) of an
+    objective over one sample covariance, through the stacked calls."""
+    pt = obj.point(np.asarray(theta, dtype=float)[None], np.zeros(1, dtype=int))
+    return float(pt.f[0]), obj.gradients(pt)[0], obj.informations(pt)[0]
 
 
 def one_factor_spec(n_items: int = 3, name: str = "F") -> lp.ModelSpec:

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import latentpath as lp
+from latentpath import effects
 from latentpath.report import Report, render_report
 from latentpath.sem import _Objective
+
+from conftest import evaluate
 
 
 def note(tag: str, message: str) -> None:
@@ -59,7 +62,7 @@ def test_03_rmsea_consistency():
     for df in (5, 50, 179, 400):
         chisq = 2.727 * df
         rep = lp.indices(chisq, df, chisq_null=20 * df, df_null=df + 9, n=519,
-                         S=np.eye(2), sigma_hat=np.eye(2), p=2)
+                         S=np.eye(2), sigma_hat=np.eye(2))
         assert rep.rmsea == pytest.approx(closed_form, abs=1e-12)
         assert rep.rmsea == pytest.approx(0.058, abs=1e-3)
     assert closed_form == pytest.approx(0.0577, abs=1e-4)
@@ -156,7 +159,7 @@ def test_07_gradient_check(survey_spec, survey_sim_moments):
     checked = 0
     while checked < 20:
         theta = theta0 + 0.08 * rng.standard_normal(theta0.size)
-        f, g = obj.value_and_grad(theta)
+        f, g, _ = evaluate(obj, theta)
         if not np.isfinite(f):
             continue  # not a feasible point; draw again
         fd = np.empty_like(g)
@@ -164,7 +167,7 @@ def test_07_gradient_check(survey_spec, survey_sim_moments):
             up, down = theta.copy(), theta.copy()
             up[j] += step
             down[j] -= step
-            fd[j] = (obj.value(up) - obj.value(down)) / (2 * step)
+            fd[j] = (evaluate(obj, up)[0] - evaluate(obj, down)[0]) / (2 * step)
         rel = np.linalg.norm(g - fd) / np.linalg.norm(fd)
         assert rel <= 1e-4
         worst = max(worst, rel)
@@ -234,7 +237,7 @@ Y ~ M + X
 """
 
 
-def test_10_bootstrap_determinism_and_coverage():
+def test_10_bootstrap_determinism_and_coverage(monkeypatch):
     t0 = time.time()
     spec = lp.parse_model(MEDIATION_MODEL)
     m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
@@ -244,14 +247,18 @@ def test_10_bootstrap_determinism_and_coverage():
              error_variance=0.4375),
     )
 
-    # determinism: identical seeds, different worker counts
+    # determinism: identical seeds, the replicates refitted one per block
+    # and all in one block
     data = lp.simulate(m, theta, 500, seed=1001)
     kwargs = dict(replicates=500, level=0.95, seed=17, standardize_latents=True)
-    serial = lp.bootstrap_ci(data, spec, [("X", "M", "Y")], workers=1, **kwargs)
-    pooled = lp.bootstrap_ci(data, spec, [("X", "M", "Y")], workers=4, **kwargs)
-    assert serial[0].indirect_bounds == pooled[0].indirect_bounds
-    assert serial[0].total_bounds == pooled[0].total_bounds
-    assert serial[0].direct_bounds == pooled[0].direct_bounds
+    monkeypatch.setattr(effects, "_BLOCK_BYTES", 1)
+    alone = lp.bootstrap_ci(data, spec, [("X", "M", "Y")], **kwargs)
+    monkeypatch.setattr(effects, "_BLOCK_BYTES", 1 << 40)
+    stacked = lp.bootstrap_ci(data, spec, [("X", "M", "Y")], **kwargs)
+    monkeypatch.undo()
+    assert alone[0].indirect_bounds == stacked[0].indirect_bounds
+    assert alone[0].total_bounds == stacked[0].total_bounds
+    assert alone[0].direct_bounds == stacked[0].direct_bounds
 
     # coverage of the planted zero indirect effect
     hits = 0
@@ -267,8 +274,8 @@ def test_10_bootstrap_determinism_and_coverage():
     elapsed = time.time() - t0
     assert hits >= 0.90 * meta
     assert elapsed < 600
-    note("10", f"identical CIs across worker counts; planted-zero indirect "
-               f"covered in {hits}/{meta} meta-repetitions (needs >= 45); "
+    note("10", f"identical CIs refitted one replicate per block and all in one; "
+               f"planted-zero indirect covered in {hits}/{meta} meta-repetitions (needs >= 45); "
                f"runtime {elapsed:.0f}s < 600s")
 
 

@@ -266,6 +266,23 @@ class TestMediate:
         # the intervals are still reported, as fit reports its estimates
         assert json.loads(out.read_text())["sections"]["mediation"]["effects"]
 
+    def test_provenance_states_the_bootstrap_divisor(self, sim_csv, tmp_path):
+        # the replicates resample with n-1 whatever --divisor says; without
+        # replicates there is no bootstrap divisor to state
+        prov = {}
+        for command, boot in (("mediate", "100"), ("report", "100"), ("mediate", "0")):
+            out = tmp_path / f"{command}{boot}.json"
+            assert dispatch([
+                command, "--model", MODEL, "--data", sim_csv, "--divisor", "n",
+                "--effect", "EnvSt:PerVa:PB", "--boot", boot, "--seed", "1",
+                "--format", "json", "--output", str(out),
+            ]) == 0
+            prov[command, boot] = json.loads(out.read_text())["provenance"]
+        for key in (("mediate", "100"), ("report", "100")):
+            assert prov[key]["covariance_divisor"] == "n"
+            assert prov[key]["bootstrap"]["covariance_divisor"] == "n-1"
+        assert "covariance_divisor" not in prov["mediate", "0"]["bootstrap"]
+
     def test_seed_reproducibility(self, sim_csv, tmp_path):
         outs = []
         for name in ("m1.json", "m2.json"):

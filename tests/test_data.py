@@ -402,6 +402,14 @@ class TestCovariance:
         mom = lp.covariance(lp.from_array(X))
         assert mom.n == 3
 
+    def test_nan_cell_of_a_dataset_built_directly_is_missing(self):
+        X = np.array([[1.0, 2.0], [np.nan, 3.0], [2.0, 1.0], [4.0, 5.0]])
+        ds = lp.Dataset(["a", "b"], X)
+        np.testing.assert_array_equal(ds.missing, np.isnan(X))
+        mom = lp.covariance(ds)
+        assert mom.n == 3
+        assert mom.S.tobytes() == lp.covariance(lp.from_array(X[[0, 2, 3]])).S.tobytes()
+
     def test_from_array_infinite_cell_is_missing(self):
         X = np.random.default_rng(8).standard_normal((5, 3))
         X[2, 1] = np.inf

@@ -386,7 +386,7 @@ def resampled_fits(spec, data, seed, replicates, opts=None):
     for r in range(replicates):
         rows = np.random.default_rng(seed + r).integers(0, n, n)
         sample = data.values[rows]
-        moments = lp.covariance(lp.Dataset(data.names, sample, np.zeros(sample.shape, bool)))
+        moments = lp.covariance(lp.Dataset(data.names, sample))
         fits.append(lp.fit(spec, moments, opts, compute_se=False))
     return fits
 
@@ -503,7 +503,7 @@ class TestStackedRefits:
         S[1, 0, :] = S[1, 1, :]  # a repeated indicator: singular
         S[1, :, 0] = S[1, :, 1]
         with pytest.raises(NotPositiveDefiniteError) as lone:
-            sem.fit(spec, lp.SampleMoments(S[1], S[1], 100, 9, m.variable_order),
+            sem.fit(spec, lp.SampleMoments(S[1], S[1], 100, m.variable_order),
                     compute_se=False)
         opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S),
                             lp.EstimationOptions())
@@ -518,7 +518,7 @@ class TestVerdicts:
     def make_dec(self, direct_bounds, indirect_bounds):
         return lp.EffectDecomposition(
             source="X", target="Y", mediator="M",
-            total=0.5, direct=0.3, indirect=0.2, total_indirect=0.2,
+            total=0.5, direct=0.3, indirect=0.2,
             total_bounds=(0.1, 0.9), direct_bounds=direct_bounds,
             indirect_bounds=indirect_bounds, level=0.95,
             method="percentile-bootstrap",

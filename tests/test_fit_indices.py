@@ -46,13 +46,13 @@ class TestIndices:
         for df in (10, 179, 400):
             chisq = 2.727 * df
             rep = lp.indices(chisq, df, chisq_null=10 * chisq, df_null=df + 5,
-                             n=n, S=np.eye(3), sigma_hat=np.eye(3), p=3)
+                             n=n, S=np.eye(3), sigma_hat=np.eye(3))
             assert rep.rmsea == pytest.approx(math.sqrt(1.727 / 518), abs=1e-12)
             assert rep.rmsea == pytest.approx(0.0577, abs=1e-3)
 
     def test_perfect_fit_boundary(self):
         rep = lp.indices(chisq=50.0, df=50, chisq_null=500.0, df_null=55,
-                         n=200, S=np.eye(4), sigma_hat=np.eye(4), p=4)
+                         n=200, S=np.eye(4), sigma_hat=np.eye(4))
         assert rep.rmsea == pytest.approx(0.0)
         assert rep.cfi == pytest.approx(1.0)
 
@@ -61,7 +61,7 @@ class TestIndices:
         A = rng.standard_normal((4, 4))
         S = A @ A.T + np.eye(4)
         rep = lp.indices(chisq=10.0, df=5, chisq_null=100.0, df_null=6,
-                         n=100, S=S, sigma_hat=S, p=4)
+                         n=100, S=S, sigma_hat=S)
         assert rep.gfi == pytest.approx(1.0, abs=1e-12)
         assert rep.agfi == pytest.approx(1.0, abs=1e-12)
 
@@ -74,7 +74,7 @@ class TestIndices:
             f_min = chisq / (n - 1)
             f0 = max(f_min - df / (n - 1), 0.0)
             rep = lp.indices(chisq, df, chisq_null=chisq + 100, df_null=df + 5,
-                             n=n, S=np.eye(2), sigma_hat=np.eye(2), p=2)
+                             n=n, S=np.eye(2), sigma_hat=np.eye(2))
             assert rep.rmsea == pytest.approx(math.sqrt(f0 / df), abs=1e-12)
 
     def test_cfi_at_least_nfi_on_simulated_fits(self):
@@ -111,7 +111,7 @@ class TestIndices:
 
     def test_pass_flags_follow_thresholds(self):
         rep = lp.indices(chisq=273.0, df=100, chisq_null=2730.0, df_null=110,
-                         n=519, S=np.eye(3), sigma_hat=np.eye(3), p=3)
+                         n=519, S=np.eye(3), sigma_hat=np.eye(3))
         assert rep.passed["chisq_df"] is True     # 2.73 < 5
         assert rep.passed["rmsea"] is True        # 0.058 < 0.08
         assert rep.passed["pnfi"] == (rep.pnfi > 0.5)
@@ -119,7 +119,7 @@ class TestIndices:
 
     def test_undefined_indices_with_zero_df(self):
         rep = lp.indices(chisq=0.0, df=0, chisq_null=10.0, df_null=3,
-                         n=50, S=np.eye(2), sigma_hat=np.eye(2), p=2)
+                         n=50, S=np.eye(2), sigma_hat=np.eye(2))
         assert rep.chisq_df is None
         assert rep.rmsea is None
         assert rep.agfi is None
@@ -127,7 +127,7 @@ class TestIndices:
 
     def test_nfi_clamped(self):
         rep = lp.indices(chisq=120.0, df=4, chisq_null=100.0, df_null=6,
-                         n=50, S=np.eye(2), sigma_hat=np.eye(2), p=2)
+                         n=50, S=np.eye(2), sigma_hat=np.eye(2))
         assert rep.nfi == 0.0
         assert 0.0 <= rep.cfi <= 1.0
 

@@ -10,7 +10,7 @@ from latentpath.errors import NotPositiveDefiniteError, UnderIdentifiedError
 from latentpath.model import VARIANCE_KINDS
 from latentpath.sem import _Objective
 
-from conftest import one_factor_spec
+from conftest import evaluate, one_factor_spec
 from test_model import count_free_by_enumeration, random_specs_with_covariance
 
 
@@ -23,7 +23,7 @@ def numerical_hessian(obj, theta):
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        H[:, j] = (obj.gradient(up) - obj.gradient(down)) / (2.0 * h)
+        H[:, j] = (evaluate(obj, up)[1] - evaluate(obj, down)[1]) / (2.0 * h)
     return (H + H.T) / 2.0
 
 
@@ -100,7 +100,7 @@ class TestDiscrepancy:
         S = np.eye(2)
         sigma = 2.0 * np.eye(2)
         expected = 2 * math.log(2) + 1.0 - 0.0 - 2.0
-        assert lp.f_ml(sigma, S, 2) == pytest.approx(expected, abs=1e-12)
+        assert lp.f_ml(sigma, S) == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_over_random_pd_pairs(self):
         rng = np.random.default_rng(12)
@@ -125,7 +125,7 @@ class TestDiscrepancy:
 
 class TestLogLikelihood:
     def test_scalar_case(self):
-        value = lp.log_likelihood(np.eye(1), np.eye(1), n=2, p=1)
+        value = lp.log_likelihood(np.eye(1), np.eye(1), n=2)
         assert value == pytest.approx(-(1.0 + math.log(2 * math.pi)), abs=1e-12)
 
     def test_equivalence_with_discrepancy(self):
@@ -171,7 +171,7 @@ class TestGradient:
         rng = np.random.default_rng(99)
         for _ in range(5):
             theta = theta0 + 0.05 * rng.standard_normal(theta0.size)
-            f, g = obj.value_and_grad(theta)
+            f, g, _ = evaluate(obj, theta)
             assert np.isfinite(f)
             step = 1e-5
             fd = np.zeros_like(g)
@@ -179,7 +179,7 @@ class TestGradient:
                 up, down = theta.copy(), theta.copy()
                 up[j] += step
                 down[j] -= step
-                fd[j] = (obj.value(up) - obj.value(down)) / (2 * step)
+                fd[j] = (evaluate(obj, up)[0] - evaluate(obj, down)[0]) / (2 * step)
             rel = np.linalg.norm(g - fd) / np.linalg.norm(fd)
             assert rel < 1e-4
 
@@ -229,14 +229,14 @@ class TestCrossCovariances:
         obj = _Objective(m, S + 0.05 * np.eye(S.shape[0]))
         rng = np.random.default_rng(8)
         point = theta + 0.05 * rng.standard_normal(theta.size)
-        f, g = obj.value_and_grad(point)
+        f, g, _ = evaluate(obj, point)
         assert np.isfinite(f)
         fd = np.empty_like(g)
         for k in range(point.size):
             up, down = point.copy(), point.copy()
             up[k] += 1e-5
             down[k] -= 1e-5
-            fd[k] = (obj.value(up) - obj.value(down)) / 2e-5
+            fd[k] = (evaluate(obj, up)[0] - evaluate(obj, down)[0]) / 2e-5
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_recovers_planted_values(self, name):
@@ -268,8 +268,19 @@ class TestInformation:
                            standardize_latents=model == "survey_std_lv").theta
         obj = _Objective(m, lp.implied_covariance(m, theta))
         assert np.any(m.S.rows != m.S.cols)
-        np.testing.assert_allclose(obj.information(theta), numerical_hessian(obj, theta),
+        np.testing.assert_allclose(evaluate(obj, theta)[2], numerical_hessian(obj, theta),
                                    rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("std_lv", [False, True])
+    def test_standard_errors_invert_the_information_at_theta_hat(self, survey_spec, planted,
+                                                                 std_lv):
+        # fit reads the information off the optimizer's last accepted point;
+        # a fresh evaluation at theta-hat gives the same SEs, bit for bit
+        data = lp.simulate(*planted, 519, seed=42)
+        res = lp.fit(survey_spec, lp.covariance(data), standardize_latents=std_lv)
+        _, _, info = evaluate(_Objective(res.matrices, res.S), res.theta)
+        se = np.sqrt(np.diag(np.linalg.inv(((res.n - 1) / 2.0) * info)))
+        assert se.tobytes() == res.se.tobytes()
 
     def test_large_n_standard_errors_match_observed_information(self, survey_spec, planted):
         n = 20_000
@@ -309,7 +320,7 @@ class TestKernelOracle:
         theta = self.draw_theta(m, rng)
         sigma = lp.implied_covariance(m, theta)
         obj = _Objective(m, sigma)
-        np.testing.assert_allclose(obj.information(theta), numerical_hessian(obj, theta),
+        np.testing.assert_allclose(evaluate(obj, theta)[2], numerical_hessian(obj, theta),
                                    rtol=1e-5, atol=1e-7)
 
         # the gradient vanishes at theta, so check it a step away
@@ -320,8 +331,8 @@ class TestKernelOracle:
             up, down = point.copy(), point.copy()
             up[k] += h
             down[k] -= h
-            fd[k] = (obj.value(up) - obj.value(down)) / (2.0 * h)
-        np.testing.assert_allclose(obj.gradient(point), fd, rtol=1e-5, atol=1e-7)
+            fd[k] = (evaluate(obj, up)[0] - evaluate(obj, down)[0]) / (2.0 * h)
+        np.testing.assert_allclose(evaluate(obj, point)[1], fd, rtol=1e-5, atol=1e-7)
 
         thetas = np.stack([theta, point, self.draw_theta(m, rng)])
         S = np.stack([sigma, lp.implied_covariance(m, thetas[2]), sigma + 0.1 * np.eye(len(sigma))])
@@ -463,7 +474,7 @@ class TestFit:
             [0.8, 0.5, 1.0],
         ])
         assert np.linalg.eigvalsh(S).min() > 0
-        mom = lp.SampleMoments(S=S, R=S, n=200, p=3, names=["a", "b", "c"])
+        mom = lp.SampleMoments(S=S, R=S, n=200, names=["a", "b", "c"])
         res = lp.fit(spec, mom, compute_se=False)
         assert "a~~a" in res.heywood
         assert res.estimates["a~~a"] == pytest.approx(1 - 1.28, abs=1e-3)
