@@ -111,6 +111,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_data(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--delimiter", default=",",
+                        help="field delimiter of the data file (default comma)")
+
+
 def _add_estimation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=_POSITIVE_INT, default=500)
     parser.add_argument("--gtol", type=_POSITIVE_FLOAT, default=1e-6)
@@ -490,22 +496,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         _add_common(p)
-        p.add_argument("--delimiter", default=",",
-                       help="field delimiter of the data file (default comma)")
         return p
 
     p = add("fit", _cmd_fit, "estimate a structural model by ML")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_data(p)
     _add_estimation(p)
 
     p = add("cfa", _cmd_cfa, "measurement-only fit with freely covarying latents")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_data(p)
     _add_estimation(p)
 
     p = add("efa", _cmd_efa, "exploratory factor analysis")
-    p.add_argument("--data", required=True)
+    _add_data(p)
     p.add_argument("--retain", type=_retention, default="kaiser",
                    help="'kaiser' or 'm=<k>' (default kaiser)")
     p.add_argument("--suppress", type=float, default=0.4)
@@ -514,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="principal")
 
     p = add("reliability", _cmd_reliability, "alpha, KMO, Bartlett, CR/AVE per construct")
-    p.add_argument("--data", required=True)
+    _add_data(p)
     p.add_argument("--construct", action="append", required=True,
                    help="NAME=item1,item2,... (repeatable)")
 
     p = add("mediate", _cmd_mediate, "effect decomposition with bootstrap intervals")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_data(p)
     p.add_argument("--effect", action="append", required=True,
                    help="SRC:MED:DST (repeatable)")
     p.add_argument("--boot", type=_REPLICATES, default=2000,
@@ -542,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("report", _cmd_report, "full pipeline: psychometrics, EFA, CFA, SEM, mediation")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_data(p)
     p.add_argument("--effect", action="append", default=None,
                    help="SRC:MED:DST (repeatable; default: derived from the model)")
     p.add_argument("--boot", type=_REPLICATES, default=500)

@@ -111,10 +111,6 @@ class EffectDecomposition:
         """total - direct: the indirect effect through every mediator."""
         return self.total - self.direct
 
-    @property
-    def additivity_gap(self) -> float:
-        return abs(self.total - self.direct - self.total_indirect)
-
     def mediation_verdict(self) -> str:
         """none / partial / full from the interval sign patterns."""
         if self.indirect_bounds is None or self.direct_bounds is None:

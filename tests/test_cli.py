@@ -65,6 +65,15 @@ class TestSimulate:
         assert "argument --n: must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_delimiter_is_refused(self, tmp_path, capsys):
+        # simulate writes comma-separated files; only commands reading --data take it
+        out = tmp_path / "sim.csv"
+        status = dispatch(["simulate", "--model", MODEL, "--params", PARAMS,
+                           "--n", "10", "--out", str(out), "--delimiter", ";"])
+        assert status == 2
+        assert "unrecognized arguments: --delimiter" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["abc", "-1"])
     def test_bad_env_seed_exits_2(self, tmp_path, seed, monkeypatch, capsys):
         monkeypatch.setenv("LATENTPATH_SEED", seed)

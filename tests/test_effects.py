@@ -173,8 +173,6 @@ class TestSpecificIndirect:
             med = d.mediator
             ab = est[f"{med}~X"] * est[f"Y~{med}"]
             assert d.indirect == pytest.approx(ab, abs=1e-10)
-            assert d.total_indirect == pytest.approx(d.total - d.direct, abs=1e-12)
-            assert d.additivity_gap < 1e-10
             through[med] = d.indirect
         # the two mediators carry every indirect route between them
         assert through["M1"] + through["M2"] == pytest.approx(
@@ -338,7 +336,9 @@ class TestBootstrap:
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 300, seed=77)
         decs = lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=120,
                                seed=3, standardize_latents=True)
-        assert decs[0].additivity_gap < 1e-10
+        # one mediator carries every indirect route: total = direct + indirect
+        d = decs[0]
+        assert abs(d.total - d.direct - d.indirect) <= 1e-12
         lo, hi = decs[0].indirect_bounds
         assert lo <= hi
 
