@@ -364,13 +364,12 @@ class TestReportSections:
 
 class TestReportIsTheUnionOfItsSubcommands:
     def sections(self, argv, out):
-        assert dispatch(argv + ["--model", MODEL, "--format", "json",
-                                "--output", str(out)]) == 0
+        assert dispatch(argv + ["--format", "json", "--output", str(out)]) == 0
         return {name: json.dumps(section, sort_keys=True) for name, section
                 in json.loads(out.read_text())["sections"].items()}
 
     def test_sections_match(self, sim_csv, tmp_path):
-        data = ["--data", sim_csv]
+        data = ["--model", MODEL, "--data", sim_csv]
         boot = ["--boot", "100", "--seed", "1"]
         report = self.sections(["report", *data, *boot], tmp_path / "report.json")
         fit = self.sections(["fit", *data], tmp_path / "fit.json")
@@ -387,6 +386,20 @@ class TestReportIsTheUnionOfItsSubcommands:
                    for e in json.loads(report["mediation"])["effects"]}
         (alone,) = json.loads(mediate["mediation"])["effects"]
         assert entries[("EnvSt", "PerVa", "PB")] == json.dumps(alone, sort_keys=True)
+
+    def test_psychometric_and_efa_sections_match(self, sim_csv, tmp_path):
+        # the simulated file holds exactly the model's indicators, in its order
+        report = self.sections(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0"],
+                               tmp_path / "report.json")
+        efa = self.sections(["efa", "--data", sim_csv], tmp_path / "efa.json")
+        assert report["efa"] == efa["efa"]
+        spec = lp.parse_model(Path(MODEL).read_text(encoding="utf-8"))
+        constructs = [f"--construct={lat.name}={','.join(lat.indicators)}"
+                      for lat in spec.latents]
+        reliability = self.sections(["reliability", "--data", sim_csv, *constructs],
+                                    tmp_path / "reliability.json")
+        for name in ("reliability", "sampling_adequacy"):
+            assert report[name] == reliability[name], name
 
 
 class TestFlagRanges:
