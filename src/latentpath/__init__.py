@@ -10,7 +10,6 @@ from .data import (
     Dataset,
     SampleMoments,
     covariance,
-    frequency_table,
     from_array,
     load_table,
     save_table,
@@ -69,7 +68,7 @@ from .sem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "SampleMoments", "covariance", "frequency_table", "from_array",
+    "Dataset", "SampleMoments", "covariance", "from_array",
     "load_table", "save_table",
     "LoadingMatrix", "extract", "varimax", "rotated_component_table",
     "EffectDecomposition", "EffectMatrices", "bootstrap_ci",

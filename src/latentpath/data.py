@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -217,26 +216,3 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
         zero_variance=[nm for nm, z in zip(dataset.names, zero) if z],
     )
 
-
-def frequency_table(dataset: Dataset, variable: str) -> list[tuple[str, int, float]]:
-    """Level counts and percentages for one variable; counts sum to n.
-
-    The levels are the column's numbers, each written with ``:g``, in
-    numeric order; missing cells are pooled under ``NA`` at the end. A
-    loaded file keeps no cells, so a text level of it, such as ``Male``,
-    counts as ``NA``.
-    """
-    try:
-        j = dataset.names.index(variable)
-    except ValueError:
-        raise DataError(f"unknown variable {variable!r}") from None
-    column = dataset.values[:, j]
-    gone = np.isnan(column)
-    counts = Counter(f"{value:g}" for value in column[~gone].tolist())
-    n = dataset.n
-    table = [(level, count, 100.0 * count / n)
-             for level, count in sorted(counts.items(), key=lambda kv: float(kv[0]))]
-    n_missing = int(gone.sum())
-    if n_missing:
-        table.append(("NA", n_missing, 100.0 * n_missing / n))
-    return table

@@ -47,7 +47,7 @@ class TestLoadTable:
     def test_non_numeric_cell_is_missing(self, tmp_path):
         ds = lp.load_table(write(tmp_path, "a,b\n1,Male\n3,Female\n"))
         assert ds.missing[:, 1].all()
-        assert lp.frequency_table(ds, "b") == [("NA", 2, 100.0)]
+        np.testing.assert_array_equal(ds.values[:, 0], [1.0, 3.0])
 
     def test_non_finite_cells_are_missing(self, tmp_path):
         # float() parses these, but a NaN or inf row would poison S under listwise deletion
@@ -203,29 +203,6 @@ def eager_load(text, delimiter=","):
     return header, values, mask
 
 
-def eager_frequency(cells):
-    """frequency_table's levels, counts and percentages over cells."""
-    counts, n_missing = {}, 0
-    for cell in cells:
-        if cell in ("", "NA"):
-            n_missing += 1
-        else:
-            counts[cell] = counts.get(cell, 0) + 1
-
-    def level_key(level):
-        try:
-            return (0, float(level), "")
-        except ValueError:
-            return (1, 0.0, level)
-
-    n = len(cells)
-    table = [(lvl, c, 100.0 * c / n) for lvl, c in sorted(counts.items(),
-                                                          key=lambda kv: level_key(kv[0]))]
-    if n_missing:
-        table.append(("NA", n_missing, 100.0 * n_missing / n))
-    return table
-
-
 def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -296,11 +273,6 @@ class TestLoadTableProperties:
         assert ds.names == header
         np.testing.assert_array_equal(ds.missing, mask)
         np.testing.assert_array_equal(bits(ds.values), bits(values))
-        # the levels are the numeric view's, a text cell counting as NA
-        for j, name in enumerate(header):
-            cells = ["NA" if gone else f"{value:g}"
-                     for value, gone in zip(values[:, j].tolist(), mask[:, j].tolist())]
-            assert lp.frequency_table(ds, name) == eager_frequency(cells)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=25, deadline=None)
@@ -511,42 +483,3 @@ class TestCompleteRows:
         expected = _covariance_matrix(sub.values[np.ones(sub.n, dtype=bool)], sub.n - 1)
         np.testing.assert_array_equal(bits(lp.covariance(sub).S), bits(expected))
 
-
-class TestFrequencyTable:
-    def test_gender_style_column(self, tmp_path):
-        rows = ["gender"] + ["1"] * 236 + ["2"] * 283
-        path = tmp_path / "g.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        ds = lp.load_table(path)
-        table = lp.frequency_table(ds, "gender")
-        by_level = {level: (count, pct) for level, count, pct in table}
-        assert by_level["1"][0] == 236
-        assert by_level["1"][1] == pytest.approx(45.47, abs=0.005)
-        assert sum(count for _, count, _ in table) == 519
-
-    def test_single_level(self):
-        ds = lp.from_array(np.ones((4, 1)), ["v"])
-        table = lp.frequency_table(ds, "v")
-        assert len(table) == 1
-        assert table[0][1] == 4
-        assert table[0][2] == pytest.approx(100.0)
-
-    def test_three_levels(self):
-        ds = lp.from_array(np.array([[1.0], [2.0], [3.0], [3.0]]), ["v"])
-        table = lp.frequency_table(ds, "v")
-        assert [(lvl, c) for lvl, c, _ in table] == [("1", 1), ("2", 1), ("3", 2)]
-        assert [pct for _, _, pct in table] == [25.0, 25.0, 50.0]
-
-    def test_unknown_variable(self):
-        ds = lp.from_array(np.ones((3, 1)), ["v"])
-        with pytest.raises(DataError, match="unknown variable"):
-            lp.frequency_table(ds, "w")
-
-    def test_missing_pooled_as_na(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("v\n1\nNA\n1\n", encoding="utf-8")
-        ds = lp.load_table(path)
-        table = lp.frequency_table(ds, "v")
-        assert table[-1][0] == "NA"
-        assert table[-1][1] == 1
-        assert sum(c for _, c, _ in table) == 3
