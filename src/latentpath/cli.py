@@ -11,6 +11,7 @@ header with input hashes, the seed, and the options in effect; the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import efa as efa_mod
 from . import fit_indices
-from .data import Dataset, covariance, load_table, save_table
+from .data import Dataset, SampleMoments, covariance, load_table, save_table
 from .effects import EffectDecomposition, bootstrap_ci, classify_hypotheses, delta_ci
 from .errors import (
     DataError,
@@ -126,20 +127,54 @@ def _add_estimation(parser: argparse.ArgumentParser) -> None:
                         help="standardize latents instead of marker fixing")
 
 
-def _options(args) -> EstimationOptions:
-    return EstimationOptions(
-        max_iter=args.max_iter, gtol=args.gtol,
-        chisq_multiplier=args.chisq_n,
-    )
+def _add_mediation(parser: argparse.ArgumentParser, effect: dict, boot: dict) -> None:
+    """mediate's and report's flags, with each one's own keywords for --effect and --boot."""
+    parser.add_argument("--effect", action="append", **effect)
+    parser.add_argument("--boot", type=_REPLICATES, **boot)
+    parser.add_argument("--level", type=_LEVEL, default=0.95)
+    parser.add_argument("--seed", type=_SEED, default=None)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted and ignored: the replicates are refitted "
+                             "together in one thread")
 
 
 def _read_model(path: str) -> ModelSpec:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_model(text)
+    return parse_model(Path(path).read_text(encoding="utf-8"))
 
 
-def _new_report(args, options) -> Report:
-    """An empty report whose provenance names the inputs, seed and options of args."""
+# a subcommand's output: section name -> (kind, payload), in report order
+Sections = dict[str, tuple[str, dict]]
+
+
+class _Inputs:
+    """What a data-reading subcommand reads, read once: the model and the
+    estimation options where it takes them, the data, and the data's sample
+    moments, computed on first use (reliability and the bootstrap use none)."""
+
+    def __init__(self, args):
+        self.spec = _read_model(args.model) if "model" in args else None
+        self.dataset = load_table(args.data, delimiter=args.delimiter)
+        self.opts = EstimationOptions(
+            max_iter=args.max_iter, gtol=args.gtol, chisq_multiplier=args.chisq_n,
+        ) if "max_iter" in args else None
+        self._divisor = args.divisor
+
+    @functools.cached_property
+    def moments(self) -> SampleMoments:
+        return covariance(self.dataset, divisor=self._divisor)
+
+
+def _write(report: Report, args) -> None:
+    rendered = render_report(report, args.format)
+    if args.output:
+        Path(args.output).write_text(rendered, encoding="utf-8")
+    else:
+        sys.stdout.write(rendered)
+
+
+def _emit(args, options, sections: Sections, converged: bool = True) -> int:
+    """Write the sections under a provenance header naming the inputs, seed and
+    options of args; return the exit status, 1 when a fit behind them did not converge."""
     prov = provenance(getattr(args, "model", None), args.data, seed=_seed(args),
                       options=options)
     prov["covariance_divisor"] = args.divisor
@@ -149,15 +184,11 @@ def _new_report(args, options) -> Report:
             # bootstrap_ci resamples with n-1 whatever --divisor says; the
             # effects among latents do not change when S is rescaled
             prov["bootstrap"]["covariance_divisor"] = "n-1"
-    return Report(prov, args.stars)
-
-
-def _emit(report: Report, args) -> None:
-    rendered = render_report(report, args.format)
-    if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    report = Report(prov, args.stars)
+    for name, (kind, payload) in sections.items():
+        report.add(kind, name, payload)
+    _write(report, args)
+    return 0 if converged else 1
 
 
 def _dataset_payload(dataset: Dataset, zero_variance: list[str]) -> dict:
@@ -243,8 +274,8 @@ def _discriminant_payload(result: FitResult, convergent: dict) -> dict:
     }
 
 
-def _psychometric_payloads(dataset: Dataset, constructs: list[tuple[str, list[str]]],
-                           divisor: str) -> tuple[dict, dict]:
+def _psychometric_sections(dataset: Dataset, constructs: list[tuple[str, list[str]]],
+                           divisor: str) -> Sections:
     """The reliability (alpha) and sampling_adequacy (KMO, Bartlett) sections."""
     reliability, adequacy = [], []
     for name, items in constructs:
@@ -255,7 +286,8 @@ def _psychometric_payloads(dataset: Dataset, constructs: list[tuple[str, list[st
                             "alpha": cronbach_alpha(sub.complete_rows())})
         adequacy.append({"name": name, "items": items, "kmo": kmo(moments.R),
                          "bartlett_chi2": chi2, "bartlett_df": df, "bartlett_p": p})
-    return {"constructs": reliability}, {"constructs": adequacy}
+    return {"reliability": ("reliability", {"constructs": reliability}),
+            "sampling_adequacy": ("sampling_adequacy", {"constructs": adequacy})}
 
 
 def _hypotheses_payload(result: FitResult) -> dict:
@@ -320,100 +352,107 @@ def _parse_construct(text: str) -> tuple[str, list[str]]:
     return name.strip(), items
 
 
-# --- subcommand handlers ----------------------------------------------------
+# --- subcommands: each one's sections from its loaded inputs -----------------
 
 
-def _cmd_fit(args) -> int:
-    spec = _read_model(args.model)
-    dataset = load_table(args.data, delimiter=args.delimiter)
-    moments = covariance(dataset, divisor=args.divisor)
-    opts = _options(args)
-    result = fit(spec, moments, opts, standardize_latents=args.std_lv)
-    report = _new_report(args, opts)
-    report.add("fit", "fit", _fit_payload(result))
-    report.add("regression_weights", "regression_weights", _regression_payload(result))
-    report.add("fit_indices", "fit_indices",
-               _indices_payload(fit_indices.from_fit(result)))
-    if spec.labels:
-        report.add("hypotheses", "hypotheses", _hypotheses_payload(result))
-    _emit(report, args)
-    return 0 if result.converged else 1
+def _fit_sections(inputs: _Inputs, args) -> tuple[Sections, bool]:
+    """fit's sections, and whether its fit converged."""
+    result = fit(inputs.spec, inputs.moments, inputs.opts, standardize_latents=args.std_lv)
+    sections = {
+        "fit": ("fit", _fit_payload(result)),
+        "regression_weights": ("regression_weights", _regression_payload(result)),
+        "fit_indices": ("fit_indices", _indices_payload(fit_indices.from_fit(result))),
+    }
+    if inputs.spec.labels:
+        sections["hypotheses"] = ("hypotheses", _hypotheses_payload(result))
+    return sections, result.converged
 
 
-def _cmd_cfa(args) -> int:
-    spec = _read_model(args.model).without_regressions()
-    dataset = load_table(args.data, delimiter=args.delimiter)
-    moments = covariance(dataset, divisor=args.divisor)
-    opts = _options(args)
-    result = fit(spec, moments, opts, standardize_latents=args.std_lv)
+def _cfa_sections(inputs: _Inputs, args) -> tuple[Sections, bool]:
+    """cfa's sections, and whether its fit converged."""
+    spec = inputs.spec.without_regressions()
+    result = fit(spec, inputs.moments, inputs.opts, standardize_latents=args.std_lv)
     convergent = _convergent_payload(_constructs(spec), result)
-    report = _new_report(args, opts)
-    report.add("fit", "cfa_fit", _fit_payload(result))
-    report.add("convergent_validity", "convergent_validity", convergent)
-    report.add("discriminant_validity", "discriminant_validity",
-               _discriminant_payload(result, convergent))
-    report.add("fit_indices", "fit_indices",
-               _indices_payload(fit_indices.from_fit(result)))
-    _emit(report, args)
-    return 0 if result.converged else 1
+    return {
+        "cfa_fit": ("fit", _fit_payload(result)),
+        "convergent_validity": ("convergent_validity", convergent),
+        "discriminant_validity": ("discriminant_validity",
+                                  _discriminant_payload(result, convergent)),
+        "fit_indices": ("fit_indices", _indices_payload(fit_indices.from_fit(result))),
+    }, result.converged
 
 
-def _cmd_efa(args) -> int:
-    dataset = load_table(args.data, delimiter=args.delimiter)
-    moments = covariance(dataset, divisor=args.divisor)
-    loadings = efa_mod.extract(moments.R, retention=args.retain,
-                               names=moments.names, method=args.method)
-    report = _new_report(args, {
-        "retain": args.retain, "suppress": args.suppress,
-        "rotation": args.rotation, "method": args.method,
-    })
-    report.add("efa", "efa", _efa_payload(loadings, args.rotation, args.suppress))
-    _emit(report, args)
-    return 0
+def _efa_sections(moments: SampleMoments, retain: str, suppress: float, rotation: str,
+                  method: str) -> Sections:
+    loadings = efa_mod.extract(moments.R, retention=retain, names=moments.names,
+                               method=method)
+    return {"efa": ("efa", _efa_payload(loadings, rotation, suppress))}
 
 
-def _cmd_reliability(args) -> int:
-    dataset = load_table(args.data, delimiter=args.delimiter)
-    constructs = [_parse_construct(c) for c in args.construct]
-    reliability, adequacy = _psychometric_payloads(dataset, constructs, args.divisor)
+def _reliability_sections(dataset: Dataset, constructs: list[tuple[str, list[str]]],
+                          divisor: str) -> Sections:
+    sections = _psychometric_sections(dataset, constructs, divisor)
     convergent = []  # no model given: one one-factor fit per construct
     for name, items in constructs:
         try:
             one_factor = parse_model(f"{name} =~ " + " + ".join(items))
-            result = fit(one_factor, covariance(dataset.subset(items), divisor=args.divisor),
+            result = fit(one_factor, covariance(dataset.subset(items), divisor=divisor),
                          compute_se=False)
         except (LatentPathError, ValueError):
             result = None
         convergent += _convergent_payload([(name, items)], result)["constructs"]
-    report = _new_report(args, {"constructs": args.construct})
-    report.add("reliability", "reliability", reliability)
-    report.add("sampling_adequacy", "sampling_adequacy", adequacy)
-    report.add("convergent_validity", "convergent_validity", {"constructs": convergent})
-    _emit(report, args)
-    return 0
+    sections["convergent_validity"] = ("convergent_validity", {"constructs": convergent})
+    return sections
 
 
-def _cmd_mediate(args) -> int:
-    spec = _read_model(args.model)
-    dataset = load_table(args.data, delimiter=args.delimiter)
-    opts = _options(args)
-    effects = [_parse_effect(e) for e in args.effect]
-    converged = True  # the bootstrap raises when too many replicates do not converge
+def _mediation_sections(inputs: _Inputs, args,
+                        effects: list[tuple[str, str, str]]) -> tuple[Sections, bool]:
+    """The mediation section, and whether the fit behind it converged; the
+    bootstrap raises when too many of its replicates do not."""
+    converged = True
     if args.boot > 0:
         decs = bootstrap_ci(
-            dataset, spec, effects, replicates=args.boot,
-            level=args.level, seed=_seed(args), opts=opts,
+            inputs.dataset, inputs.spec, effects, replicates=args.boot,
+            level=args.level, seed=_seed(args), opts=inputs.opts,
             standardize_latents=args.std_lv, workers=args.workers,
         )
     else:
-        moments = covariance(dataset, divisor=args.divisor)
-        result = fit(spec, moments, opts, standardize_latents=args.std_lv)
+        result = fit(inputs.spec, inputs.moments, inputs.opts, standardize_latents=args.std_lv)
         decs = delta_ci(result, effects, level=args.level)
         converged = result.converged
-    report = _new_report(args, opts)
-    report.add("mediation", "mediation", _mediation_payload(decs))
-    _emit(report, args)
-    return 0 if converged else 1
+    return {"mediation": ("mediation", _mediation_payload(decs))}, converged
+
+
+# --- subcommand handlers ----------------------------------------------------
+
+
+def _cmd_fit(args) -> int:
+    inputs = _Inputs(args)
+    return _emit(args, inputs.opts, *_fit_sections(inputs, args))
+
+
+def _cmd_cfa(args) -> int:
+    inputs = _Inputs(args)
+    return _emit(args, inputs.opts, *_cfa_sections(inputs, args))
+
+
+def _cmd_efa(args) -> int:
+    options = {"retain": args.retain, "suppress": args.suppress,
+               "rotation": args.rotation, "method": args.method}
+    return _emit(args, options, _efa_sections(_Inputs(args).moments, **options))
+
+
+def _cmd_reliability(args) -> int:
+    dataset = _Inputs(args).dataset
+    constructs = [_parse_construct(c) for c in args.construct]
+    return _emit(args, {"constructs": args.construct},
+                 _reliability_sections(dataset, constructs, args.divisor))
+
+
+def _cmd_mediate(args) -> int:
+    inputs = _Inputs(args)
+    effects = [_parse_effect(e) for e in args.effect]
+    return _emit(args, inputs.opts, *_mediation_sections(inputs, args, effects))
 
 
 def _cmd_simulate(args) -> int:
@@ -426,62 +465,42 @@ def _cmd_simulate(args) -> int:
     dataset = simulate(m, theta, args.n, seed)
     save_table(dataset, args.out)
     prov = provenance(args.model, seed=seed)
-    prov["params"] = str(args.params)
-    prov["params_sha256"] = file_sha256(args.params)
-    prov["rows"] = args.n
-    prov["written"] = str(args.out)
+    prov.update(params=str(args.params), params_sha256=file_sha256(args.params),
+                rows=args.n, written=str(args.out))
     report = Report(prov, args.stars)
     report.add("dataset", "dataset", _dataset_payload(dataset, []))
-    _emit(report, args)
+    _write(report, args)
     return 0
 
 
+# report's sections in order: the subcommands' own, with each fit_indices
+# named after its fit, and without the CFA's fit summary
+_REPORT_SECTIONS = ("dataset", "reliability", "sampling_adequacy", "efa",
+                    "convergent_validity", "discriminant_validity", "cfa_fit_indices",
+                    "fit", "regression_weights", "sem_fit_indices", "mediation", "hypotheses")
+_REPORT_EFA = {"retain": "kaiser", "suppress": 0.4, "rotation": "varimax",
+               "method": "principal"}
+
+
 def _cmd_report(args) -> int:
-    spec = _read_model(args.model)
-    dataset = load_table(args.data, delimiter=args.delimiter)
-    moments = covariance(dataset, divisor=args.divisor)
-    opts = _options(args)
-    report = _new_report(args, opts)
-    report.add("dataset", "dataset", _dataset_payload(dataset, moments.zero_variance))
-    constructs = _constructs(spec)
-    reliability, adequacy = _psychometric_payloads(dataset, constructs, args.divisor)
-    report.add("reliability", "reliability", reliability)
-    report.add("sampling_adequacy", "sampling_adequacy", adequacy)
-
-    model_vars = spec.indicator_names
-    sub_moments = covariance(dataset.subset(model_vars), divisor=args.divisor)
-    loadings = efa_mod.extract(sub_moments.R, retention="kaiser", names=model_vars)
-    report.add("efa", "efa", _efa_payload(loadings, "varimax", 0.4))
-
-    cfa_result = fit(spec.without_regressions(), moments, opts,
-                     standardize_latents=args.std_lv)
-    convergent = _convergent_payload(constructs, cfa_result)
-    report.add("convergent_validity", "convergent_validity", convergent)
-    report.add("discriminant_validity", "discriminant_validity",
-               _discriminant_payload(cfa_result, convergent))
-    report.add("fit_indices", "cfa_fit_indices",
-               _indices_payload(fit_indices.from_fit(cfa_result)))
-
-    result = fit(spec, moments, opts, standardize_latents=args.std_lv)
-    report.add("fit", "fit", _fit_payload(result))
-    report.add("regression_weights", "regression_weights", _regression_payload(result))
-    report.add("fit_indices", "sem_fit_indices",
-               _indices_payload(fit_indices.from_fit(result)))
-
+    inputs = _Inputs(args)
+    spec, dataset = inputs.spec, inputs.dataset
+    built = {
+        "dataset": ("dataset", _dataset_payload(dataset, inputs.moments.zero_variance)),
+        **_psychometric_sections(dataset, _constructs(spec), args.divisor),
+        **_efa_sections(covariance(dataset.subset(spec.indicator_names), divisor=args.divisor),
+                        **_REPORT_EFA),
+    }
+    cfa, cfa_converged = _cfa_sections(inputs, args)
+    sem, sem_converged = _fit_sections(inputs, args)
+    built |= {**cfa, **sem, "cfa_fit_indices": cfa["fit_indices"],
+              "sem_fit_indices": sem["fit_indices"]}
     triples = [_parse_effect(e) for e in args.effect] if args.effect \
         else _derive_mediation_triples(spec)
     if triples and args.boot > 0:
-        decs = bootstrap_ci(
-            dataset, spec, triples, replicates=args.boot, level=args.level,
-            seed=_seed(args), opts=opts, standardize_latents=args.std_lv,
-            workers=args.workers,
-        )
-        report.add("mediation", "mediation", _mediation_payload(decs))
-    if spec.labels:
-        report.add("hypotheses", "hypotheses", _hypotheses_payload(result))
-    _emit(report, args)
-    ok = result.converged and cfa_result.converged
-    return 0 if ok else 1
+        built |= _mediation_sections(inputs, args, triples)[0]
+    sections = {name: built[name] for name in _REPORT_SECTIONS if name in built}
+    return _emit(args, inputs.opts, sections, cfa_converged and sem_converged)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,24 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, model=True, data=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         _add_common(p)
+        if model:
+            p.add_argument("--model", required=True)
+        if data:
+            _add_data(p)
         return p
 
-    p = add("fit", _cmd_fit, "estimate a structural model by ML")
-    p.add_argument("--model", required=True)
-    _add_data(p)
-    _add_estimation(p)
+    _add_estimation(add("fit", _cmd_fit, "estimate a structural model by ML"))
+    _add_estimation(add("cfa", _cmd_cfa, "measurement-only fit with freely covarying latents"))
 
-    p = add("cfa", _cmd_cfa, "measurement-only fit with freely covarying latents")
-    p.add_argument("--model", required=True)
-    _add_data(p)
-    _add_estimation(p)
-
-    p = add("efa", _cmd_efa, "exploratory factor analysis")
-    _add_data(p)
+    p = add("efa", _cmd_efa, "exploratory factor analysis", model=False)
     p.add_argument("--retain", type=_retention, default="kaiser",
                    help="'kaiser' or 'm=<k>' (default kaiser)")
     p.add_argument("--suppress", type=float, default=0.4)
@@ -517,27 +532,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("principal", "principal-axis"),
                    default="principal")
 
-    p = add("reliability", _cmd_reliability, "alpha, KMO, Bartlett, CR/AVE per construct")
-    _add_data(p)
+    p = add("reliability", _cmd_reliability, "alpha, KMO, Bartlett, CR/AVE per construct",
+            model=False)
     p.add_argument("--construct", action="append", required=True,
                    help="NAME=item1,item2,... (repeatable)")
 
     p = add("mediate", _cmd_mediate, "effect decomposition with bootstrap intervals")
-    p.add_argument("--model", required=True)
-    _add_data(p)
-    p.add_argument("--effect", action="append", required=True,
-                   help="SRC:MED:DST (repeatable)")
-    p.add_argument("--boot", type=_REPLICATES, default=2000,
-                   help="bootstrap replicates; 0 switches to the delta method")
-    p.add_argument("--level", type=_LEVEL, default=0.95)
-    p.add_argument("--seed", type=_SEED, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: the replicates are refitted "
-                        "together in one thread")
+    _add_mediation(p, effect={"required": True, "help": "SRC:MED:DST (repeatable)"},
+                   boot={"default": 2000,
+                         "help": "bootstrap replicates; 0 switches to the delta method"})
     _add_estimation(p)
 
-    p = add("simulate", _cmd_simulate, "draw a dataset from a parameterized model")
-    p.add_argument("--model", required=True)
+    p = add("simulate", _cmd_simulate, "draw a dataset from a parameterized model", data=False)
     p.add_argument("--params", required=True,
                    help="JSON with 'values', 'defaults', 'standardize_latents'")
     p.add_argument("--n", type=_POSITIVE_INT, required=True)
@@ -545,16 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV file to write")
 
     p = add("report", _cmd_report, "full pipeline: psychometrics, EFA, CFA, SEM, mediation")
-    p.add_argument("--model", required=True)
-    _add_data(p)
-    p.add_argument("--effect", action="append", default=None,
-                   help="SRC:MED:DST (repeatable; default: derived from the model)")
-    p.add_argument("--boot", type=_REPLICATES, default=500)
-    p.add_argument("--level", type=_LEVEL, default=0.95)
-    p.add_argument("--seed", type=_SEED, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: the replicates are refitted "
-                        "together in one thread")
+    _add_mediation(p, effect={"default": None, "help": "SRC:MED:DST (repeatable; "
+                                                      "default: derived from the model)"},
+                   boot={"default": 500})
     _add_estimation(p)
 
     return parser
