@@ -10,7 +10,6 @@ from .data import (
     Dataset,
     SampleMoments,
     covariance,
-    from_array,
     load_table,
     save_table,
 )
@@ -23,7 +22,6 @@ from .effects import (
     decompose,
     decompose_fit,
     delta_ci,
-    delta_variance,
 )
 from .errors import (
     DataError,
@@ -58,7 +56,6 @@ from .sem import (
     fit,
     implied_covariance,
     latent_covariance,
-    log_likelihood,
     simulate,
     standardize,
     start_values,
@@ -68,12 +65,10 @@ from .sem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "SampleMoments", "covariance", "from_array",
-    "load_table", "save_table",
+    "Dataset", "SampleMoments", "covariance", "load_table", "save_table",
     "LoadingMatrix", "extract", "varimax", "rotated_component_table",
     "EffectDecomposition", "EffectMatrices", "bootstrap_ci",
     "classify_hypotheses", "decompose", "decompose_fit", "delta_ci",
-    "delta_variance",
     "LatentPathError", "ModelSyntaxError", "ModelSpecificationError",
     "DataError", "NotPositiveDefiniteError", "UnderIdentifiedError",
     "EstimationError",
@@ -83,7 +78,7 @@ __all__ = [
     "cronbach_alpha", "composite_reliability", "average_variance_extracted",
     "kmo", "bartlett", "fornell_larcker",
     "EstimationOptions", "FitResult", "f_ml", "fit", "implied_covariance",
-    "latent_covariance", "log_likelihood", "simulate", "standardize",
+    "latent_covariance", "simulate", "standardize",
     "start_values", "theta_from_config",
     "__version__",
 ]

@@ -22,7 +22,13 @@ import numpy as np
 from . import efa as efa_mod
 from . import fit_indices
 from .data import Dataset, SampleMoments, covariance, load_table, save_table
-from .effects import EffectDecomposition, bootstrap_ci, classify_hypotheses, delta_ci
+from .effects import (
+    EffectDecomposition,
+    _validate_mediator,
+    bootstrap_ci,
+    classify_hypotheses,
+    delta_ci,
+)
 from .errors import (
     DataError,
     EstimationError,
@@ -47,6 +53,7 @@ from .sem import (
     FitResult,
     fit,
     latent_covariance,
+    model_columns,
     simulate,
     theta_from_config,
 )
@@ -149,11 +156,17 @@ Sections = dict[str, tuple[str, dict]]
 class _Inputs:
     """What a data-reading subcommand reads, read once: the model and the
     estimation options where it takes them, the data, and the data's sample
-    moments, computed on first use (reliability and the bootstrap use none)."""
+    moments, computed on first use (reliability and the bootstrap use none).
+
+    Given a model, the data are its indicators alone, in the file's order, so
+    that a column it does not use (a text column, a missing cell) drops no row.
+    """
 
     def __init__(self, args):
         self.spec = _read_model(args.model) if "model" in args else None
         self.dataset = load_table(args.data, delimiter=args.delimiter)
+        if self.spec is not None:
+            self.dataset = self.dataset.subset(model_columns(self.spec, self.dataset.names))
         self.opts = EstimationOptions(
             max_iter=args.max_iter, gtol=args.gtol, chisq_multiplier=args.chisq_n,
         ) if "max_iter" in args else None
@@ -485,6 +498,10 @@ _REPORT_EFA = {"retain": "kaiser", "suppress": 0.4, "rotation": "varimax",
 def _cmd_report(args) -> int:
     inputs = _Inputs(args)
     spec, dataset = inputs.spec, inputs.dataset
+    triples = [_parse_effect(e) for e in args.effect] if args.effect \
+        else _derive_mediation_triples(spec)
+    for triple in triples:  # checked as mediate checks them, with or without replicates
+        _validate_mediator(spec, *triple)
     built = {
         "dataset": ("dataset", _dataset_payload(dataset, inputs.moments.zero_variance)),
         **_psychometric_sections(dataset, _constructs(spec), args.divisor),
@@ -495,8 +512,6 @@ def _cmd_report(args) -> int:
     sem, sem_converged = _fit_sections(inputs, args)
     built |= {**cfa, **sem, "cfa_fit_indices": cfa["fit_indices"],
               "sem_fit_indices": sem["fit_indices"]}
-    triples = [_parse_effect(e) for e in args.effect] if args.effect \
-        else _derive_mediation_triples(spec)
     if triples and args.boot > 0:
         built |= _mediation_sections(inputs, args, triples)[0]
     sections = {name: built[name] for name in _REPORT_SECTIONS if name in built}

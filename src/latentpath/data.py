@@ -71,25 +71,6 @@ class Dataset:
         return Dataset(list(names), self.values.take(idx, axis=1))
 
 
-def from_array(values: np.ndarray, names: list[str] | None = None) -> Dataset:
-    """Wrap an in-memory numeric array as a Dataset.
-
-    Non-finite cells (NaN and ``inf``) are missing; they are set to NaN in
-    a copy, so the caller's array is never modified.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise DataError("expected a 2-d array")
-    if names is None:
-        names = [f"v{j + 1}" for j in range(values.shape[1])]
-    if len(names) != values.shape[1]:
-        raise DataError("names do not match the number of columns")
-    missing = ~np.isfinite(values)
-    if missing.any():
-        values = np.where(missing, np.nan, values)
-    return Dataset(list(names), values)
-
-
 def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     """Read a delimited UTF-8 text file into a Dataset.
 

@@ -77,17 +77,6 @@ def decompose_fit(result: FitResult) -> EffectMatrices:
     return decompose(m.A.materialize(result.theta)[p:, p:], m.latent_names)
 
 
-def delta_variance(gamma: float, b: float, var_gamma: float, var_b: float) -> float:
-    """Variance of the product of two independent estimates.
-
-    gamma^2 var_b + b^2 var_gamma + var_gamma var_b; exact for independent
-    normal estimators, first-order otherwise.
-    """
-    if var_gamma < 0 or var_b < 0:
-        raise ValueError("variances must be nonnegative")
-    return gamma * gamma * var_b + b * b * var_gamma + var_gamma * var_b
-
-
 @dataclass
 class EffectDecomposition:
     """Point estimates and interval bounds for one source -> target pair."""
@@ -343,11 +332,14 @@ class HypothesisVerdict:
     detail: str = ""
 
 
-def classify_hypotheses(result: FitResult, p_threshold: float = 0.05) -> list[HypothesisVerdict]:
+_P_THRESHOLD = 0.05
+
+
+def classify_hypotheses(result: FitResult) -> list[HypothesisVerdict]:
     """Support verdicts for the labeled direct paths.
 
-    A labeled path is supported when its two-sided p-value is below the
-    threshold. Mediation verdicts come from
+    A labeled path is supported when its two-sided p-value is below
+    _P_THRESHOLD (0.05). Mediation verdicts come from
     ``EffectDecomposition.mediation_verdict``.
     """
     spec = result.matrices.spec
@@ -360,11 +352,11 @@ def classify_hypotheses(result: FitResult, p_threshold: float = 0.05) -> list[Hy
                 f"labeled path {dep} ~ {pred} carries no free parameter"
             )
         p = row["p"]
-        supported = bool(p < p_threshold)
+        supported = bool(p < _P_THRESHOLD)
         verdicts.append(HypothesisVerdict(
             label=label, kind="direct", path=f"{dep} <- {pred}",
             estimate=row["estimate"], p=p,
             verdict="supported" if supported else "not supported",
-            detail=f"p={p:.3g} {'<' if supported else '>='} {p_threshold:g}",
+            detail=f"p={p:.3g} {'<' if supported else '>='} {_P_THRESHOLD:g}",
         ))
     return verdicts

@@ -92,39 +92,6 @@ class ModelSpec:
         """Hypothesis label -> (dependent, predictor)."""
         return {r.label: (r.dependent, r.predictor) for r in self.regressions if r.label}
 
-    def indicators_of(self, latent: str) -> tuple[str, ...]:
-        for lat in self.latents:
-            if lat.name == latent:
-                return lat.indicators
-        raise KeyError(latent)
-
-    def to_text(self) -> str:
-        """Serialize back to model-language source; reparsing round-trips."""
-        fixed = dict(self.fixed_loadings)
-        lines = []
-        for lat in self.latents:
-            terms = []
-            for ind in lat.indicators:
-                terms.append(f"{fixed[ind]:g}*{ind}" if ind in fixed else ind)
-            lines.append(f"{lat.name} =~ " + " + ".join(terms))
-        by_dep: dict[str, list[Regression]] = {}
-        for reg in self.regressions:
-            by_dep.setdefault(reg.dependent, []).append(reg)
-        for dep in sorted(by_dep):
-            terms = []
-            for reg in by_dep[dep]:
-                prefix = ""
-                if reg.fixed is not None:
-                    prefix = f"{reg.fixed:g}*"
-                elif reg.label is not None:
-                    prefix = f"{reg.label}*"
-                terms.append(prefix + reg.predictor)
-            lines.append(f"{dep} ~ " + " + ".join(terms))
-        for cov in self.covariances:
-            rhs = f"{cov.fixed:g}*{cov.b}" if cov.fixed is not None else cov.b
-            lines.append(f"{cov.a} ~~ {rhs}")
-        return "\n".join(lines) + "\n"
-
     def without_regressions(self) -> "ModelSpec":
         """Measurement-only variant: all latents exogenous, freely covarying."""
         return ModelSpec(
@@ -290,25 +257,29 @@ def _check_acyclic(regressions: list[Regression]) -> None:
         graph.setdefault(reg.predictor, set()).add(reg.dependent)
         graph.setdefault(reg.dependent, set())
     state: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
-
-    def visit(node: str) -> None:
-        state[node] = 0
-        stack.append(node)
-        for nxt in graph[node]:
-            if state.get(nxt) == 0:
-                cycle = stack[stack.index(nxt):] + [nxt]
-                raise ModelSpecificationError(
-                    "regression graph contains a cycle: " + " -> ".join(cycle)
-                )
-            if nxt not in state:
-                visit(nxt)
-        stack.pop()
-        state[node] = 1
-
-    for node in graph:
-        if node not in state:
-            visit(node)
+    # depth-first, with an explicit stack so that a long chain of latents
+    # cannot exhaust the interpreter's recursion limit: the path from the
+    # root, and the successors of each node on it that are still to visit
+    for root in graph:
+        if root in state:
+            continue
+        state[root] = 0
+        path, todo = [root], [iter(graph[root])]
+        while todo:
+            for nxt in todo[-1]:
+                if state.get(nxt) == 0:
+                    cycle = path[path.index(nxt):] + [nxt]
+                    raise ModelSpecificationError(
+                        "regression graph contains a cycle: " + " -> ".join(cycle)
+                    )
+                if nxt not in state:
+                    state[nxt] = 0
+                    path.append(nxt)
+                    todo.append(iter(graph[nxt]))
+                    break
+            else:
+                state[path.pop()] = 1
+                todo.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +381,6 @@ class ParamMatrices:
     @property
     def labels(self) -> list[str]:
         return [par.label for par in self.parameters]
-
-    @property
-    def theta_index(self) -> dict[str, int]:
-        return {par.label: k for k, par in enumerate(self.parameters)}
 
 
 def build_matrices(

@@ -34,35 +34,30 @@ def cronbach_alpha(items: np.ndarray) -> float:
     return (k / (k - 1)) * (1.0 - item_vars.sum() / total_var)
 
 
-def _loadings_and_errors(loadings, error_vars) -> tuple[np.ndarray, np.ndarray]:
-    """Checked loadings and error variances, the latter defaulting to 1 - lam^2."""
+def _loadings_and_errors(loadings) -> tuple[np.ndarray, np.ndarray]:
+    """Checked standardized loadings and their error variances 1 - lam^2."""
     lam = np.asarray(loadings, dtype=float)
     if lam.size == 0:
         raise DataError("empty loading list")
-    if error_vars is None:
-        error_vars = 1.0 - lam**2
-    err = np.asarray(error_vars, dtype=float)
-    if err.shape != lam.shape:
-        raise DataError("loadings and error variances differ in length")
+    err = 1.0 - lam**2
     if np.any(err < 0):
         raise DataError("error variances must be nonnegative")
     return lam, err
 
 
-def composite_reliability(loadings, error_vars=None) -> float:
-    """CR = (sum lam)^2 / ((sum lam)^2 + sum Var(eps)).
+def composite_reliability(loadings) -> float:
+    """CR = (sum lam)^2 / ((sum lam)^2 + sum Var(eps)), Var(eps) = 1 - lam^2.
 
-    ``error_vars`` defaults to 1 - lam^2, the convention that applies to a
-    standardized solution.
+    The error variances are those of a standardized solution.
     """
-    lam, err = _loadings_and_errors(loadings, error_vars)
+    lam, err = _loadings_and_errors(loadings)
     s = lam.sum() ** 2
     return float(s / (s + err.sum()))
 
 
-def average_variance_extracted(loadings, error_vars=None) -> float:
-    """AVE = sum lam^2 / (sum lam^2 + sum Var(eps)); defaults as for CR."""
-    lam, err = _loadings_and_errors(loadings, error_vars)
+def average_variance_extracted(loadings) -> float:
+    """AVE = sum lam^2 / (sum lam^2 + sum Var(eps)), Var(eps) = 1 - lam^2."""
+    lam, err = _loadings_and_errors(loadings)
     s = (lam**2).sum()
     return float(s / (s + err.sum()))
 

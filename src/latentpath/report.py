@@ -125,6 +125,7 @@ class Report:
         self.sections: list[tuple[str, str, dict]] = []  # (kind, name, payload)
 
     def add(self, kind: str, name: str, payload: dict) -> None:
+        """Append a section; ``kind`` is a key of ``_TEXT_RENDERERS``."""
         self.sections.append((kind, name, payload))
 
     def to_json(self) -> str:
@@ -146,11 +147,7 @@ class Report:
                 lines.append(f"# {key}: {json.dumps(to_jsonable(self.prov[key]), sort_keys=True)}")
             chunks.append("\n".join(lines) + "\n")
         for kind, name, payload in self.sections:
-            renderer = _TEXT_RENDERERS.get(kind)
-            if renderer is None:
-                chunks.append(f"[{name}] (no text renderer for kind {kind})\n")
-            else:
-                chunks.append(renderer(name, payload, self.star_convention))
+            chunks.append(_TEXT_RENDERERS[kind](name, payload, self.star_convention))
         return "\n".join(chunks)
 
 

@@ -21,7 +21,6 @@ bit for bit those of its fit alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,8 +34,6 @@ from .errors import (
 )
 from .fit_indices import chisq_tail
 from .model import VARIANCE_KINDS, ModelSpec, ParamMatrices, build_matrices, count_df
-
-_LN_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -112,8 +109,13 @@ def latent_covariance(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, 
     return El @ S @ El.T, m.latent_names
 
 
-def _ml_terms(sigma: np.ndarray, S: np.ndarray) -> tuple[float, float, float]:
-    """log|Sigma|, tr(S Sigma^-1) and log|S|, after checking both are PD."""
+def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
+    """ML discrepancy log|Sigma| + tr(S Sigma^-1) - log|S| - p, p the size of S.
+
+    Zero iff Sigma equals S. Raises NotPositiveDefiniteError when either
+    matrix is not positive definite (for Sigma this is the signal an
+    optimizer uses to backtrack; for S it is a hard error).
+    """
     sigma = np.asarray(sigma, dtype=float)
     S = np.asarray(S, dtype=float)
     _, (logdet_S,) = _chol_logdet(S[None])
@@ -122,25 +124,8 @@ def _ml_terms(sigma: np.ndarray, S: np.ndarray) -> tuple[float, float, float]:
     (L,), (logdet,) = _chol_logdet(sigma[None])
     if np.isnan(logdet):
         raise NotPositiveDefiniteError("implied covariance is not positive definite")
-    Z = np.linalg.solve(L, S)
-    return float(logdet), float(np.trace(np.linalg.solve(L.T, Z))), float(logdet_S)
-
-
-def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
-    """ML discrepancy log|Sigma| + tr(S Sigma^-1) - log|S| - p, p the size of S.
-
-    Zero iff Sigma equals S. Raises NotPositiveDefiniteError when either
-    matrix is not positive definite (for Sigma this is the signal an
-    optimizer uses to backtrack; for S it is a hard error).
-    """
-    logdet, tr, logdet_S = _ml_terms(sigma, S)
-    return logdet + tr - logdet_S - np.shape(S)[0]
-
-
-def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int) -> float:
-    """Normal-theory log-likelihood -(n/2)[log|Sigma| + tr(S Sigma^-1) + p log 2pi]."""
-    logdet, tr, _ = _ml_terms(sigma, S)
-    return -(n / 2.0) * (logdet + tr + np.shape(S)[0] * _LN_2PI)
+    tr = np.trace(np.linalg.solve(L.T, np.linalg.solve(L, S)))
+    return float(logdet) + float(tr) - float(logdet_S) - S.shape[0]
 
 
 def _t(X: np.ndarray) -> np.ndarray:
@@ -535,13 +520,20 @@ def _check_identified(H: np.ndarray, labels: list[str]) -> None:
     )
 
 
-def align_moments(spec: ModelSpec, moments: SampleMoments) -> tuple[np.ndarray, list[str]]:
-    """Restrict S to the model's indicators, keeping the moments' order."""
+def model_columns(spec: ModelSpec, names: list[str]) -> list[str]:
+    """The model's indicators among ``names``, in the order of ``names``;
+    raises EstimationError when one is not there."""
     wanted = set(spec.indicator_names)
-    names = [v for v in moments.names if v in wanted]
-    missing = wanted - set(names)
+    kept = [v for v in names if v in wanted]
+    missing = wanted - set(kept)
     if missing:
         raise EstimationError(f"data lacks model indicators: {sorted(missing)}")
+    return kept
+
+
+def align_moments(spec: ModelSpec, moments: SampleMoments) -> tuple[np.ndarray, list[str]]:
+    """Restrict S to the model's indicators, keeping the moments' order."""
+    names = model_columns(spec, moments.names)
     idx = [moments.names.index(v) for v in names]
     return moments.S[np.ix_(idx, idx)], names
 

@@ -53,3 +53,56 @@ def evaluate(obj, theta):
 def one_factor_spec(n_items: int = 3, name: str = "F") -> lp.ModelSpec:
     items = " + ".join(f"{name.lower()}{i + 1}" for i in range(n_items))
     return lp.parse_model(f"{name} =~ {items}")
+
+
+def v_names(p: int) -> list[str]:
+    """Column names v1...vp, for a Dataset built from an array."""
+    return [f"v{j + 1}" for j in range(p)]
+
+
+# --- references the tests compare the package against ------------------------
+
+
+def sobel_variance(gamma: float, b: float, var_gamma: float, var_b: float) -> float:
+    """Variance of the product of two independent estimates.
+
+    gamma^2 var_b + b^2 var_gamma + var_gamma var_b; exact for independent
+    normal estimators, first-order otherwise.
+    """
+    if var_gamma < 0 or var_b < 0:
+        raise ValueError("variances must be nonnegative")
+    return gamma * gamma * var_b + b * b * var_gamma + var_gamma * var_b
+
+
+def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int) -> float:
+    """Normal-theory log-likelihood -(n/2)[log|Sigma| + tr(S Sigma^-1) + p log 2pi]."""
+    sign, logdet = np.linalg.slogdet(sigma)
+    assert sign > 0, "Sigma is not positive definite"
+    tr = np.trace(np.linalg.solve(sigma, S))
+    return -(n / 2.0) * (logdet + tr + S.shape[0] * np.log(2.0 * np.pi))
+
+
+def model_text(spec: lp.ModelSpec) -> str:
+    """Model-language source for a ModelSpec; parsing it gives the spec back."""
+    fixed = dict(spec.fixed_loadings)
+    lines = []
+    for lat in spec.latents:
+        terms = [f"{fixed[ind]:g}*{ind}" if ind in fixed else ind for ind in lat.indicators]
+        lines.append(f"{lat.name} =~ " + " + ".join(terms))
+    by_dep: dict[str, list] = {}
+    for reg in spec.regressions:
+        by_dep.setdefault(reg.dependent, []).append(reg)
+    for dep in sorted(by_dep):
+        terms = []
+        for reg in by_dep[dep]:
+            prefix = ""
+            if reg.fixed is not None:
+                prefix = f"{reg.fixed:g}*"
+            elif reg.label is not None:
+                prefix = f"{reg.label}*"
+            terms.append(prefix + reg.predictor)
+        lines.append(f"{dep} ~ " + " + ".join(terms))
+    for cov in spec.covariances:
+        rhs = f"{cov.fixed:g}*{cov.b}" if cov.fixed is not None else cov.b
+        lines.append(f"{cov.a} ~~ {rhs}")
+    return "\n".join(lines) + "\n"

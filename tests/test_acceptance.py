@@ -17,7 +17,7 @@ from latentpath import effects
 from latentpath.report import Report, render_report
 from latentpath.sem import _Objective
 
-from conftest import evaluate
+from conftest import evaluate, log_likelihood, sobel_variance
 
 
 def note(tag: str, message: str) -> None:
@@ -115,14 +115,14 @@ def test_05_saturated_identity():
     X = rng.standard_normal((150, 3)) @ np.array(
         [[1.0, 0.4, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
     names = ["u", "v", "w"]
-    S = lp.covariance(lp.from_array(X, names)).S
+    S = lp.covariance(lp.Dataset(names, X)).S
     assert abs(lp.f_ml(S, S)) <= 1e-10
 
     lines = [f"L{c} =~ 1*{c}" for c in names]
     lines += [f"{c} ~~ 0*{c}" for c in names]
     lines += [f"L{a} ~~ L{b}" for a, b in itertools.combinations(names, 2)]
     spec = lp.parse_model("\n".join(lines))
-    res = lp.fit(spec, lp.covariance(lp.from_array(X, names)))
+    res = lp.fit(spec, lp.covariance(lp.Dataset(names, X)))
     assert res.df == 0
     assert abs(res.f_min) <= 1e-10
     assert abs(res.chisq) <= 1e-10
@@ -142,7 +142,7 @@ def test_06_likelihood_equivalence():
         t2 = np.array([rng.uniform(0.2, 1.5), rng.uniform(0.3, 2.0)])
         s1, s2 = lp.implied_covariance(m, t1), lp.implied_covariance(m, t2)
         lhs = lp.f_ml(s1, S) - lp.f_ml(s2, S)
-        rhs = -(2.0 / n) * (lp.log_likelihood(s1, S, n) - lp.log_likelihood(s2, S, n))
+        rhs = -(2.0 / n) * (log_likelihood(s1, S, n) - log_likelihood(s2, S, n))
         worst = max(worst, abs(lhs - rhs))
         assert abs(lhs - rhs) <= 1e-8
     note("06", f"F_ML difference equals -(2/n) log-likelihood difference over "
@@ -220,7 +220,7 @@ def test_09_delta_method_exactness():
         x = rng.normal(g, sg, size=1_000_000)
         y = rng.normal(b, sb, size=1_000_000)
         mc = float(np.var(x * y))
-        formula = lp.delta_variance(g, b, sg**2, sb**2)
+        formula = sobel_variance(g, b, sg**2, sb**2)
         rel = abs(formula - mc) / mc
         assert rel <= 0.02
         worst = max(worst, rel)

@@ -331,6 +331,69 @@ class TestReport:
             assert heading in text, heading
 
 
+    def test_effect_outside_the_model_exits_2_without_replicates(self, sim_csv, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "r.txt"
+        assert dispatch(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0",
+                         "--effect", "X:Y:Z", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: 'X' is not a latent in the model\n"
+        assert not out.exists()
+
+
+def json_sections(argv: list[str], out: Path) -> dict:
+    """The sections of a command's JSON report, each as its canonical JSON text."""
+    assert dispatch(argv + ["--format", "json", "--output", str(out)]) == 0
+    return {name: json.dumps(section, sort_keys=True) for name, section
+            in json.loads(out.read_text())["sections"].items()}
+
+
+class TestModelColumns:
+    """A model command reads the model's indicators and no other column."""
+
+    @pytest.fixture(scope="class")
+    def with_column(self, sim_csv, tmp_path_factory):
+        """The simulated file with a text column appended, and with a numeric
+        column appended that is missing in the first row."""
+        rows = Path(sim_csv).read_text().splitlines()
+        folder = tmp_path_factory.mktemp("columns")
+        gender, note = folder / "gender.csv", folder / "note.csv"
+        gender.write_text("\n".join([rows[0] + ",gender"]
+                                    + [row + ",Male" for row in rows[1:]]) + "\n")
+        note.write_text("\n".join([rows[0] + ",note", rows[1] + ",NA"]
+                                  + [row + ",1" for row in rows[2:]]) + "\n")
+        return {"gender": str(gender), "note": str(note)}
+
+    @pytest.mark.parametrize("argv", [
+        ["fit"],
+        ["mediate", "--effect", "EnvSt:PerVa:PB", "--boot", "100", "--seed", "1"],
+        ["report", "--boot", "100", "--seed", "1"],
+    ], ids=["fit", "mediate", "report"])
+    def test_text_column_changes_no_section(self, sim_csv, with_column, tmp_path, argv):
+        base = json_sections([*argv, "--model", MODEL, "--data", sim_csv],
+                             tmp_path / "base.json")
+        extra = json_sections([*argv, "--model", MODEL, "--data", with_column["gender"]],
+                              tmp_path / "extra.json")
+        assert extra == base
+
+    def test_missing_cell_in_another_column_drops_no_row(self, sim_csv, with_column,
+                                                          tmp_path):
+        argv = ["report", "--model", MODEL, "--boot", "0"]
+        base = json_sections([*argv, "--data", sim_csv], tmp_path / "base.json")
+        extra = json_sections([*argv, "--data", with_column["note"]], tmp_path / "extra.json")
+        assert json.loads(extra["dataset"])["n_complete"] == 519
+        assert extra == base
+
+    def test_missing_indicator_exits_1(self, sim_csv, tmp_path, capsys):
+        rows = [row.split(",") for row in Path(sim_csv).read_text().splitlines()]
+        k = rows[0].index("CE1")
+        data = tmp_path / "no_ce1.csv"
+        data.write_text("\n".join(",".join(row[:k] + row[k + 1:]) for row in rows) + "\n")
+        for command in (["fit"], ["report", "--boot", "0"]):
+            assert dispatch([*command, "--model", MODEL, "--data", str(data)]) == 1
+            assert capsys.readouterr().err == \
+                "estimation error: data lacks model indicators: ['CE1']\n"
+
+
 class TestReportSections:
     def run_json(self, sim_csv, out):
         assert dispatch(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0",
@@ -363,18 +426,13 @@ class TestReportSections:
 
 
 class TestReportIsTheUnionOfItsSubcommands:
-    def sections(self, argv, out):
-        assert dispatch(argv + ["--format", "json", "--output", str(out)]) == 0
-        return {name: json.dumps(section, sort_keys=True) for name, section
-                in json.loads(out.read_text())["sections"].items()}
-
     def test_sections_match(self, sim_csv, tmp_path):
         data = ["--model", MODEL, "--data", sim_csv]
         boot = ["--boot", "100", "--seed", "1"]
-        report = self.sections(["report", *data, *boot], tmp_path / "report.json")
-        fit = self.sections(["fit", *data], tmp_path / "fit.json")
-        cfa = self.sections(["cfa", *data], tmp_path / "cfa.json")
-        mediate = self.sections(["mediate", *data, *boot, "--effect", "EnvSt:PerVa:PB"],
+        report = json_sections(["report", *data, *boot], tmp_path / "report.json")
+        fit = json_sections(["fit", *data], tmp_path / "fit.json")
+        cfa = json_sections(["cfa", *data], tmp_path / "cfa.json")
+        mediate = json_sections(["mediate", *data, *boot, "--effect", "EnvSt:PerVa:PB"],
                                 tmp_path / "mediate.json")
         for name in ("fit", "regression_weights", "hypotheses"):
             assert report[name] == fit[name], name
@@ -389,14 +447,14 @@ class TestReportIsTheUnionOfItsSubcommands:
 
     def test_psychometric_and_efa_sections_match(self, sim_csv, tmp_path):
         # the simulated file holds exactly the model's indicators, in its order
-        report = self.sections(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0"],
+        report = json_sections(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0"],
                                tmp_path / "report.json")
-        efa = self.sections(["efa", "--data", sim_csv], tmp_path / "efa.json")
+        efa = json_sections(["efa", "--data", sim_csv], tmp_path / "efa.json")
         assert report["efa"] == efa["efa"]
         spec = lp.parse_model(Path(MODEL).read_text(encoding="utf-8"))
         constructs = [f"--construct={lat.name}={','.join(lat.indicators)}"
                       for lat in spec.latents]
-        reliability = self.sections(["reliability", "--data", sim_csv, *constructs],
+        reliability = json_sections(["reliability", "--data", sim_csv, *constructs],
                                     tmp_path / "reliability.json")
         for name in ("reliability", "sampling_adequacy"):
             assert report[name] == reliability[name], name

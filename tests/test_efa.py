@@ -5,6 +5,8 @@ import latentpath as lp
 from latentpath.efa import _varimax_criterion
 from latentpath.errors import DataError
 
+from conftest import v_names
+
 
 def two_cluster_correlation(k1=4, k2=4, within=0.6, between=0.1):
     p = k1 + k2
@@ -60,7 +62,7 @@ class TestExtract:
     def test_eigenvalue_sum_is_p(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((60, 7))
-        R = lp.covariance(lp.from_array(X)).R
+        R = lp.covariance(lp.Dataset(v_names(7), X)).R
         lm = lp.extract(R, retention="m=3")
         assert lm.eigenvalues.sum() == pytest.approx(7.0, abs=1e-9)
 
@@ -126,7 +128,7 @@ class TestVarimax:
     def test_criterion_never_decreases(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((80, 6))
-        R = lp.covariance(lp.from_array(X)).R
+        R = lp.covariance(lp.Dataset(v_names(6), X)).R
         lm = lp.extract(R, retention="m=3")
         rotated = lp.varimax(lm)
         h = np.sqrt((lm.loadings**2).sum(axis=1))[:, None]

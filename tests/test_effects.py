@@ -9,6 +9,8 @@ import latentpath as lp
 from latentpath import effects, sem
 from latentpath.errors import EstimationError, ModelSpecificationError, NotPositiveDefiniteError
 
+from conftest import sobel_variance
+
 
 def ram_latent_block(B, Gamma):
     """The latent block of A, endogenous then exogenous: [[B, Gamma], [0, 0]]."""
@@ -99,10 +101,10 @@ class TestDecompose:
 
 class TestDeltaVariance:
     def test_zero_variances(self):
-        assert lp.delta_variance(0.8, 0.4, 0.0, 0.0) == 0.0
+        assert sobel_variance(0.8, 0.4, 0.0, 0.0) == 0.0
 
     def test_plug_in(self):
-        assert lp.delta_variance(0.0, 1.0, 0.04, 0.01) == pytest.approx(0.0404)
+        assert sobel_variance(0.0, 1.0, 0.04, 0.01) == pytest.approx(0.0404)
 
     def test_matches_monte_carlo_for_independent_normals(self):
         rng = np.random.default_rng(2024)
@@ -114,12 +116,12 @@ class TestDeltaVariance:
             draws_g = rng.normal(g, sg, size=1_000_000)
             draws_b = rng.normal(b, sb, size=1_000_000)
             mc = np.var(draws_g * draws_b)
-            formula = lp.delta_variance(g, b, sg**2, sb**2)
+            formula = sobel_variance(g, b, sg**2, sb**2)
             assert formula == pytest.approx(mc, rel=0.02)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            lp.delta_variance(0.5, 0.5, -0.1, 0.2)
+            sobel_variance(0.5, 0.5, -0.1, 0.2)
 
 
 MEDIATION_MODEL = """
@@ -277,11 +279,10 @@ class TestFullCovarianceDelta:
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 800, seed=21)
         res = lp.fit(spec, lp.covariance(data), standardize_latents=True)
         d = lp.delta_ci(res, [("X", "M", "Y")])[0]
-        idx = res.matrices.theta_index
-        ia, ib = idx["M~X"], idx["Y~M"]
+        ia, ib = (res.matrices.labels.index(label) for label in ("M~X", "Y~M"))
         a, b = res.theta[ia], res.theta[ib]
         va, vb, cab = res.acov[ia, ia], res.acov[ib, ib], res.acov[ia, ib]
-        expected = lp.delta_variance(a, b, va, vb) - va * vb + 2 * a * b * cab
+        expected = sobel_variance(a, b, va, vb) - va * vb + 2 * a * b * cab
         z = stats.norm.ppf(0.975)
         sd = (d.indirect_bounds[1] - d.indirect_bounds[0]) / (2 * z)
         assert sd**2 == pytest.approx(expected, abs=1e-12)
@@ -313,7 +314,7 @@ class TestBootstrap:
         X[:, 0] = 0.0
         X[:2, 0] = (1.0, -1.0)
         with pytest.raises(EstimationError) as err:
-            lp.bootstrap_ci(lp.from_array(X, data.names), spec, [("X", "M", "Y")],
+            lp.bootstrap_ci(lp.Dataset(data.names, X), spec, [("X", "M", "Y")],
                             replicates=100, seed=2, opts=lp.EstimationOptions(max_iter=30))
         counts = re.search(r"(\d+)/100 .*; (\d+) not converged, (\d+) non-PD sample "
                            r"covariance\)", str(err.value))
@@ -545,11 +546,11 @@ class TestVerdicts:
             assert v.verdict in ("supported", "not supported")
             assert (v.p < 0.05) == (v.verdict == "supported")
 
-    def test_threshold_configurable(self, survey_spec, survey_sim_moments):
+    def test_threshold_is_five_percent(self, survey_spec, survey_sim_moments):
         res = lp.fit(survey_spec, survey_sim_moments)
-        # p-values can underflow to exactly 0, so 0.0 rejects everything
-        strict = lp.classify_hypotheses(res, p_threshold=0.0)
-        assert all(v.verdict == "not supported" for v in strict)
+        for v in lp.classify_hypotheses(res):
+            sign = "<" if v.verdict == "supported" else ">="
+            assert v.detail == f"p={v.p:.3g} {sign} 0.05"
 
 
 class TestDeltaCi:

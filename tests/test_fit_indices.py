@@ -99,7 +99,7 @@ class TestIndices:
         order = list(reversed(data.names))
         idx = [data.names.index(v) for v in order]
         res_b = lp.fit(survey_spec,
-                       lp.covariance(lp.from_array(data.values[:, idx], order)),
+                       lp.covariance(lp.Dataset(order, data.values[:, idx])),
                        compute_se=False)
         rep_b = lp.from_fit(res_b)
         for key, value in rep_a.values().items():

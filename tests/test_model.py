@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
 from latentpath.errors import ModelSpecificationError, ModelSyntaxError
+
+from conftest import model_text
 
 
 def count_free_by_enumeration(spec: lp.ModelSpec, standardize_latents=False) -> int:
@@ -62,7 +64,7 @@ class TestParsing:
     def test_minimal_measurement_statement(self):
         spec = lp.parse_model("PB =~ PB1 + PB2")
         assert spec.latent_names == ["PB"]
-        assert spec.indicators_of("PB") == ("PB1", "PB2")
+        assert spec.latents[spec.latent_names.index("PB")].indicators == ("PB1", "PB2")
 
     def test_bundled_survey_model_shape(self, survey_spec):
         assert len(survey_spec.latents) == 5
@@ -80,8 +82,16 @@ class TestParsing:
         }
 
     def test_cycle_rejected(self):
-        with pytest.raises(ModelSpecificationError, match="cycle"):
+        with pytest.raises(ModelSpecificationError, match="cycle: L2 -> L1 -> L2$"):
             lp.parse_model("L1 =~ a1 + a2\nL2 =~ b1 + b2\nL1 ~ L2\nL2 ~ L1")
+
+    def test_long_chain_within_the_recursion_limit(self):
+        # the acyclicity walk keeps its own stack: 1200 latents in a row is
+        # deeper than the interpreter's default recursion limit of 1000
+        assert len(lp.parse_model(chain_text(1200)).regressions) == 1199
+        ring = " -> ".join(f"L{i}" for i in [*range(1200), 0])
+        with pytest.raises(ModelSpecificationError, match=f"cycle: {ring}$"):
+            lp.parse_model(chain_text(1200) + "\nL0 ~ L1199")
 
     def test_self_loop_rejected(self):
         with pytest.raises(ModelSpecificationError, match="cycle"):
@@ -125,7 +135,19 @@ class TestParsing:
         assert lp.parse_model(reordered) == lp.parse_model(survey_model_text)
 
     def test_round_trip(self, survey_spec):
-        assert lp.parse_model(survey_spec.to_text()) == survey_spec
+        assert lp.parse_model(model_text(survey_spec)) == survey_spec
+
+
+def chain_text(n: int) -> str:
+    """n one-indicator latents, each regressed on the one before it."""
+    return "\n".join([f"L{i} =~ x{i}" for i in range(n)]
+                     + [f"L{i} ~ L{i - 1}" for i in range(1, n)])
+
+
+# fragments of the model language, so that drawn text reaches past the
+# first syntax check: names, numbers, operators, comments, line breaks
+MODEL_FRAGMENTS = ["A", "B", "x1", "x2", "_y.z", "1a", "0.5", "-2", "1e999", "nan",
+                   "*", "+", "=~", "~~", "~", "=", " ", "\t", "\n", "#", "H1*"]
 
 
 names_st = st.sampled_from(["Alpha", "Bravo", "Charly", "Delta", "Echo"])
@@ -179,11 +201,22 @@ def random_specs_with_covariance(draw):
 
 
 class TestProperties:
+    # Hypothesis lifts the recursion limit by some 2000 frames while it runs
+    # a test, so the chain that stands for a deep model is longer than that
+    @given(st.lists(st.sampled_from(MODEL_FRAGMENTS), max_size=40).map("".join))
+    @example(chain_text(5000))
+    @settings(max_examples=25, deadline=None)
+    def test_parse_raises_only_typed_errors(self, text):
+        try:
+            lp.parse_model(text)
+        except (ModelSyntaxError, ModelSpecificationError):
+            pass
+
     @given(random_specs())
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random_models(self, text):
         spec = lp.parse_model(text)
-        assert lp.parse_model(spec.to_text()) == spec
+        assert lp.parse_model(model_text(spec)) == spec
 
     @given(random_specs(), st.randoms())
     @settings(max_examples=25, deadline=None)
@@ -265,7 +298,7 @@ class TestBuildMatrices:
 
     def test_theta_index_is_bijection(self, survey_spec):
         m = lp.build_matrices(survey_spec, survey_spec.indicator_names)
-        positions = sorted(m.theta_index.values())
+        positions = sorted(m.labels.index(label) for label in m.labels)
         assert positions == list(range(m.n_free))
 
     def test_variable_order_mismatch(self, survey_spec):
@@ -289,6 +322,6 @@ class TestBuildMatrices:
     def test_error_covariance_within_block(self):
         spec = lp.parse_model("A =~ a1 + a2 + a3\na1 ~~ a2")
         m = lp.build_matrices(spec, spec.indicator_names)
-        assert "a1~~a2" in m.theta_index
+        assert "a1~~a2" in m.labels
         i, j = m.variables.index("a1"), m.variables.index("a2")
-        assert m.S.index[i, j] == m.S.index[j, i] == m.theta_index["a1~~a2"]
+        assert m.S.index[i, j] == m.S.index[j, i] == m.labels.index("a1~~a2")

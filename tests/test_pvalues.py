@@ -58,7 +58,7 @@ import numpy as np
 import latentpath as lp
 
 spec = lp.parse_model({MEDIATION_MODEL!r})
-data = lp.from_array(np.random.default_rng(5).standard_normal((200, 9)), spec.indicator_names)
+data = lp.Dataset(spec.indicator_names, np.random.default_rng(5).standard_normal((200, 9)))
 result = lp.fit(spec, lp.covariance(data), compute_se=False)
 print(np.isnan(result.p_values).all(), result.p_values.shape == result.theta.shape)
 print("scipy.special" in sys.modules)

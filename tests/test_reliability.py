@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import latentpath as lp
 from latentpath.errors import DataError, NotPositiveDefiniteError
 
+from conftest import v_names
+
 # Reference standardized loadings for the bundled survey model, with the
 # published CR/AVE they must reproduce under error variances 1 - lambda^2.
 REFERENCE_LOADINGS = {
@@ -55,7 +57,7 @@ class TestCronbachAlpha:
             [-1.0, 1.0, 1.0],
             [-1.0, -1.0, -1.0],
         ])
-        mom = lp.covariance(lp.from_array(X))
+        mom = lp.covariance(lp.Dataset(v_names(3), X))
         assert np.allclose(mom.S, np.eye(3) * mom.S[0, 0])
         assert lp.cronbach_alpha(X) == pytest.approx(0.0, abs=1e-12)
 
@@ -93,8 +95,9 @@ class TestCompositeReliability:
         assert ave == pytest.approx(REFERENCE_AVE[construct], abs=5e-4)
 
     def test_perfect_loadings(self):
-        assert lp.composite_reliability([1.0, 1.0], [0.0, 0.0]) == 1.0
-        assert lp.average_variance_extracted([1.0, 1.0], [0.0, 0.0]) == 1.0
+        # unit standardized loadings leave no error variance
+        assert lp.composite_reliability([1.0, 1.0]) == 1.0
+        assert lp.average_variance_extracted([1.0, 1.0]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -171,7 +174,7 @@ class TestBartlett:
         rng = np.random.default_rng(9)
         for _ in range(20):
             X = rng.standard_normal((40, 4))
-            R = lp.covariance(lp.from_array(X)).R
+            R = lp.covariance(lp.Dataset(v_names(4), X)).R
             chi2, _, _ = lp.bartlett(R, n=40)
             assert chi2 >= 0
         chi2_id, _, _ = lp.bartlett(np.eye(4), n=40)

@@ -10,7 +10,7 @@ from latentpath.errors import NotPositiveDefiniteError, UnderIdentifiedError
 from latentpath.model import VARIANCE_KINDS
 from latentpath.sem import _Objective
 
-from conftest import evaluate, one_factor_spec
+from conftest import evaluate, log_likelihood, one_factor_spec
 from test_model import count_free_by_enumeration, random_specs_with_covariance
 
 
@@ -31,7 +31,7 @@ def toy_two_param():
     """One latent, two indicators, free loading and latent variance."""
     spec = lp.parse_model("F =~ 1*a + b\na ~~ 0.5*a\nb ~~ 0.5*b")
     m = lp.build_matrices(spec, ["a", "b"])
-    assert sorted(m.theta_index) == ["F=~b", "F~~F"]
+    assert sorted(m.labels) == ["F=~b", "F~~F"]
     return m
 
 
@@ -125,7 +125,7 @@ class TestDiscrepancy:
 
 class TestLogLikelihood:
     def test_scalar_case(self):
-        value = lp.log_likelihood(np.eye(1), np.eye(1), n=2)
+        value = log_likelihood(np.eye(1), np.eye(1), n=2)
         assert value == pytest.approx(-(1.0 + math.log(2 * math.pi)), abs=1e-12)
 
     def test_equivalence_with_discrepancy(self):
@@ -138,7 +138,7 @@ class TestLogLikelihood:
             t2 = np.array([rng.uniform(0.2, 1.5), rng.uniform(0.3, 2.0)])
             s1, s2 = lp.implied_covariance(m, t1), lp.implied_covariance(m, t2)
             lhs = lp.f_ml(s1, S) - lp.f_ml(s2, S)
-            rhs = -(2.0 / n) * (lp.log_likelihood(s1, S, n) - lp.log_likelihood(s2, S, n))
+            rhs = -(2.0 / n) * (log_likelihood(s1, S, n) - log_likelihood(s2, S, n))
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_grid_extremes_coincide(self):
@@ -150,11 +150,11 @@ class TestLogLikelihood:
         for lam in lams:
             for phi in phis:
                 theta = np.zeros(2)
-                theta[m.theta_index["F=~b"]] = lam
-                theta[m.theta_index["F~~F"]] = phi
+                theta[m.labels.index("F=~b")] = lam
+                theta[m.labels.index("F~~F")] = phi
                 sigma = lp.implied_covariance(m, theta)
                 f = lp.f_ml(sigma, S)
-                ll = lp.log_likelihood(sigma, S, n=40)
+                ll = log_likelihood(sigma, S, n=40)
                 if best_f is None or f < best_f[0]:
                     best_f = (f, lam, phi)
                 if best_l is None or ll > best_l[0]:
@@ -224,7 +224,7 @@ class TestCrossCovariances:
         spec, m, theta, label = planted_cross_covariance(name)
         a, b = label.split("~~")
         i, j = m.variables.index(a), m.variables.index(b)
-        assert m.S.index[i, j] == m.S.index[j, i] == m.theta_index[label]
+        assert m.S.index[i, j] == m.S.index[j, i] == m.labels.index(label)
         S = lp.implied_covariance(m, theta)
         obj = _Objective(m, S + 0.05 * np.eye(S.shape[0]))
         rng = np.random.default_rng(8)
@@ -371,7 +371,7 @@ class TestFit:
         lines += [f"{c} ~~ 0*{c}" for c in names]
         lines += ["Lu ~~ Lv", "Lu ~~ Lw", "Lv ~~ Lw"]
         spec = lp.parse_model("\n".join(lines))
-        res = lp.fit(spec, lp.covariance(lp.from_array(X, names)))
+        res = lp.fit(spec, lp.covariance(lp.Dataset(names, X)))
         assert res.df == 0
         assert abs(res.f_min) < 1e-10
         assert abs(res.chisq) < 1e-8
@@ -399,7 +399,7 @@ class TestFit:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 2))
         with pytest.raises(UnderIdentifiedError):
-            lp.fit(spec, lp.covariance(lp.from_array(X, ["x", "y"])))
+            lp.fit(spec, lp.covariance(lp.Dataset(["x", "y"], X)))
 
     def test_singular_information_raises(self):
         # df = 1, but F~~F and F~~f1 trade off along a flat ridge
@@ -428,7 +428,7 @@ class TestFit:
         base = lp.fit(spec, lp.covariance(data))
         X = data.values.copy()
         X[:, data.names.index("f3")] *= 100.0
-        res = lp.fit(spec, lp.covariance(lp.from_array(X, data.names)))
+        res = lp.fit(spec, lp.covariance(lp.Dataset(data.names, X)))
         assert res.converged
         assert np.all(np.isfinite(res.se)) and np.all(res.se > 0)
         k = res.labels.index("F=~f3")
@@ -451,7 +451,7 @@ class TestFit:
 
         order = list(reversed(data.names))
         idx = [data.names.index(v) for v in order]
-        data_b = lp.from_array(data.values[:, idx], order)
+        data_b = lp.Dataset(order, data.values[:, idx])
         res_b = lp.fit(survey_spec, lp.covariance(data_b), compute_se=False)
         assert res_a.f_min == pytest.approx(res_b.f_min, abs=1e-8)
         for label in res_a.labels:
