@@ -25,7 +25,8 @@ from .errors import DataError
 class Dataset:
     """Rectangular numeric observations with their column names.
 
-    A cell is missing where, and only where, ``values`` holds NaN;
+    A cell is missing where, and only where, ``values`` is not finite
+    (NaN or an infinity), the rule ``load_table`` applies to a file;
     ``missing`` is that mask, computed on each read.
     """
 
@@ -34,7 +35,7 @@ class Dataset:
 
     @property
     def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
+        return ~np.isfinite(self.values)
 
     @property
     def n(self) -> int:

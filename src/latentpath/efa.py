@@ -23,7 +23,6 @@ class LoadingMatrix:
     loadings: np.ndarray
     eigenvalues: np.ndarray
     names: list[str]
-    rotation_matrix: np.ndarray | None = None
 
     @property
     def n_factors(self) -> int:
@@ -124,11 +123,12 @@ def varimax(loadings: LoadingMatrix) -> LoadingMatrix:
     sweeps stop when a full sweep improves it by less than _VARIMAX_TOL,
     or after _VARIMAX_SWEEPS sweeps. Row communalities are preserved
     exactly because the result is ``loadings @ T`` with orthogonal ``T``.
+    Fewer than two factors have nothing to rotate and come back as given.
     """
     lam = loadings.loadings
     p, m = lam.shape
     if m < 2:
-        return replace(loadings, rotation_matrix=np.eye(max(m, 1))[:m, :m])
+        return loadings
     h = np.sqrt((lam**2).sum(axis=1))
     X = lam / np.where(h > 0, h, 1.0)[:, None]
     T = np.eye(m)
@@ -156,16 +156,10 @@ def varimax(loadings: LoadingMatrix) -> LoadingMatrix:
             crit = new_crit
             break
         crit = new_crit
-    rotated = lam @ T
-    signs = np.ones(m)
-    for j in range(m):
-        col = rotated[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            signs[j] = -1.0
-    rotated, T = rotated * signs, T * signs
+    rotated = _fix_column_signs(lam @ T)
     # order factors by explained sum of squares, largest first
     order = np.argsort(-(rotated**2).sum(axis=0), kind="stable")
-    return replace(loadings, loadings=rotated[:, order], rotation_matrix=T[:, order])
+    return replace(loadings, loadings=rotated[:, order])
 
 
 @dataclass

@@ -189,12 +189,15 @@ def bootstrap_ci(
     return out
 
 
-# the largest stacked temporary of a block of replicates, in bytes. Three
-# (t x t) stacks are alive at once inside the information, so this sets
-# the bootstrap's share of peak RSS: 32 KB (one survey replicate per block,
-# nine of the X -> M -> Y model) holds a 200-replicate survey bootstrap's
-# traced peak at 0.46 MB, where 256 KB raised it to 1.8 MB
-_BLOCK_BYTES = 32 * 1024
+# the largest stacked temporary of a block of replicates, in bytes. Several
+# (t x t) stacks of a block are alive at once inside the information and
+# the step, so the cap trades speed for peak RSS. Measured on 2 cores
+# against 32 KB, which fitted one survey replicate per block: 64 KB (three
+# survey replicates, 18 of the X -> M -> Y model) took `report --boot 500`
+# from 3.6-5.3 s to 2.3-3.2 s and raised the survey benchmark's peak RSS
+# by 0.5 MB; 128 KB (2.0-2.6 s) raised it by 1.1 MB and 256 KB (2.1-2.5 s)
+# by 2.0 MB
+_BLOCK_BYTES = 64 * 1024
 
 
 def _drop_reason(error: Exception | None) -> str:

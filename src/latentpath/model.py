@@ -15,10 +15,9 @@ order never matters: parsing canonicalizes latents by name, regressions by
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -304,33 +303,21 @@ class Parameter:
     rhs: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixTemplate:
     """A square matrix of fixed values, some of whose cells are free parameters.
 
-    ``index[i, j]`` is the position in theta of the parameter occupying
-    that cell, or -1 when the cell is the fixed constant ``values[i, j]``.
-    A symmetric index (that of S) puts a covariance at (i, j) and (j, i).
+    ``rows[c], cols[c]`` is the cell of the parameter at position
+    ``slots[c]`` in theta, listed in theta order; every other cell is the
+    fixed constant in ``values``. A ``symmetric`` template (that of S)
+    lists a covariance once, at row >= col, and places it at both cells.
     """
 
     values: np.ndarray
-    index: np.ndarray
-    # one cell per free parameter (i >= j if symmetric), in theta order,
-    # and the position in theta of each
-    rows: np.ndarray = field(init=False, repr=False)
-    cols: np.ndarray = field(init=False, repr=False)
-    slots: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        free = self.index >= 0
-        rows, cols = np.nonzero(np.tril(free) if self.symmetric else free)
-        order = np.argsort(self.index[rows, cols])
-        self.rows, self.cols = rows[order], cols[order]
-        self.slots = self.index[self.rows, self.cols]
-
-    @functools.cached_property
-    def symmetric(self) -> bool:
-        return bool(np.array_equal(self.index, self.index.T))
+    rows: np.ndarray
+    cols: np.ndarray
+    slots: np.ndarray
+    symmetric: bool
 
     def materialize(self, theta: np.ndarray) -> np.ndarray:
         """The matrix at theta (t,), or one matrix per row of a stack (B, t)."""
@@ -413,15 +400,16 @@ def build_matrices(
     variables = list(variable_order) + eta + xi
     pos = {name: i for i, name in enumerate(variables)}
     size = len(variables)
-    A_values, A_index = np.zeros((size, size)), np.full((size, size), -1)
-    S_values, S_index = np.zeros((size, size)), np.full((size, size), -1)
+    A_values, S_values = np.zeros((size, size)), np.zeros((size, size))
+    A_cells: list[tuple[int, int]] = []  # free cells, in theta order
+    S_cells: list[tuple[int, int]] = []  # at row >= col
     parameters: list[Parameter] = []
 
     def arrow(to: str, frm: str, fixed: float | None, param: Parameter) -> None:
         if fixed is not None:
             A_values[pos[to], pos[frm]] = fixed
         else:
-            A_index[pos[to], pos[frm]] = len(parameters)
+            A_cells.append((pos[to], pos[frm]))
             parameters.append(param)
 
     def two_headed(a: str, b: str, fixed: float | None, kind: str) -> None:
@@ -429,7 +417,7 @@ def build_matrices(
         if fixed is not None:
             S_values[i, j] = S_values[j, i] = fixed
         else:
-            S_index[i, j] = S_index[j, i] = len(parameters)
+            S_cells.append((max(i, j), min(i, j)))
             parameters.append(Parameter(f"{a}~~{b}", kind, a, b))
 
     fixed_loadings = dict(spec.fixed_loadings)
@@ -471,12 +459,19 @@ def build_matrices(
         two_headed(a, b, fixed, kind)
 
     return ParamMatrices(
-        A=MatrixTemplate(A_values, A_index),
-        S=MatrixTemplate(S_values, S_index),
+        A=_template(A_values, A_cells, 0, symmetric=False),
+        S=_template(S_values, S_cells, len(A_cells), symmetric=True),
         parameters=parameters,
         variable_order=list(variable_order),
         spec=spec,
     )
+
+
+def _template(values: np.ndarray, cells: list[tuple[int, int]], first: int,
+              symmetric: bool) -> MatrixTemplate:
+    """The template of free ``cells`` whose parameters sit in theta from ``first`` on."""
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return MatrixTemplate(values, rows, cols, np.arange(first, first + len(cells)), symmetric)
 
 
 class DegreesOfFreedom(NamedTuple):

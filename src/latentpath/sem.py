@@ -486,11 +486,14 @@ def standardize(m: ParamMatrices, theta: np.ndarray) -> dict[str, float]:
 
     out: dict[str, float] = {}
     # an arrow scales by sd(tail) / sd(head), whether loading or path
-    for i, j in zip(*np.nonzero((m.A.index >= 0) | (A != 0.0))):
+    arrows = A != 0.0
+    arrows[m.A.rows, m.A.cols] = True
+    for i, j in zip(*np.nonzero(arrows)):
         label = f"{names[j]}=~{names[i]}" if i < p else f"{names[i]}~{names[j]}"
         out[label] = A[i, j] * sd[j] / sd[i]
     # every variance, and each free or nonzero covariance, as a correlation
-    keep = (m.S.index >= 0) | (S != 0.0) | np.eye(len(names), dtype=bool)
+    keep = (S != 0.0) | np.eye(len(names), dtype=bool)
+    keep[m.S.rows, m.S.cols] = True  # S's free cells are at row >= col
     for i, j in zip(*np.nonzero(np.tril(keep))):
         a, b = sorted((names[i], names[j]))
         out[f"{a}~~{b}"] = S[i, j] / (sd[i] * sd[j])

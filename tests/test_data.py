@@ -418,6 +418,15 @@ class TestCovariance:
         assert mom.n == 3
         assert mom.S.tobytes() == lp.covariance(lp.Dataset(["a", "b"], X[[0, 2, 3]])).S.tobytes()
 
+    def test_infinite_cell_of_a_dataset_built_directly_is_missing(self):
+        X = np.random.default_rng(4).standard_normal((5, 3))
+        X[1, 2], X[3, 0] = np.inf, -np.inf
+        ds = lp.Dataset(v_names(3), X)
+        np.testing.assert_array_equal(ds.missing, ~np.isfinite(X))
+        mom = lp.covariance(ds)
+        assert mom.n == 3
+        assert mom.S.tobytes() == lp.covariance(lp.Dataset(v_names(3), X[[0, 2, 4]])).S.tobytes()
+
     def test_insufficient_rows(self):
         X = np.array([[1.0, 2.0], [np.nan, 3.0]])
         with pytest.raises(DataError, match="at least 2 complete rows"):

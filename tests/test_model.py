@@ -9,6 +9,19 @@ from latentpath.errors import ModelSpecificationError, ModelSyntaxError
 from conftest import model_text
 
 
+def free_mask(template) -> np.ndarray:
+    """Where a compiled template's free cells lie, both halves of S's."""
+    mask = np.zeros(template.values.shape, dtype=bool)
+    mask[template.rows, template.cols] = True
+    return mask | mask.T if template.symmetric else mask
+
+
+def free_cell(template, slot: int) -> tuple[int, int]:
+    """The (row, col) of the free cell that holds theta[slot]."""
+    (c,) = np.flatnonzero(template.slots == slot)
+    return int(template.rows[c]), int(template.cols[c])
+
+
 def count_free_by_enumeration(spec: lp.ModelSpec, standardize_latents=False) -> int:
     """Independent free-parameter count straight from the statement lists.
 
@@ -233,10 +246,10 @@ class TestProperties:
         assert ma.parameters == mb.parameters
         assert ma.variables == mb.variables
         for key in ("A", "S"):
-            np.testing.assert_array_equal(getattr(ma, key).values,
-                                          getattr(mb, key).values)
-            np.testing.assert_array_equal(getattr(ma, key).index,
-                                          getattr(mb, key).index)
+            ta, tb = getattr(ma, key), getattr(mb, key)
+            assert ta.symmetric == tb.symmetric
+            for field in ("values", "rows", "cols", "slots"):
+                np.testing.assert_array_equal(getattr(ta, field), getattr(tb, field))
 
     @given(random_specs())
     @settings(max_examples=40, deadline=None)
@@ -244,7 +257,7 @@ class TestProperties:
         spec = lp.parse_model(text)
         m = lp.build_matrices(spec, spec.indicator_names)
         loadings = slice(0, m.n_observed)  # rows of A that hold loadings
-        fixed = (m.A.values[loadings] == 1.0) & (m.A.index[loadings] < 0)
+        fixed = (m.A.values[loadings] == 1.0) & ~free_mask(m.A)[loadings]
         assert int(fixed.sum()) == len(spec.latents)
         # one per latent, on its first listed indicator
         rows, cols = np.nonzero(fixed)
@@ -273,8 +286,8 @@ class TestBuildMatrices:
         spec = lp.parse_model("F =~ f1 + f2 + f3")
         m = lp.build_matrices(spec, ["f1", "f2", "f3"])
         assert m.variables == ["f1", "f2", "f3", "F"]
-        assert m.A.values[0, 3] == 1.0 and m.A.index[0, 3] == -1
-        assert (m.A.index[1:3, 3] >= 0).all()
+        assert m.A.values[0, 3] == 1.0 and not free_mask(m.A)[0, 3]
+        assert free_mask(m.A)[1:3, 3].all()
         assert m.n_free == 6  # 2 loadings + 3 errors + 1 variance
 
     def test_survey_model_counts(self, survey_spec):
@@ -291,10 +304,10 @@ class TestBuildMatrices:
         assert m.n_free == 52
         # markers freed, variances fixed at one
         p = m.n_observed
-        assert (m.A.index[:p] >= 0).sum() == p
+        assert free_mask(m.A)[:p].sum() == p
         latent_diag = np.diag(m.S.values)[p:]
         assert np.allclose(latent_diag, 1.0)
-        assert (np.diag(m.S.index)[p:] == -1).all()
+        assert not np.diag(free_mask(m.S))[p:].any()
 
     def test_theta_index_is_bijection(self, survey_spec):
         m = lp.build_matrices(survey_spec, survey_spec.indicator_names)
@@ -324,4 +337,4 @@ class TestBuildMatrices:
         m = lp.build_matrices(spec, spec.indicator_names)
         assert "a1~~a2" in m.labels
         i, j = m.variables.index("a1"), m.variables.index("a2")
-        assert m.S.index[i, j] == m.S.index[j, i] == m.labels.index("a1~~a2")
+        assert free_cell(m.S, m.labels.index("a1~~a2")) == (j, i)

@@ -11,7 +11,7 @@ from latentpath.model import VARIANCE_KINDS
 from latentpath.sem import _Objective
 
 from conftest import evaluate, log_likelihood, one_factor_spec
-from test_model import count_free_by_enumeration, random_specs_with_covariance
+from test_model import count_free_by_enumeration, free_cell, random_specs_with_covariance
 
 
 def numerical_hessian(obj, theta):
@@ -224,7 +224,7 @@ class TestCrossCovariances:
         spec, m, theta, label = planted_cross_covariance(name)
         a, b = label.split("~~")
         i, j = m.variables.index(a), m.variables.index(b)
-        assert m.S.index[i, j] == m.S.index[j, i] == m.labels.index(label)
+        assert free_cell(m.S, m.labels.index(label)) == (max(i, j), min(i, j))
         S = lp.implied_covariance(m, theta)
         obj = _Objective(m, S + 0.05 * np.eye(S.shape[0]))
         rng = np.random.default_rng(8)
@@ -345,6 +345,15 @@ class TestKernelOracle:
             np.testing.assert_array_equal(pt.f[b:b + 1], pt_b.f)
             np.testing.assert_array_equal(g[b:b + 1], one.gradients(pt_b))
             np.testing.assert_array_equal(info[b:b + 1], one.informations(pt_b))
+
+        # Sigma follows variable_order: the same theta, matched by label,
+        # over shuffled indicators gives Sigma permuted
+        perm = rng.permutation(m.n_observed)
+        order = [m.variable_order[k] for k in perm]
+        shuffled = lp.build_matrices(spec, order, standardize_latents=std_lv)
+        at = [m.labels.index(label) for label in shuffled.labels]
+        np.testing.assert_allclose(lp.implied_covariance(shuffled, theta[at]),
+                                   sigma[np.ix_(perm, perm)], rtol=1e-12)
 
 
 class TestFit:
