@@ -46,9 +46,7 @@ data = lp.simulate(m_std, theta, n=519, seed=42)
 print(f"\nsimulated dataset: n={data.n}, p={data.p}")
 
 out = Path(__file__).with_name("demo_data.csv")
-from latentpath.data import save_table
-
-save_table(data, out)
+lp.save_table(data, out)
 print("wrote", out)
 
 # The implied covariance at the planted values is what the sample

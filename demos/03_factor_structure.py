@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 import latentpath as lp
-from latentpath.report import Report, render_report
 
 ASSETS = Path(lp.__file__).parent / "assets"
 spec = lp.parse_model((ASSETS / "wuliangye.model").read_text())
@@ -33,14 +32,10 @@ print("\ncommunalities preserved by rotation:",
       bool(np.allclose(rotated.communalities, loadings.communalities)))
 
 table = lp.rotated_component_table(rotated, suppress_below=0.4)
-report = Report()
-report.add("efa", "efa", {
-    "items": table.names, "cells": table.cells, "dominant": table.dominant,
-    "threshold": table.threshold, "rotation": "varimax",
-    "eigenvalues": rotated.eigenvalues,
-    "eigenvalues_retained": rotated.eigenvalues[:rotated.n_factors],
-    "communalities": rotated.communalities,
-    "n_factors": rotated.n_factors,
-})
-print()
-print(render_report(report, "text"))
+print(f"\nrotated component matrix (|loading| < {table.threshold:g} blank), "
+      "items grouped by their dominant factor:")
+print("item  " + "".join(f"{f'F{j + 1}':>8}" for j in range(rotated.n_factors)))
+for item, cells in zip(table.names, table.cells):
+    print((f"{item:<6}" + "".join(f"{c:8.3f}" if c is not None else " " * 8
+                                  for c in cells)).rstrip())
+print("dominant factor per row:", [j + 1 for j in table.dominant])

@@ -10,7 +10,6 @@ import json
 from pathlib import Path
 
 import latentpath as lp
-from latentpath.report import Report, render_report
 
 ASSETS = Path(lp.__file__).parent / "assets"
 spec = lp.parse_model((ASSETS / "wuliangye.model").read_text())
@@ -24,20 +23,18 @@ print(f"converged: {result.converged} after {result.iterations} iterations")
 print(f"F_min = {result.f_min:.6f}, chisq = {result.chisq:.2f}, df = {result.df}")
 print(f"monotone descent: {all(b <= a for a, b in zip(result.f_history, result.f_history[1:]))}")
 
-report = Report()
-report.add("regression_weights", "regression_weights",
-           {"paths": result.parameter_table(kind="path")})
-report.add("fit_indices", "fit_indices", {
-    "values": lp.from_fit(result).values(),
-    "passed": lp.from_fit(result).passed,
-})
-print()
-print(render_report(report, "text"))
-
-print("standardized structural paths:")
+print("\nregression weights (raw, standard error, critical ratio, p, standardized):")
 for row in result.parameter_table(kind="path"):
-    print(f"  {row['label']:<16} raw={row['estimate']: .3f}  "
-          f"std={row['standardized']: .3f}")
+    print(f"  {row['label']:<16} {row['estimate']: .3f} {row['se']:6.3f} "
+          f"{row['crit_ratio']:7.2f} {row['p']:9.2e} {row['standardized']: .3f}  "
+          f"{row['hypothesis'] or ''}".rstrip())
+
+indices = lp.from_fit(result)
+print("\nfit indices (meets its standard?):")
+values = indices.values()
+for key, passed in indices.passed.items():
+    value = "undefined" if values[key] is None else f"{values[key]:.3f}"
+    print(f"  {key:<9} {value:>9}  {passed}")
 
 # The hypothesis verdicts follow the labeled paths in the model file.
 for v in lp.classify_hypotheses(result):

@@ -12,7 +12,6 @@ import json
 from pathlib import Path
 
 import latentpath as lp
-from latentpath.report import Report, render_report
 
 ASSETS = Path(lp.__file__).parent / "assets"
 spec = lp.parse_model((ASSETS / "wuliangye.model").read_text())
@@ -34,20 +33,14 @@ triples = [("ConsEth", "PerVa", "PB"), ("EnvSt", "PerVa", "PB"),
            ("PBC", "PerVa", "PB")]
 decs = lp.bootstrap_ci(data, spec, triples, replicates=400, level=0.95, seed=2024)
 
-report = Report()
-report.add("mediation", "mediation", {
-    "effects": [
-        {**{k: getattr(d, k) for k in (
-            "source", "target", "mediator", "total", "direct", "indirect",
-            "total_indirect", "total_bounds", "direct_bounds", "indirect_bounds",
-            "level", "method", "n_replicates", "n_dropped")},
-         "verdict": d.mediation_verdict()}
-        for d in decs
-    ],
-    "additivity_tolerance": 0.002,
-})
 print()
-print(render_report(report, "text"))
+for d in decs:
+    print(f"{d.source} -> {d.mediator} -> {d.target} ({d.method}, level={d.level:g}, "
+          f"{d.n_replicates} replicates kept, {d.n_dropped} dropped)")
+    for comp in ("total", "direct", "indirect"):
+        lo, hi = getattr(d, f"{comp}_bounds")
+        print(f"  {comp:<8} {getattr(d, comp): .3f}  [{lo: .3f}, {hi: .3f}]")
+    print(f"  mediation: {d.mediation_verdict()}")
 
 # The same intervals are reproducible; replicate r always draws from a
 # generator seeded seed + r. ``workers`` is still accepted but has no

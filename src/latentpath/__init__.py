@@ -32,7 +32,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnderIdentifiedError,
 )
-from .fit_indices import FitIndexReport, baseline, from_fit, indices
+from .fit_indices import FitIndices, baseline, from_fit, indices
 from .model import (
     DegreesOfFreedom,
     ModelSpec,
@@ -72,7 +72,7 @@ __all__ = [
     "LatentPathError", "ModelSyntaxError", "ModelSpecificationError",
     "DataError", "NotPositiveDefiniteError", "UnderIdentifiedError",
     "EstimationError",
-    "FitIndexReport", "baseline", "from_fit", "indices",
+    "FitIndices", "baseline", "from_fit", "indices",
     "ModelSpec", "ParamMatrices", "DegreesOfFreedom", "parse_model",
     "build_matrices", "count_df",
     "cronbach_alpha", "composite_reliability", "average_variance_extracted",

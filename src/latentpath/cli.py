@@ -11,7 +11,6 @@ header with input hashes, the seed, and the options in effect; the
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -47,7 +46,7 @@ from .reliability import (
     fornell_larcker,
     kmo,
 )
-from .report import Report, file_sha256, provenance, render_report
+from .report import file_sha256, provenance, render_report
 from .sem import (
     EstimationOptions,
     FitResult,
@@ -153,10 +152,19 @@ def _read_model(path: str) -> ModelSpec:
 Sections = dict[str, tuple[str, dict]]
 
 
+def _moments(dataset: Dataset, divisor: str) -> SampleMoments:
+    """The sample moments of the analysed columns, none of which may be constant:
+    a column without variance has no correlations, and no fit reproduces it."""
+    moments = covariance(dataset, divisor=divisor)
+    if moments.zero_variance:
+        raise DataError(f"no variance in column(s): {', '.join(moments.zero_variance)}")
+    return moments
+
+
 class _Inputs:
-    """What a data-reading subcommand reads, read once: the model and the
+    """What a model or EFA subcommand reads, read once: the model and the
     estimation options where it takes them, the data, and the data's sample
-    moments, computed on first use (reliability and the bootstrap use none).
+    moments, taken up front so that a constant column stops every command.
 
     Given a model, the data are its indicators alone, in the file's order, so
     that a column it does not use (a text column, a missing cell) drops no row.
@@ -170,15 +178,11 @@ class _Inputs:
         self.opts = EstimationOptions(
             max_iter=args.max_iter, gtol=args.gtol, chisq_multiplier=args.chisq_n,
         ) if "max_iter" in args else None
-        self._divisor = args.divisor
-
-    @functools.cached_property
-    def moments(self) -> SampleMoments:
-        return covariance(self.dataset, divisor=self._divisor)
+        self.moments = _moments(self.dataset, args.divisor)
 
 
-def _write(report: Report, args) -> None:
-    rendered = render_report(report, args.format)
+def _write(args, prov: dict, sections: Sections) -> None:
+    rendered = render_report(prov, sections, args.format, args.stars)
     if args.output:
         Path(args.output).write_text(rendered, encoding="utf-8")
     else:
@@ -197,18 +201,15 @@ def _emit(args, options, sections: Sections, converged: bool = True) -> int:
             # bootstrap_ci resamples with n-1 whatever --divisor says; the
             # effects among latents do not change when S is rescaled
             prov["bootstrap"]["covariance_divisor"] = "n-1"
-    report = Report(prov, args.stars)
-    for name, (kind, payload) in sections.items():
-        report.add(kind, name, payload)
-    _write(report, args)
+    _write(args, prov, sections)
     return 0 if converged else 1
 
 
-def _dataset_payload(dataset: Dataset, zero_variance: list[str]) -> dict:
+def _dataset_payload(dataset: Dataset) -> dict:
     return {
         "n": dataset.n, "p": dataset.p,
         "n_complete": int((~dataset.missing.any(axis=1)).sum()),
-        "zero_variance": zero_variance,
+        "zero_variance": [],  # a constant column is a DataError before any section
     }
 
 
@@ -234,8 +235,8 @@ def _fit_payload(result: FitResult) -> dict:
     }
 
 
-def _indices_payload(report: fit_indices.FitIndexReport) -> dict:
-    return {"values": report.values(), "passed": report.passed}
+def _indices_payload(indices: fit_indices.FitIndices) -> dict:
+    return {"values": indices.values(), "passed": indices.passed}
 
 
 def _regression_payload(result: FitResult) -> dict:
@@ -293,7 +294,7 @@ def _psychometric_sections(dataset: Dataset, constructs: list[tuple[str, list[st
     reliability, adequacy = [], []
     for name, items in constructs:
         sub = dataset.subset(items)
-        moments = covariance(sub, divisor=divisor)
+        moments = _moments(sub, divisor)
         chi2, df, p = bartlett(moments.R, moments.n)
         reliability.append({"name": name, "items": items,
                             "alpha": cronbach_alpha(sub.complete_rows())})
@@ -456,7 +457,7 @@ def _cmd_efa(args) -> int:
 
 
 def _cmd_reliability(args) -> int:
-    dataset = _Inputs(args).dataset
+    dataset = load_table(args.data, delimiter=args.delimiter)
     constructs = [_parse_construct(c) for c in args.construct]
     return _emit(args, {"constructs": args.construct},
                  _reliability_sections(dataset, constructs, args.divisor))
@@ -480,9 +481,7 @@ def _cmd_simulate(args) -> int:
     prov = provenance(args.model, seed=seed)
     prov.update(params=str(args.params), params_sha256=file_sha256(args.params),
                 rows=args.n, written=str(args.out))
-    report = Report(prov, args.stars)
-    report.add("dataset", "dataset", _dataset_payload(dataset, []))
-    _write(report, args)
+    _write(args, prov, {"dataset": ("dataset", _dataset_payload(dataset))})
     return 0
 
 
@@ -503,7 +502,7 @@ def _cmd_report(args) -> int:
     for triple in triples:  # checked as mediate checks them, with or without replicates
         _validate_mediator(spec, *triple)
     built = {
-        "dataset": ("dataset", _dataset_payload(dataset, inputs.moments.zero_variance)),
+        "dataset": ("dataset", _dataset_payload(dataset)),
         **_psychometric_sections(dataset, _constructs(spec), args.divisor),
         **_efa_sections(covariance(dataset.subset(spec.indicator_names), divisor=args.divisor),
                         **_REPORT_EFA),

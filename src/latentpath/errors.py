@@ -22,7 +22,8 @@ class ModelSpecificationError(LatentPathError):
 
     Duplicate indicators or latents, undeclared names, duplicate paths or
     covariances, cyclic regression graphs, a variable order that does not
-    match the model's indicators, a mediator on no route of its effect.
+    match the model's indicators, a mediator on no route of its effect,
+    one hypothesis label on two paths.
     """
 
 

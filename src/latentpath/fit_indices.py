@@ -64,7 +64,7 @@ def baseline(S: np.ndarray, n: int, multiplier: str = "n-1") -> tuple[float, int
 
 
 @dataclass
-class FitIndexReport:
+class FitIndices:
     """All indices, and a pass flag per thresholded one; None marks an
     undefined index."""
 
@@ -110,7 +110,7 @@ def indices(
     n: int,
     S: np.ndarray,
     sigma_hat: np.ndarray,
-) -> FitIndexReport:
+) -> FitIndices:
     """Compute the full index suite for p = S's size; guarded divisions become None."""
     S = np.asarray(S, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
@@ -146,7 +146,7 @@ def indices(
     pcfi = (df / df_null) * cfi if df_null > 0 else None
     pgfi = (df / (p * (p + 1) / 2.0)) * gfi
 
-    return FitIndexReport(
+    return FitIndices(
         chisq=float(chisq), df=int(df), p=p_value,
         chisq_df=chisq_df, rmsea=rmsea, gfi=gfi, agfi=agfi,
         nfi=nfi, tli=tli, cfi=float(cfi), pnfi=pnfi, pcfi=pcfi,
@@ -154,7 +154,7 @@ def indices(
     )
 
 
-def from_fit(result) -> FitIndexReport:
+def from_fit(result) -> FitIndices:
     """Index report for a FitResult, with its own independence baseline."""
     chisq_null, df_null = baseline(result.S, result.n, result.options.chisq_multiplier)
     return indices(

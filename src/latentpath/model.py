@@ -145,7 +145,8 @@ def parse_model(text: str) -> ModelSpec:
         Malformed statement, with line and column.
     ModelSpecificationError
         Duplicate indicator or latent, undeclared latent, cyclic
-        regression graph, name used as both latent and indicator.
+        regression graph, name used as both latent and indicator, one
+        hypothesis label on two paths.
     """
     latents: dict[str, tuple[str, ...]] = {}
     regressions: list[Regression] = []
@@ -219,7 +220,7 @@ def parse_model(text: str) -> ModelSpec:
             f"name(s) used as both latent and indicator: {sorted(overlap)}"
         )
 
-    seen_pairs = set()
+    seen_pairs, labeled = set(), {}
     for reg in regressions:
         for name in (reg.dependent, reg.predictor):
             if name not in latents:
@@ -228,6 +229,13 @@ def parse_model(text: str) -> ModelSpec:
         if pair in seen_pairs:
             raise ModelSpecificationError(f"duplicate path {reg.dependent} ~ {reg.predictor}")
         seen_pairs.add(pair)
+        if reg.label is not None:
+            if reg.label in labeled:
+                raise ModelSpecificationError(
+                    f"label {reg.label!r} is on both {' ~ '.join(labeled[reg.label])} "
+                    f"and {reg.dependent} ~ {reg.predictor}"
+                )
+            labeled[reg.label] = pair
 
     seen_covs = set()
     for cov in covariances:

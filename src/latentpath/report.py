@@ -116,48 +116,24 @@ def provenance(model_path=None, data_path=None, seed=None, options=None) -> dict
     return prov
 
 
-class Report:
-    """Ordered named sections, rendered to JSON or text from one payload."""
-
-    def __init__(self, prov: dict | None = None, star_convention: str = "survey"):
-        self.prov = prov or {}
-        self.star_convention = star_convention
-        self.sections: list[tuple[str, str, dict]] = []  # (kind, name, payload)
-
-    def add(self, kind: str, name: str, payload: dict) -> None:
-        """Append a section; ``kind`` is a key of ``_TEXT_RENDERERS``."""
-        self.sections.append((kind, name, payload))
-
-    def to_json(self) -> str:
+def render_report(prov: dict, sections: dict[str, tuple[str, dict]], fmt: str,
+                  star_convention: str) -> str:
+    """A provenance header and the named sections, each a (kind, payload)
+    in report order, as ``"json"`` or ``"text"``; a section's kind picks
+    its text renderer."""
+    if fmt == "json":
         doc = {
             "schema": SCHEMA_VERSION,
-            "provenance": to_jsonable(self.prov),
-            "sections": {
-                name: {"kind": kind, **to_jsonable(payload)}
-                for kind, name, payload in self.sections
-            },
+            "provenance": to_jsonable(prov),
+            "sections": {name: {"kind": kind, **to_jsonable(payload)}
+                         for name, (kind, payload) in sections.items()},
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    def to_text(self) -> str:
-        chunks = []
-        if self.prov:
-            lines = ["# latentpath report"]
-            for key in sorted(self.prov):
-                lines.append(f"# {key}: {json.dumps(to_jsonable(self.prov[key]), sort_keys=True)}")
-            chunks.append("\n".join(lines) + "\n")
-        for kind, name, payload in self.sections:
-            chunks.append(_TEXT_RENDERERS[kind](name, payload, self.star_convention))
-        return "\n".join(chunks)
-
-
-def render_report(report: Report, fmt: str = "text") -> str:
-    """Render a report to ``"text"`` or ``"json"``."""
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "text":
-        return report.to_text()
-    raise ValueError(f"unknown format {fmt!r}")
+    header = ["# latentpath report"] + [
+        f"# {key}: {json.dumps(to_jsonable(prov[key]), sort_keys=True)}" for key in sorted(prov)]
+    return "\n".join(["\n".join(header) + "\n"] + [
+        _TEXT_RENDERERS[kind](name, payload, star_convention)
+        for name, (kind, payload) in sections.items()])
 
 
 # --- section text renderers -------------------------------------------------
@@ -196,7 +172,7 @@ def _convergent_text(name, payload, star_convention):
             rows.append([
                 f"{item} <- {block['name']}",
                 _fmt(loading),
-                stars(p, star_convention) if p is not None else "",
+                stars(p, star_convention),
                 _fmt(block["cr"], 4) if i == 0 else "",
                 _fmt(block["ave"], 4) if i == 0 else "",
             ])
@@ -244,8 +220,8 @@ def _fit_indices_text(name, payload, _stars):
     rows = []
     for key, label in _INDEX_DISPLAY:
         op, bound = THRESHOLDS[key]
-        value = payload["values"].get(key)
-        passed = payload["passed"].get(key)
+        value = payload["values"][key]
+        passed = payload["passed"][key]
         rows.append([
             label, _fmt(value), f"{op} {bound:g}",
             "" if passed is None else ("Yes" if passed else "No"),
@@ -270,7 +246,7 @@ def _regression_text(name, payload, star_convention):
             _fmt(row["se"]),
             _fmt(row["crit_ratio"]),
             p_text,
-            row.get("hypothesis") or "",
+            row["hypothesis"] or "",
         ])
     return render_table(["Path", "Estimate", "S.E.", "C.R.", "P", "Label"],
                         rows, title="Regression weights")
@@ -281,7 +257,7 @@ def _hypotheses_text(name, payload, _stars):
     for v in payload["verdicts"]:
         rows.append([
             v["label"], v["path"], _fmt(v["estimate"]),
-            _fmt(v["p"]) if v.get("p") is not None else "",
+            _fmt(v["p"]),
             v["verdict"],
         ])
     return render_table(["No.", "Path", "Estimate", "P", "Verdict"], rows,
@@ -291,29 +267,19 @@ def _hypotheses_text(name, payload, _stars):
 def _mediation_text(name, payload, _stars):
     chunks = []
     for dec in payload["effects"]:
-        route = f"{dec['source']} -> {dec['target']}"
-        if dec.get("mediator"):
-            route = f"{dec['source']} -> {dec['mediator']} -> {dec['target']}"
-        rows = []
-        for comp in ("total", "direct", "indirect"):
-            bounds = dec.get(f"{comp}_bounds")
-            lo, hi = (bounds if bounds else (None, None))
-            rows.append([comp.capitalize() + " effect", _fmt(dec[comp]),
-                         _fmt(lo), _fmt(hi)])
+        rows = [[comp.capitalize() + " effect", _fmt(dec[comp]), *map(_fmt, dec[f"{comp}_bounds"])]
+                for comp in ("total", "direct", "indirect")]
         title = (
-            f"Effects: {route} ({dec['method']}, level={dec['level']:g}, "
+            f"Effects: {dec['source']} -> {dec['mediator']} -> {dec['target']} "
+            f"({dec['method']}, level={dec['level']:g}, "
             f"replicates={dec['n_replicates']}, dropped={dec['n_dropped']})"
         )
         table = render_table(["Component", "Estimate", "Lower bound", "Upper bound"],
                              rows, title=title)
-        # a payload without total_indirect (e.g. published single-mediator
-        # figures) has no indirect route besides the one reported
-        gap = dec["total"] - dec["direct"] - dec.get("total_indirect", dec["indirect"])
-        check = "ok" if abs(gap) <= payload.get("additivity_tolerance", 0.002) else "VIOLATED"
-        chunks.append(
-            table + f"additivity |total-direct-total_indirect| = {abs(gap):.2e} [{check}]\n")
-        if dec.get("verdict"):
-            chunks[-1] += f"verdict: {dec['verdict']}\n"
+        gap = dec["total"] - dec["direct"] - dec["total_indirect"]
+        check = "ok" if abs(gap) <= payload["additivity_tolerance"] else "VIOLATED"
+        chunks.append(table + f"additivity |total-direct-total_indirect| = {abs(gap):.2e} "
+                      f"[{check}]\nverdict: {dec['verdict']}\n")
     return "\n".join(chunks)
 
 
@@ -340,7 +306,7 @@ def _fit_text(name, payload, _stars):
         f"F_min={payload['f_min']:.6f}  chisq={payload['chisq']:.3f}  "
         f"df={payload['df']}  p={payload['chisq_p']:.3f}",
     ]
-    if payload.get("heywood"):
+    if payload["heywood"]:
         lines.append(
             "WARNING negative variance estimate (Heywood case): "
             + ", ".join(payload["heywood"])
@@ -349,13 +315,8 @@ def _fit_text(name, payload, _stars):
 
 
 def _dataset_text(name, payload, _stars):
-    lines = [
-        f"Dataset: n={payload['n']} rows, p={payload['p']} variables",
-        f"complete rows after listwise deletion: {payload['n_complete']}",
-    ]
-    if payload.get("zero_variance"):
-        lines.append(f"zero-variance columns: {', '.join(payload['zero_variance'])}")
-    return "\n".join(lines) + "\n"
+    return (f"Dataset: n={payload['n']} rows, p={payload['p']} variables\n"
+            f"complete rows after listwise deletion: {payload['n_complete']}\n")
 
 
 _TEXT_RENDERERS = {

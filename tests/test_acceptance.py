@@ -14,7 +14,6 @@ import pytest
 
 import latentpath as lp
 from latentpath import effects
-from latentpath.report import Report, render_report
 from latentpath.sem import _Objective
 
 from conftest import evaluate, log_likelihood, sobel_variance
@@ -79,23 +78,10 @@ PUBLISHED_TRIPLES = {
 
 def test_04_mediation_additivity():
     worst = 0.0
-    payload = {"effects": [], "additivity_tolerance": 0.002}
     for route, (tot, dire, ind) in PUBLISHED_TRIPLES.items():
         gap = abs(tot - dire - ind)
         assert gap <= 0.002, route
         worst = max(worst, gap)
-        src, med, dst = route.split("->")
-        payload["effects"].append({
-            "source": src, "target": dst, "mediator": med,
-            "total": tot, "direct": dire, "indirect": ind,
-            "total_bounds": None, "direct_bounds": None,
-            "indirect_bounds": None, "level": 0.95,
-            "method": "published", "n_replicates": 0, "n_dropped": 0,
-        })
-    report = Report()
-    report.add("mediation", "mediation", payload)
-    text = render_report(report, "text")
-    assert text.count("[ok]") == 3 and "VIOLATED" not in text
 
     # the decomposition itself is additive to machine precision
     rng = np.random.default_rng(40)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 import latentpath as lp
 from latentpath import cli
+from latentpath import report as report_mod
 from latentpath.cli import dispatch
-from latentpath.report import stars
 
 ASSETS = Path(lp.__file__).parent / "assets"
 MODEL = str(ASSETS / "wuliangye.model")
@@ -394,6 +395,56 @@ class TestModelColumns:
                 "estimation error: data lacks model indicators: ['CE1']\n"
 
 
+class TestConstantColumn:
+    """A column without variance stops every command that analyses it with a
+    usage error naming it, before numpy can warn about it."""
+
+    @pytest.fixture(scope="class")
+    def constant_pb5(self, sim_csv, tmp_path_factory):
+        rows = [row.split(",") for row in Path(sim_csv).read_text().splitlines()]
+        k = rows[0].index("PB5")
+        for row in rows[1:]:
+            row[k] = "3.0"
+        path = tmp_path_factory.mktemp("constant") / "pb5.csv"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", MODEL],
+        ["cfa", "--model", MODEL],
+        ["efa"],
+        ["reliability", "--construct", "PB=PB1,PB2,PB3,PB4,PB5"],
+        ["mediate", "--model", MODEL, "--effect", "EnvSt:PerVa:PB", "--boot", "100"],
+        ["report", "--model", MODEL, "--boot", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_names_the_column_and_exits_2(self, constant_pb5, argv, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = dispatch([*argv, "--data", constant_pb5, "--output", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == "error: no variance in column(s): PB5\n"
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+
+class TestHeywood:
+    def test_fit_text_names_the_negative_variance(self, tmp_path):
+        # test_sem's Heywood triad: s12 * s13 / s23 = 1.28 > s11, so the ML
+        # solution needs a negative error variance on a. The rows are whitened
+        # and recoloured so that their sample covariance is S to rounding.
+        S = np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.5], [0.8, 0.5, 1.0]])
+        z = np.random.default_rng(0).standard_normal((200, 3))
+        z = (z - z.mean(axis=0)) @ np.linalg.inv(np.linalg.cholesky(np.cov(z.T))).T
+        data, model, out = tmp_path / "triad.csv", tmp_path / "triad.model", tmp_path / "fit.txt"
+        lp.save_table(lp.Dataset(["a", "b", "c"], z @ np.linalg.cholesky(S).T), data)
+        model.write_text("F =~ 1*a + b + c\n")
+        status = dispatch(["fit", "--model", str(model), "--data", str(data),
+                           "--output", str(out)])
+        assert status == 0
+        assert "WARNING negative variance estimate (Heywood case): a~~a\n" in out.read_text()
+
+
 class TestReportSections:
     def run_json(self, sim_csv, out):
         assert dispatch(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0",
@@ -496,12 +547,12 @@ class TestModuleEntry:
 
 class TestStars:
     def test_survey_convention(self):
-        assert stars(0.0005) == "***"
-        assert stars(0.07) == "*"
-        assert stars(0.5) == ""
-        assert stars(0.03) == "**"
+        assert report_mod.stars(0.0005) == "***"
+        assert report_mod.stars(0.07) == "*"
+        assert report_mod.stars(0.5) == ""
+        assert report_mod.stars(0.03) == "**"
 
     def test_conventional(self):
-        assert stars(0.03, "conventional") == "*"
-        assert stars(0.007, "conventional") == "**"
-        assert stars(0.0005, "conventional") == "***"
+        assert report_mod.stars(0.03, "conventional") == "*"
+        assert report_mod.stars(0.007, "conventional") == "**"
+        assert report_mod.stars(0.0005, "conventional") == "***"

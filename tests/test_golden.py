@@ -8,8 +8,8 @@ in the provenance headers are kept, so the data rows pin the bytes of the
 simulated CSV and the model file.
 
 Each command runs once, in-process, through ``cli.dispatch`` with
-``--format json``; its text output is the same report rendered as text,
-which is what ``--format text`` writes. This halves the run time of the
+``--format json``; its text output is the same provenance and sections
+rendered as text, which is what ``--format text`` writes. This halves the run time of the
 bootstrap commands.
 
 Float policy (fixed before the goldens were first compared):
@@ -112,9 +112,9 @@ def run_commands(tmp: Path) -> dict[str, dict]:
 
     runs, reports, render = {}, [], cli.render_report
 
-    def capture(report, fmt):
-        reports.append(report)
-        return render(report, fmt)
+    def capture(prov, sections, fmt, star_convention):
+        reports.append((prov, sections, star_convention))
+        return render(prov, sections, fmt, star_convention)
 
     cli.render_report = capture
     try:
@@ -125,7 +125,11 @@ def run_commands(tmp: Path) -> dict[str, dict]:
                 status = cli.dispatch([arg.format(tmp=tmp, assets=ASSETS) for arg in template]
                                       + ["--format", "json"])
             assert len(reports) <= 1, name
-            text = render(reports[0], "text") if reports else ""
+            if reports:
+                prov, sections, star_convention = reports[0]
+                text = render(prov, sections, "text", star_convention)
+            else:
+                text = ""
             runs[name] = {"argv": template, "status": status,
                           "stderr": normalize(err.getvalue()),
                           "text": normalize(text), "json": normalize(out.getvalue())}

@@ -114,6 +114,13 @@ class TestParsing:
         with pytest.raises(ModelSpecificationError, match="appears under both"):
             lp.parse_model("A =~ x1 + x2\nB =~ x1 + x3")
 
+    def test_label_on_two_paths_rejected(self):
+        # a label names one hypothesis; at two paths, one of them lost it
+        with pytest.raises(ModelSpecificationError,
+                           match=r"^label 'H1' is on both M ~ X and Y ~ M$"):
+            lp.parse_model("X =~ x1 + x2 + x3\nM =~ m1 + m2 + m3\nY =~ y1 + y2 + y3\n"
+                           "M ~ H1*X\nY ~ H1*M + X")
+
     def test_undeclared_latent_rejected(self):
         with pytest.raises(ModelSpecificationError, match="undeclared"):
             lp.parse_model("A =~ x1 + x2\nA ~ Ghost")

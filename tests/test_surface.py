@@ -4,7 +4,9 @@ Every name that ``latentpath`` exports must be used by a command, a demo or
 the benchmark: referenced in the package outside its own definition and
 ``__init__.py``, or in ``demos/`` or ``perfbench/``. So must every public
 field, property and method of an exported class. A name that only tests
-reach belongs in the tests as a helper, not in the package.
+reach belongs in the tests as a helper, not in the package. A demo reads
+as a user's script: it imports ``latentpath`` and its exports, and no
+module of the package.
 """
 
 from __future__ import annotations
@@ -52,6 +54,19 @@ def attribute_reads(path: Path) -> set[str]:
     return reads
 
 
+def package_imports(path: Path) -> list[str]:
+    """What a Python file imports from latentpath, dotted: ``latentpath`` for
+    the package, ``latentpath.fit`` for ``from latentpath import fit``,
+    ``latentpath.data.save_table`` for ``from latentpath.data import save_table``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "latentpath"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "latentpath":
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
 def public_attributes(cls: type) -> set[str]:
     """The fields, properties and methods a class defines, without a leading underscore."""
     names = set(vars(cls))
@@ -82,3 +97,10 @@ def test_every_attribute_of_an_exported_class_is_read_outside_the_tests():
             unread += [f"{name}.{attr}" for attr in
                        sorted(public_attributes(cls) - reads - self_serialized(cls))]
     assert not unread, f"exported class attributes read only by tests: {unread}"
+
+
+def test_demos_import_only_the_package_and_its_exports():
+    allowed = {"latentpath"} | {f"latentpath.{name}" for name in lp.__all__}
+    imported = [f"{path.name}: {name}" for path in sorted((ROOT / "demos").glob("*.py"))
+                for name in package_imports(path) if name not in allowed]
+    assert not imported, f"demos import from latentpath's modules: {imported}"
