@@ -9,8 +9,8 @@ simulated CSV and the model file.
 
 Each command runs once, in-process, through ``cli.dispatch`` with
 ``--format json``; its text output is the same provenance and sections
-rendered as text, which is what ``--format text`` writes. This halves the run time of the
-bootstrap commands.
+rendered as text, which is what ``--format text`` writes. This halves the
+run time of the bootstrap commands.
 
 Float policy (fixed before the goldens were first compared):
 
