@@ -152,19 +152,10 @@ def _read_model(path: str) -> ModelSpec:
 Sections = dict[str, tuple[str, dict]]
 
 
-def _moments(dataset: Dataset, divisor: str) -> SampleMoments:
-    """The sample moments of the analysed columns, none of which may be constant:
-    a column without variance has no correlations, and no fit reproduces it."""
-    moments = covariance(dataset, divisor=divisor)
-    if moments.zero_variance:
-        raise DataError(f"no variance in column(s): {', '.join(moments.zero_variance)}")
-    return moments
-
-
 class _Inputs:
     """What a model or EFA subcommand reads, read once: the model and the
     estimation options where it takes them, the data, and the data's sample
-    moments, taken up front so that a constant column stops every command.
+    moments, taken up front, where ``covariance`` rejects a constant column.
 
     Given a model, the data are its indicators alone, in the file's order, so
     that a column it does not use (a text column, a missing cell) drops no row.
@@ -178,7 +169,7 @@ class _Inputs:
         self.opts = EstimationOptions(
             max_iter=args.max_iter, gtol=args.gtol, chisq_multiplier=args.chisq_n,
         ) if "max_iter" in args else None
-        self.moments = _moments(self.dataset, args.divisor)
+        self.moments = covariance(self.dataset, divisor=args.divisor)
 
 
 def _write(args, prov: dict, sections: Sections) -> None:
@@ -294,11 +285,12 @@ def _psychometric_sections(dataset: Dataset, constructs: list[tuple[str, list[st
     reliability, adequacy = [], []
     for name, items in constructs:
         sub = dataset.subset(items)
-        moments = _moments(sub, divisor)
-        chi2, df, p = bartlett(moments.R, moments.n)
+        moments = covariance(sub, divisor=divisor)
+        R = moments.R
+        chi2, df, p = bartlett(R, moments.n)
         reliability.append({"name": name, "items": items,
                             "alpha": cronbach_alpha(sub.complete_rows())})
-        adequacy.append({"name": name, "items": items, "kmo": kmo(moments.R),
+        adequacy.append({"name": name, "items": items, "kmo": kmo(R),
                          "bartlett_chi2": chi2, "bartlett_df": df, "bartlett_p": p})
     return {"reliability": ("reliability", {"constructs": reliability}),
             "sampling_adequacy": ("sampling_adequacy", {"constructs": adequacy})}

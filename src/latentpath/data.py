@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +156,18 @@ def save_table(dataset: Dataset, path: str | Path) -> None:
 
 @dataclass
 class SampleMoments:
-    """Sample covariance S and correlation R over complete rows."""
+    """Sample covariance S over n complete rows; R is derived from S on each read."""
 
     S: np.ndarray
-    R: np.ndarray
     n: int
     names: list[str]
-    zero_variance: list[str] = field(default_factory=list)
+
+    @property
+    def R(self) -> np.ndarray:
+        sd = np.sqrt(np.diag(self.S))
+        R = self.S / (sd[:, None] * sd)
+        np.fill_diagonal(R, 1.0)
+        return R
 
 
 def _covariance_matrix(X: np.ndarray, denom: int) -> np.ndarray:
@@ -176,25 +181,22 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
     """Sample moments from mean-centered complete rows (listwise deletion).
 
     ``divisor`` is ``"n-1"`` (unbiased, default) or ``"n"``, the form the
-    normal-theory derivation uses. Zero-variance columns are flagged and
-    excluded from R (their correlations are NaN).
+    normal-theory derivation uses. ``DataError`` names each column without
+    variance (no fit reproduces one), or, under 2 complete rows, each
+    column without a number.
     """
     if divisor not in ("n-1", "n"):
         raise ValueError("divisor must be 'n-1' or 'n'")
     X = dataset.complete_rows()
     n = X.shape[0]
     if n < 2:
-        raise DataError(f"need at least 2 complete rows, have {n}")
+        empty = [nm for nm, gone in zip(dataset.names, dataset.missing.all(axis=0)) if gone]
+        raise DataError(f"need at least 2 complete rows, have {n}"
+                        + (f"; no number in column(s): {', '.join(empty)}" if empty else ""))
     S = _covariance_matrix(X, n - 1 if divisor == "n-1" else n)
-    sd = np.sqrt(np.diag(S))
-    zero = sd == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = S / (sd[:, None] * sd)
-    R[zero, :] = np.nan
-    R[:, zero] = np.nan
-    np.fill_diagonal(R, np.where(zero, np.nan, 1.0))
-    return SampleMoments(
-        S=S, R=R, n=n, names=list(dataset.names),
-        zero_variance=[nm for nm, z in zip(dataset.names, zero) if z],
-    )
-
+    # a constant's mean can round: 519 rows of 0.1 have a variance of 8e-31
+    flat = (np.ptp(X, axis=0) == 0) | (np.diag(S) == 0)
+    constant = [nm for nm, f in zip(dataset.names, flat) if f]
+    if constant:
+        raise DataError(f"no variance in column(s): {', '.join(constant)}")
+    return SampleMoments(S=S, n=n, names=list(dataset.names))

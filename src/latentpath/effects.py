@@ -26,7 +26,8 @@ import numpy as np
 from .data import Dataset, _covariance_matrix, covariance
 from .errors import EstimationError, ModelSpecificationError, NotPositiveDefiniteError
 from .model import ModelSpec, ParamMatrices
-from .sem import EstimationOptions, FitResult, _minimize, _Objective, fit, start_values
+from .sem import (EstimationOptions, FitResult, _minimize, _Objective, fit, model_columns,
+                  start_values)
 
 
 @dataclass
@@ -128,11 +129,12 @@ def bootstrap_ci(
 ) -> list[EffectDecomposition]:
     """Percentile bootstrap intervals for (source, mediator, target) effects.
 
-    Case resampling with replacement; each replicate refits the model and
-    re-decomposes. Replicate r draws from a generator seeded seed + r. The
-    replicates are refitted together, as one stacked Fisher-scoring
-    problem in the calling thread, in which each follows the path it would
-    take alone, so the result does not depend on how they are grouped.
+    Case resampling with replacement of the rows complete in the model's
+    columns; each replicate refits the model and re-decomposes. Replicate r
+    draws from a generator seeded seed + r. The replicates are refitted
+    together, as one stacked Fisher-scoring problem in the calling thread,
+    in which each follows the path it would take alone, so the result does
+    not depend on how they are grouped.
     ``workers`` is accepted for compatibility and has no effect. Replicates
     that fail to converge are dropped and counted; more than
     _MAX_FAILURE_RATE of them failing is an error that counts the drops by
@@ -149,6 +151,9 @@ def bootstrap_ci(
     for src, med, dst in effects:
         _validate_mediator(spec, src, med, dst)
 
+    names = model_columns(spec, dataset.names)
+    if names != dataset.names:  # a table of the model's columns is used as it is, not copied
+        dataset = dataset.subset(names)
     # full-sample point estimates; the replicates reuse its compiled model
     full = fit(spec, covariance(dataset), opts,
                standardize_latents=standardize_latents, compute_se=False)

@@ -384,6 +384,12 @@ class TestModelColumns:
         assert json.loads(extra["dataset"])["n_complete"] == 519
         assert extra == base
 
+    def test_efa_names_the_text_column(self, with_column, capsys):
+        # efa reads every column of the file, so a text column leaves no complete row
+        assert dispatch(["efa", "--data", with_column["gender"]]) == 2
+        assert capsys.readouterr().err == ("error: need at least 2 complete rows, have 0; "
+                                           "no number in column(s): gender\n")
+
     def test_missing_indicator_exits_1(self, sim_csv, tmp_path, capsys):
         rows = [row.split(",") for row in Path(sim_csv).read_text().splitlines()]
         k = rows[0].index("CE1")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import io
 import math
@@ -391,11 +392,32 @@ class TestCovariance:
         assert mom.R[0, 1] == pytest.approx(1.0)
 
     def test_zero_variance_flagged(self):
-        X = np.column_stack([np.ones(5), np.arange(5.0)])
-        mom = lp.covariance(lp.Dataset(["const", "x"], X))
-        assert mom.zero_variance == ["const"]
-        assert np.isnan(mom.R[0, 1])
-        assert mom.R[1, 1] == 1.0
+        # the mean of 519 rows of 0.1 is not 0.1, so that column's variance is 8e-31
+        X = np.column_stack([np.ones(519), np.arange(519.0), np.full(519, 0.1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                lp.covariance(lp.Dataset(["const", "x", "tenth"], X))
+        assert str(err.value) == "no variance in column(s): const, tenth"
+
+    def test_constant_indicator_in_the_survey_simulation(self, planted):
+        # moments with a constant PB5 would make bartlett return NaN after a
+        # numpy warning, and kmo and extract reject R
+        m, theta = planted
+        data = lp.simulate(m, theta, 519, seed=42)
+        data.values[:, data.names.index("PB5")] = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                lp.covariance(data)
+        assert str(err.value) == "no variance in column(s): PB5"
+
+    def test_r_is_derived_from_s(self):
+        X = np.random.default_rng(4).standard_normal((30, 3))
+        mom = lp.covariance(lp.Dataset(v_names(3), X))
+        assert [f.name for f in dataclasses.fields(mom)] == ["S", "n", "names"]
+        np.testing.assert_allclose(mom.R, np.corrcoef(X, rowvar=False), atol=1e-12)
+        assert np.all(np.diag(mom.R) == 1.0)
 
     def test_divisor_n_relation(self):
         rng = np.random.default_rng(5)
@@ -431,6 +453,13 @@ class TestCovariance:
         X = np.array([[1.0, 2.0], [np.nan, 3.0]])
         with pytest.raises(DataError, match="at least 2 complete rows"):
             lp.covariance(lp.Dataset(v_names(2), X))
+
+    def test_insufficient_rows_name_the_empty_columns(self):
+        X = np.array([[1.0, np.nan, 2.0, np.nan], [2.0, np.nan, 3.0, np.nan]])
+        with pytest.raises(DataError) as err:
+            lp.covariance(lp.Dataset(["a", "gender", "b", "note"], X))
+        assert str(err.value) == \
+            "need at least 2 complete rows, have 0; no number in column(s): gender, note"
 
     @given(st.floats(-1e3, 1e3))
     @settings(max_examples=25, deadline=None)

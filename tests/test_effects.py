@@ -343,6 +343,17 @@ class TestBootstrap:
         lo, hi = decs[0].indirect_bounds
         assert lo <= hi
 
+    def test_reads_only_the_model_columns(self, planted, survey_spec):
+        # an all-missing column the model does not use must drop no row
+        m, theta = planted
+        data = lp.simulate(m, theta, 519, seed=42)
+        gender = lp.Dataset([*data.names, "gender"],
+                            np.column_stack([data.values, np.full(data.n, np.nan)]))
+        kwargs = dict(replicates=100, seed=1)
+        base = lp.bootstrap_ci(data, survey_spec, [("EnvSt", "PerVa", "PB")], **kwargs)
+        extra = lp.bootstrap_ci(gender, survey_spec, [("EnvSt", "PerVa", "PB")], **kwargs)
+        assert extra == base
+
     def test_mediator_validation(self):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
         with pytest.raises(ModelSpecificationError, match="does not mediate"):
@@ -504,7 +515,7 @@ class TestStackedRefits:
         S[1, 0, :] = S[1, 1, :]  # a repeated indicator: singular
         S[1, :, 0] = S[1, :, 1]
         with pytest.raises(NotPositiveDefiniteError) as lone:
-            sem.fit(spec, lp.SampleMoments(S[1], S[1], 100, m.variable_order),
+            sem.fit(spec, lp.SampleMoments(S[1], 100, m.variable_order),
                     compute_se=False)
         opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S),
                             lp.EstimationOptions())

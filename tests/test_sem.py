@@ -483,7 +483,7 @@ class TestFit:
             [0.8, 0.5, 1.0],
         ])
         assert np.linalg.eigvalsh(S).min() > 0
-        mom = lp.SampleMoments(S=S, R=S, n=200, names=["a", "b", "c"])
+        mom = lp.SampleMoments(S=S, n=200, names=["a", "b", "c"])
         res = lp.fit(spec, mom, compute_se=False)
         assert "a~~a" in res.heywood
         assert res.estimates["a~~a"] == pytest.approx(1 - 1.28, abs=1e-3)
