@@ -151,9 +151,7 @@ def bootstrap_ci(
     for src, med, dst in effects:
         _validate_mediator(spec, src, med, dst)
 
-    names = model_columns(spec, dataset.names)
-    if names != dataset.names:  # a table of the model's columns is used as it is, not copied
-        dataset = dataset.subset(names)
+    dataset = dataset.subset(model_columns(spec, dataset.names))
     # full-sample point estimates; the replicates reuse its compiled model
     full = fit(spec, covariance(dataset), opts,
                standardize_latents=standardize_latents, compute_se=False)
