@@ -200,7 +200,6 @@ def _dataset_payload(dataset: Dataset) -> dict:
     return {
         "n": dataset.n, "p": dataset.p,
         "n_complete": int((~dataset.missing.any(axis=1)).sum()),
-        "zero_variance": [],  # a constant column is a DataError before any section
     }
 
 
@@ -250,13 +249,16 @@ def _convergent_payload(constructs: list[tuple[str, list[str]]],
         labels = [f"{name}=~{item}" for item in items]
         loadings = [standardized.get(label) for label in labels]
         lam = np.array([v for v in loadings if v is not None])
+        # a standardized loading beyond 1 (a Heywood case) leaves a negative
+        # error variance, so CR and AVE are blank, as without a fit
+        usable = lam.size and np.all(np.abs(lam) <= 1.0)
         blocks.append({
             "name": name,
             "items": items,
             "loadings": loadings,
             "p_values": [p_by_label.get(label) for label in labels],
-            "cr": composite_reliability(lam) if lam.size else None,
-            "ave": average_variance_extracted(lam) if lam.size else None,
+            "cr": composite_reliability(lam) if usable else None,
+            "ave": average_variance_extracted(lam) if usable else None,
         })
     return {"constructs": blocks}
 
@@ -269,7 +271,9 @@ def _discriminant_payload(result: FitResult, convergent: dict) -> dict:
     order = [c["name"] for c in convergent["constructs"]]
     ave = [c["ave"] for c in convergent["constructs"]]
     idx = [lat_names.index(nm) for nm in order]
-    fl = fornell_larcker(dict(zip(order, ave)), corr[np.ix_(idx, idx)], order)
+    # a construct without an AVE gets a NaN diagonal, and does not pass
+    fl = fornell_larcker({nm: np.nan if a is None else a for nm, a in zip(order, ave)},
+                         corr[np.ix_(idx, idx)], order)
     return {
         "names": fl.names,
         "matrix": fl.matrix,
@@ -305,12 +309,11 @@ def _mediation_payload(decs: list[EffectDecomposition]) -> dict:
         "effects": [
             {**{k: getattr(d, k) for k in (
                 "source", "target", "mediator", "total", "direct", "indirect",
-                "total_indirect", "total_bounds", "direct_bounds", "indirect_bounds",
+                "total_bounds", "direct_bounds", "indirect_bounds",
                 "level", "method", "n_replicates", "n_dropped")},
              "verdict": d.mediation_verdict()}
             for d in decs
         ],
-        "additivity_tolerance": 0.002,
     }
 
 

@@ -96,11 +96,6 @@ class EffectDecomposition:
     n_replicates: int = 0
     n_dropped: int = 0
 
-    @property
-    def total_indirect(self) -> float:
-        """total - direct: the indirect effect through every mediator."""
-        return self.total - self.direct
-
     def mediation_verdict(self) -> str:
         """none / partial / full from the interval sign patterns."""
         def excludes_zero(lo_hi):
@@ -327,7 +322,6 @@ def _validate_mediator(spec: ModelSpec, src: str, med: str, dst: str) -> None:
 @dataclass
 class HypothesisVerdict:
     label: str
-    kind: str  # "direct": every verdict is of a labeled path
     path: str
     estimate: float
     p: float
@@ -353,7 +347,7 @@ def classify_hypotheses(result: FitResult) -> list[HypothesisVerdict]:
         p = row["p"]
         supported = bool(p < _P_THRESHOLD)
         verdicts.append(HypothesisVerdict(
-            label=label, kind="direct", path=f"{dep} <- {pred}",
+            label=label, path=f"{dep} <- {pred}",
             estimate=row["estimate"], p=p,
             verdict="supported" if supported else "not supported",
             detail=f"p={p:.3g} {'<' if supported else '>='} {_P_THRESHOLD:g}",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fit_indices import THRESHOLDS
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def stars(p: float | None, convention: str = "survey") -> str:
@@ -189,8 +189,8 @@ def _discriminant_text(name, payload, _stars):
         for j in range(len(names)):
             if j < i:
                 row.append(_fmt(matrix[i][j]))
-            elif j == i:
-                row.append(f"[{matrix[i][i]:.3f}]")
+            elif j == i:  # NaN where the construct has no AVE
+                row.append("" if np.isnan(matrix[i][i]) else f"[{matrix[i][i]:.3f}]")
             else:
                 row.append("")
         row.append("pass" if payload["passed"][nm] else "FAIL")
@@ -237,11 +237,10 @@ def _fit_indices_text(name, payload, _stars):
 def _regression_text(name, payload, star_convention):
     rows = []
     for row in payload["paths"]:
-        dep, pred = row["label"].split("~")
         p = row["p"]
         p_text = stars(p, star_convention) if p is not None and p < 0.001 else _fmt(p)
         rows.append([
-            f"{dep} <- {pred}",
+            f"{row['lhs']} <- {row['rhs']}",
             _fmt(row["estimate"]),
             _fmt(row["se"]),
             _fmt(row["crit_ratio"]),
@@ -276,10 +275,7 @@ def _mediation_text(name, payload, _stars):
         )
         table = render_table(["Component", "Estimate", "Lower bound", "Upper bound"],
                              rows, title=title)
-        gap = dec["total"] - dec["direct"] - dec["total_indirect"]
-        check = "ok" if abs(gap) <= payload["additivity_tolerance"] else "VIOLATED"
-        chunks.append(table + f"additivity |total-direct-total_indirect| = {abs(gap):.2e} "
-                      f"[{check}]\nverdict: {dec['verdict']}\n")
+        chunks.append(table + f"verdict: {dec['verdict']}\n")
     return "\n".join(chunks)
 
 

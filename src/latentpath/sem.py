@@ -42,14 +42,13 @@ class EstimationOptions:
 
     max_iter: int = 500
     gtol: float = 1e-6
-    ftol: float = 1e-14
     chisq_multiplier: str = "n-1"  # or "n"
 
     def __post_init__(self):
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        if self.gtol <= 0 or self.ftol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.gtol <= 0:
+            raise ValueError("gtol must be positive")
         if self.chisq_multiplier not in ("n-1", "n"):
             raise ValueError("chisq_multiplier must be 'n-1' or 'n'")
 
@@ -273,6 +272,10 @@ class _OptimResult:
     errors: list[Exception | None]
 
 
+# relative change of F below which an iteration counts as stalled
+_FTOL = 1e-14
+
+
 def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions) -> _OptimResult:
     """Fisher scoring with Armijo backtracking, for every member of the
     objective's stack at once from the starts theta0 (B, t).
@@ -370,7 +373,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         converged[rows] = np.max(np.abs(g_moved), axis=1, initial=0.0) < opts.gtol
         # give up only after the objective stalls repeatedly; near an
         # optimum the steps keep shrinking the gradient after F stops moving
-        stalled = np.abs(f_prev - new.f) < opts.ftol * np.maximum(1.0, np.abs(f_prev))
+        stalled = np.abs(f_prev - new.f) < _FTOL * np.maximum(1.0, np.abs(f_prev))
         stalls[rows] = np.where(stalled, stalls[rows] + 1, 0)
         active[rows] = ~converged[rows] & (stalls[rows] < 3)
 
@@ -457,6 +460,8 @@ class FitResult:
             rows.append({
                 "label": par.label,
                 "kind": k,
+                "lhs": par.lhs,
+                "rhs": par.rhs,
                 "estimate": float(self.theta[i]),
                 "se": float(self.se[i]),
                 "crit_ratio": float(self.crit_ratio[i]),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -106,7 +107,7 @@ class TestFit:
                              "--format", "json", "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         doc = json.loads(a.read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert "provenance" in doc
         assert doc["provenance"]["model_sha256"]
         fit_section = doc["sections"]["fit"]
@@ -263,7 +264,9 @@ class TestMediate:
         doc = json.loads(out.read_text())
         effect = doc["sections"]["mediation"]["effects"][0]
         assert effect["method"] == "delta"
-        assert effect["total_indirect"] == pytest.approx(
+        # PerVa is the only mediator of EnvSt -> PB, so its route carries
+        # all of total - direct
+        assert effect["indirect"] == pytest.approx(
             effect["total"] - effect["direct"], abs=1e-12)
 
     def test_delta_mode_exits_1_when_the_fit_did_not_converge(self, sim_csv, tmp_path):
@@ -449,6 +452,45 @@ class TestHeywood:
                            "--output", str(out)])
         assert status == 0
         assert "WARNING negative variance estimate (Heywood case): a~~a\n" in out.read_text()
+
+    @pytest.fixture(scope="class")
+    def two_constructs(self, tmp_path_factory):
+        # corr(a, b) = corr(a, c) = .85 against corr(b, c) = .6 puts F=~a's
+        # standardized loading at 1.075
+        C = np.full((6, 6), 0.2)
+        C[:3, :3] = [[1.0, 0.85, 0.85], [0.85, 1.0, 0.6], [0.85, 0.6, 1.0]]
+        C[3:, 3:] = 0.5
+        np.fill_diagonal(C, 1.0)
+        X = np.random.default_rng(5).multivariate_normal(np.zeros(6), C, 400)
+        tmp = tmp_path_factory.mktemp("heywood")
+        data, model = tmp / "heywood.csv", tmp / "heywood.model"
+        lp.save_table(lp.Dataset(list("abcdef"), X), data)
+        model.write_text("F =~ a + b + c\nG =~ d + e + f\n")
+        return str(data), str(model)
+
+    @pytest.mark.parametrize("argv", [
+        ["cfa", "--model", "{model}"],
+        ["report", "--model", "{model}", "--boot", "0"],
+        ["reliability", "--construct", "F=a,b,c"],
+    ], ids=["cfa", "report", "reliability"])
+    def test_construct_gets_no_cr_or_ave(self, two_constructs, argv, tmp_path):
+        # a standardized loading beyond 1 leaves its construct without CR and
+        # AVE, and fails it on the Fornell-Larcker rule; the commands still run
+        data, model = two_constructs
+        argv = [a.format(model=model) for a in argv] + ["--data", data]
+        out = tmp_path / "out.json"
+        assert dispatch(argv + ["--format", "json", "--output", str(out)]) == 0
+        sections = json.loads(out.read_text())["sections"]
+        F = sections["convergent_validity"]["constructs"][0]
+        assert F["name"] == "F" and F["loadings"][0] > 1.0
+        assert F["cr"] is None and F["ave"] is None
+        text = tmp_path / "out.txt"
+        assert dispatch(argv + ["--output", str(text)]) == 0
+        assert not re.search(r"\bnan\b", text.read_text(), re.IGNORECASE)
+        if "discriminant_validity" in sections:
+            fl = sections["discriminant_validity"]
+            assert fl["matrix"][0][0] is None and fl["ave"][0] is None
+            assert fl["passed"] == {"F": False, "G": True}
 
 
 class TestReportSections:

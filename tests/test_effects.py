@@ -178,7 +178,7 @@ class TestSpecificIndirect:
             through[med] = d.indirect
         # the two mediators carry every indirect route between them
         assert through["M1"] + through["M2"] == pytest.approx(
-            decs[0].total_indirect, abs=1e-10)
+            decs[0].total - decs[0].direct, abs=1e-10)
         assert abs(through["M1"] - through["M2"]) > 0.01
 
     def test_delta_ci(self):

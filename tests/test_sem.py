@@ -473,6 +473,19 @@ class TestFit:
         assert np.all(res.se > 0)
         assert np.all(np.isfinite(res.p_values))
 
+    def test_parameter_table_rows_name_their_two_variables(self, survey_spec,
+                                                           survey_sim_moments):
+        res = lp.fit(survey_spec, survey_sim_moments, compute_se=False)
+        table = res.parameter_table()
+        assert len(table) == len(res.matrices.parameters)
+        for row, par in zip(table, res.matrices.parameters):
+            assert row["label"] == par.label
+            assert (row["lhs"], row["rhs"]) == (par.lhs, par.rhs)
+        paths = res.parameter_table("path")
+        assert len(paths) == len(survey_spec.regressions)
+        for row in paths:
+            assert row["label"] == f"{row['lhs']}~{row['rhs']}"
+
     def test_heywood_flagging(self):
         # saturated one-factor triad with s12*s13/s23 > s11: the exact ML
         # solution needs a negative error variance on the first indicator
