@@ -31,26 +31,28 @@ for lat in spec.latents:
 # Composite reliability and AVE need standardized loadings; the CFA of the
 # measurement model provides them, and its latent correlations feed the
 # discriminant check below, so both come from one measurement model.
-# Error variances default to 1 - lambda^2.
+# Error variances default to 1 - lambda^2. The standardized solution comes
+# as the RAM matrices A (loadings at [indicator, latent]) and S, whose rows
+# and columns are named by cfa.matrices.variables.
 cfa = lp.fit(spec.without_regressions(), lp.covariance(data), compute_se=False)
+A_std, S_std = lp.standardize(cfa.matrices, cfa.theta)
+pos = {name: i for i, name in enumerate(cfa.matrices.variables)}
 print("\nconstruct        CR     AVE   sqrt(AVE)")
 ave_by = {}
 for lat in spec.latents:
-    lam = [cfa.standardized[f"{lat.name}=~{item}"] for item in lat.indicators]
+    lam = A_std[[pos[item] for item in lat.indicators], pos[lat.name]]
     cr = lp.composite_reliability(lam)
     ave = lp.average_variance_extracted(lam)
     ave_by[lat.name] = ave
     print(f"{lat.name:<12} {cr:7.4f} {ave:7.4f} {np.sqrt(ave):8.3f}")
 
 # Discriminant validity: each construct's sqrt(AVE) should beat every
-# correlation it takes part in.
-cov_lat, names = lp.latent_covariance(cfa.matrices, cfa.theta)
-sd = np.sqrt(np.diag(cov_lat))
-corr = cov_lat / np.outer(sd, sd)
+# correlation it takes part in. Every latent of a CFA is exogenous, so its
+# standardized latent (co)variances are the latent correlations.
 order = [lat.name for lat in spec.latents]
-idx = [names.index(nm) for nm in order]
+idx = [pos[nm] for nm in order]
 fl = lp.fornell_larcker({nm: ave_by[nm] for nm in order},
-                        corr[np.ix_(idx, idx)], order)
+                        S_std[np.ix_(idx, idx)], order)
 
 print("\nFornell-Larcker matrix (diagonal = sqrt AVE):")
 with np.printoptions(precision=3, suppress=True):

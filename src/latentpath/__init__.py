@@ -55,7 +55,6 @@ from .sem import (
     f_ml,
     fit,
     implied_covariance,
-    latent_covariance,
     simulate,
     standardize,
     start_values,
@@ -78,7 +77,7 @@ __all__ = [
     "cronbach_alpha", "composite_reliability", "average_variance_extracted",
     "kmo", "bartlett", "fornell_larcker",
     "EstimationOptions", "FitResult", "f_ml", "fit", "implied_covariance",
-    "latent_covariance", "simulate", "standardize",
+    "simulate", "standardize",
     "start_values", "theta_from_config",
     "__version__",
 ]

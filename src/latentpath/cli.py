@@ -11,6 +11,7 @@ header with input hashes, the seed, and the options in effect; the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -51,9 +52,9 @@ from .sem import (
     EstimationOptions,
     FitResult,
     fit,
-    latent_covariance,
     model_columns,
     simulate,
+    standardize,
     theta_from_config,
 )
 
@@ -240,15 +241,20 @@ def _constructs(spec: ModelSpec) -> list[tuple[str, list[str]]]:
 def _convergent_payload(constructs: list[tuple[str, list[str]]],
                         result: FitResult | None) -> dict:
     """Standardized loadings, p-values and CR/AVE per construct; all blank without a fit."""
-    standardized, p_by_label = {}, {}
+    A_std = P = None
     if result is not None:
-        standardized = result.standardized
-        p_by_label = {row["label"]: row["p"] for row in result.parameter_table(kind="loading")}
+        m = result.matrices
+        pos = {name: i for i, name in enumerate(m.variables)}
+        P = np.full(m.A.values.shape, np.nan)  # p-values at A's free cells
+        P[m.A.rows, m.A.cols] = result.p_values[m.A.slots]
+        with contextlib.suppress(EstimationError):
+            A_std = standardize(m, result.theta)[0]
     blocks = []
     for name, items in constructs:
-        labels = [f"{name}=~{item}" for item in items]
-        loadings = [standardized.get(label) for label in labels]
-        lam = np.array([v for v in loadings if v is not None])
+        cells = ([pos[item] for item in items], pos[name]) if P is not None else None
+        loadings = [None] * len(items) if A_std is None else A_std[cells].tolist()
+        p_values = [None] * len(items) if P is None else P[cells].tolist()
+        lam = np.array([] if A_std is None else loadings)
         # a standardized loading beyond 1 (a Heywood case) leaves a negative
         # error variance, so CR and AVE are blank, as without a fit
         usable = lam.size and np.all(np.abs(lam) <= 1.0)
@@ -256,7 +262,7 @@ def _convergent_payload(constructs: list[tuple[str, list[str]]],
             "name": name,
             "items": items,
             "loadings": loadings,
-            "p_values": [p_by_label.get(label) for label in labels],
+            "p_values": p_values,
             "cr": composite_reliability(lam) if usable else None,
             "ave": average_variance_extracted(lam) if usable else None,
         })
@@ -264,16 +270,17 @@ def _convergent_payload(constructs: list[tuple[str, list[str]]],
 
 
 def _discriminant_payload(result: FitResult, convergent: dict) -> dict:
-    """Fornell-Larcker check of the convergent section's AVEs against the fit's correlations."""
-    cov_lat, lat_names = latent_covariance(result.matrices, result.theta)
-    sd = np.sqrt(np.diag(cov_lat))
-    corr = cov_lat / (sd[:, None] * sd)
+    """Fornell-Larcker check of the convergent section's AVEs against the CFA's latent
+    correlations, its standardized latent (co)variances: a CFA's latents are exogenous."""
     order = [c["name"] for c in convergent["constructs"]]
     ave = [c["ave"] for c in convergent["constructs"]]
-    idx = [lat_names.index(nm) for nm in order]
+    idx = [result.matrices.variables.index(nm) for nm in order]
+    corr = np.full((len(idx),) * 2, np.nan)  # when the fit cannot be standardized
+    with contextlib.suppress(EstimationError):
+        corr = standardize(result.matrices, result.theta)[1][np.ix_(idx, idx)]
     # a construct without an AVE gets a NaN diagonal, and does not pass
     fl = fornell_larcker({nm: np.nan if a is None else a for nm, a in zip(order, ave)},
-                         corr[np.ix_(idx, idx)], order)
+                         corr, order)
     return {
         "names": fl.names,
         "matrix": fl.matrix,

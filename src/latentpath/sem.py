@@ -101,13 +101,6 @@ def implied_covariance(m: ParamMatrices, theta: np.ndarray) -> np.ndarray:
     return (sigma + sigma.T) / 2.0
 
 
-def latent_covariance(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Implied covariance of the latent vector, ordered endogenous then exogenous."""
-    _, S, E = _ram(m, theta)
-    El = E[m.n_observed:]
-    return El @ S @ El.T, m.latent_names
-
-
 def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
     """ML discrepancy log|Sigma| + tr(S Sigma^-1) - log|S| - p, p the size of S.
 
@@ -403,8 +396,8 @@ def _each_member(step, rows: np.ndarray, errors: list) -> None:
 
 @dataclass
 class FitResult:
-    """Estimates, inference, and diagnostics from one ML fit; ``p_values``
-    and ``chisq_p`` are properties computed on read, not fields."""
+    """Estimates, inference, and diagnostics from one ML fit; ``p_values``,
+    ``chisq_p`` and ``standardized`` are properties computed on read, not fields."""
 
     theta: np.ndarray
     labels: list[str]
@@ -417,7 +410,6 @@ class FitResult:
     iterations: int
     gradient_norm: float
     converged: bool
-    standardized: dict[str, float]
     implied: np.ndarray
     crit_ratio: np.ndarray
     heywood: list[str]
@@ -444,6 +436,27 @@ class FitResult:
         return 2.0 * ndtr(-np.abs(self.crit_ratio))
 
     @property
+    def standardized(self) -> dict[str, float]:
+        """The standardized solution by label, every free or nonzero arrow and
+        (co)variance and every variance; empty when it cannot be standardized."""
+        m = self.matrices
+        try:
+            A, S = standardize(m, self.theta)
+        except EstimationError:
+            return {}
+        names, p = m.variables, m.n_observed
+        arrows = m.A.values != 0.0
+        arrows[m.A.rows, m.A.cols] = True
+        out = {f"{names[j]}=~{names[i]}" if i < p else f"{names[i]}~{names[j]}": A[i, j]
+               for i, j in zip(*np.nonzero(arrows))}
+        keep = (m.S.values != 0.0) | np.eye(len(names), dtype=bool)
+        keep[m.S.rows, m.S.cols] = True  # S's free cells are at row >= col
+        for i, j in zip(*np.nonzero(np.tril(keep))):
+            a, b = sorted((names[i], names[j]))
+            out[f"{a}~~{b}"] = S[i, j]
+        return out
+
+    @property
     def estimates(self) -> dict[str, float]:
         return dict(zip(self.labels, self.theta))
 
@@ -451,7 +464,7 @@ class FitResult:
         """Per-parameter records; kind filters to 'loading', 'path' or 'covariance'."""
         m = self.matrices
         hypotheses = {pair: lab for lab, pair in m.spec.labels.items()}
-        p_values = self.p_values
+        p_values, standardized = self.p_values, self.standardized
         rows = []
         for i, par in enumerate(m.parameters):
             k = par.kind if par.kind in ("loading", "path") else "covariance"
@@ -466,43 +479,26 @@ class FitResult:
                 "se": float(self.se[i]),
                 "crit_ratio": float(self.crit_ratio[i]),
                 "p": float(p_values[i]),
-                "standardized": self.standardized.get(par.label),
+                "standardized": standardized.get(par.label),
                 "hypothesis": hypotheses.get((par.lhs, par.rhs)) if k == "path" else None,
             })
         return rows
 
 
-def standardize(m: ParamMatrices, theta: np.ndarray) -> dict[str, float]:
-    """Rescale estimates by model-implied latent and indicator SDs.
+def standardize(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The standardized A and S: each arrow times sd(tail) / sd(head), each
+    (co)variance over the SDs of its two variables, all SDs model-implied.
 
-    Loadings become ``lambda * sd(latent) / sd(indicator)``, paths
-    ``b * sd(predictor) / sd(dependent)``, covariances correlations, and
-    variance entries proportions of their variable's implied variance. A
-    fit's are in ``FitResult.standardized``.
+    Loadings scale by sd(latent) / sd(indicator), paths by sd(predictor) /
+    sd(dependent); a variance becomes its share of the implied variance.
+    Raises EstimationError when an implied variance is not positive.
     """
-    theta = np.asarray(theta, dtype=float)
-    A, S, E = _ram(m, theta)
+    A, S, E = _ram(m, np.asarray(theta, dtype=float))
     var = np.diag(E @ S @ E.T)  # implied variances of all variables
     if np.any(var <= 0):
         raise EstimationError("nonpositive implied variance; cannot standardize")
     sd = np.sqrt(var)
-    names = m.variables
-    p = m.n_observed
-
-    out: dict[str, float] = {}
-    # an arrow scales by sd(tail) / sd(head), whether loading or path
-    arrows = A != 0.0
-    arrows[m.A.rows, m.A.cols] = True
-    for i, j in zip(*np.nonzero(arrows)):
-        label = f"{names[j]}=~{names[i]}" if i < p else f"{names[i]}~{names[j]}"
-        out[label] = A[i, j] * sd[j] / sd[i]
-    # every variance, and each free or nonzero covariance, as a correlation
-    keep = (S != 0.0) | np.eye(len(names), dtype=bool)
-    keep[m.S.rows, m.S.cols] = True  # S's free cells are at row >= col
-    for i, j in zip(*np.nonzero(np.tril(keep))):
-        a, b = sorted((names[i], names[j]))
-        out[f"{a}~~{b}"] = S[i, j] / (sd[i] * sd[j])
-    return out
+    return A * sd / sd[:, None], S / (sd[:, None] * sd)
 
 
 def _check_identified(H: np.ndarray, labels: list[str]) -> None:
@@ -602,10 +598,6 @@ def fit(
         par.label for par, value in zip(m.parameters, theta)
         if par.kind in VARIANCE_KINDS and value < 0
     ]
-    try:
-        standardized = standardize(m, theta)
-    except EstimationError:
-        standardized = {}
 
     return FitResult(
         theta=theta,
@@ -619,7 +611,6 @@ def fit(
         iterations=int(opt.iterations[0]),
         gradient_norm=float(np.max(np.abs(opt.grad[0]), initial=0.0)),
         converged=converged,
-        standardized=standardized,
         implied=implied_covariance(m, theta),
         crit_ratio=crit,
         heywood=heywood,

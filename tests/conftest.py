@@ -82,6 +82,14 @@ def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int) -> float:
     return -(n / 2.0) * (logdet + tr + S.shape[0] * np.log(2.0 * np.pi))
 
 
+def latent_covariance(m: lp.ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Implied covariance of the latent vector and its names, endogenous then
+    exogenous: the latent rows and columns of E S E', E = (I - A)^-1."""
+    A, S = m.A.materialize(theta), m.S.materialize(theta)
+    El = np.linalg.inv(np.eye(len(A)) - A)[m.n_observed:]
+    return El @ S @ El.T, m.latent_names
+
+
 def model_text(spec: lp.ModelSpec) -> str:
     """Model-language source for a ModelSpec; parsing it gives the spec back."""
     fixed = dict(spec.fixed_loadings)

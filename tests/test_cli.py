@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,8 @@ import latentpath as lp
 from latentpath import cli
 from latentpath import report as report_mod
 from latentpath.cli import dispatch
+
+from conftest import latent_covariance
 
 ASSETS = Path(lp.__file__).parent / "assets"
 MODEL = str(ASSETS / "wuliangye.model")
@@ -175,6 +178,83 @@ class TestCfa:
         assert "Convergent validity" in text
         assert "Discriminant validity" in text
         assert "CE1 <- ConsEth" in text
+
+
+class TestDiscriminantCorrelations:
+    """The Fornell-Larcker correlations are those of the CFA's latent covariance."""
+
+    @pytest.fixture(scope="class")
+    def two_factors(self, tmp_path_factory):
+        C = np.full((6, 6), 0.3)
+        C[:3, :3] = C[3:, 3:] = 0.6
+        np.fill_diagonal(C, 1.0)
+        X = np.random.default_rng(11).multivariate_normal(np.zeros(6), C, 400)
+        tmp = tmp_path_factory.mktemp("two_factors")
+        data, model = tmp / "two.csv", tmp / "two.model"
+        lp.save_table(lp.Dataset(list("abcdef"), X), data)
+        model.write_text("F =~ a + b + c\nG =~ d + e + f\n")
+        return str(data), str(model)
+
+    def run_cfa(self, argv, tmp_path, monkeypatch, planted=None):
+        """The cfa JSON sections and the fit behind them, whose estimates of
+        the ``planted`` labels are replaced by their values."""
+        fits = []
+
+        def recorded(*args, **kwargs):
+            res = lp.fit(*args, **kwargs)
+            theta = res.theta.copy()
+            for label, value in (planted or {}).items():
+                theta[res.labels.index(label)] = value
+            fits.append(dataclasses.replace(res, theta=theta))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "fit", recorded)
+        out = tmp_path / "cfa.json"
+        assert dispatch(["cfa", *argv, "--format", "json", "--output", str(out)]) == 0
+        (res,) = fits
+        return json.loads(out.read_text())["sections"], res
+
+    def assert_reference_correlations(self, sections, res):
+        cov, names = latent_covariance(res.matrices, res.theta)
+        sd = np.sqrt(np.diag(cov))
+        corr = cov / (sd[:, None] * sd)
+        fl = sections["discriminant_validity"]
+        idx = [names.index(nm) for nm in fl["names"]]
+        for i in range(len(idx)):
+            for j in range(i):
+                assert fl["matrix"][i][j] == corr[idx[i], idx[j]], (fl["names"][i], fl["names"][j])
+
+    @pytest.mark.parametrize("std_lv", [[], ["--std-lv"]], ids=["marker", "std_lv"])
+    def test_survey_cfa(self, sim_csv, std_lv, tmp_path, monkeypatch):
+        sections, res = self.run_cfa(["--model", MODEL, "--data", sim_csv, *std_lv],
+                                     tmp_path, monkeypatch)
+        self.assert_reference_correlations(sections, res)
+
+    def test_fixed_zero_covariance(self, two_factors, tmp_path, monkeypatch):
+        data, model = two_factors
+        fixed = Path(model).with_name("fixed.model")
+        fixed.write_text(Path(model).read_text() + "F ~~ 0*G\n")
+        sections, res = self.run_cfa(["--model", str(fixed), "--data", data],
+                                     tmp_path, monkeypatch)
+        self.assert_reference_correlations(sections, res)
+        assert sections["discriminant_validity"]["matrix"][1][0] == 0.0
+
+    def test_negative_latent_variance_blanks_every_construct(self, two_factors, tmp_path,
+                                                             monkeypatch):
+        # F~~F planted at -0.2 in a converged fit: the solution cannot be
+        # standardized, so no construct has loadings, CR or AVE, and each
+        # fails the Fornell-Larcker rule, without a warning on the way
+        data, model = two_factors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sections, res = self.run_cfa(["--model", model, "--data", data], tmp_path,
+                                         monkeypatch, {"F~~F": -0.2})
+        assert res.converged
+        for block in sections["convergent_validity"]["constructs"]:
+            assert block["loadings"] == [None, None, None]
+            assert block["cr"] is None and block["ave"] is None
+        fl = sections["discriminant_validity"]
+        assert fl["passed"] == {"F": False, "G": False} and not fl["all_passed"]
 
 
 class TestReliability:

@@ -502,14 +502,27 @@ class TestFit:
         assert res.estimates["a~~a"] == pytest.approx(1 - 1.28, abs=1e-3)
 
 
+def std_cell(A_std, S_std, m, label: str) -> float:
+    """The cell of a standardized solution that a label names."""
+    pos = {name: i for i, name in enumerate(m.variables)}
+    if "~~" in label:
+        a, b = label.split("~~")
+        return S_std[pos[a], pos[b]]
+    if "=~" in label:
+        latent, item = label.split("=~")
+        return A_std[pos[item], pos[latent]]
+    dependent, predictor = label.split("~")
+    return A_std[pos[dependent], pos[predictor]]
+
+
 class TestStandardize:
     def test_marker_loading_example(self):
         spec = lp.parse_model("F =~ 1*f1 + f2")
         m = lp.build_matrices(spec, ["f1", "f2"])
         theta = lp.theta_from_config(
             m, {"F=~f2": 1.0, "F~~F": 0.64, "f1~~f1": 0.36, "f2~~f2": 0.36})
-        std = lp.standardize(m, theta)
-        assert std["F=~f1"] == pytest.approx(0.8, abs=1e-12)
+        A_std, S_std = lp.standardize(m, theta)
+        assert std_cell(A_std, S_std, m, "F=~f1") == pytest.approx(0.8, abs=1e-12)
 
     def test_standardized_model_unchanged(self):
         spec = one_factor_spec(3)
@@ -517,9 +530,9 @@ class TestStandardize:
         lam = {"F=~f1": 0.7, "F=~f2": 0.6, "F=~f3": 0.8}
         errs = {"f1~~f1": 1 - 0.49, "f2~~f2": 1 - 0.36, "f3~~f3": 1 - 0.64}
         theta = lp.theta_from_config(m, {**lam, **errs})
-        std = lp.standardize(m, theta)
+        A_std, S_std = lp.standardize(m, theta)
         for label, value in lam.items():
-            assert std[label] == pytest.approx(value, abs=1e-12)
+            assert std_cell(A_std, S_std, m, label) == pytest.approx(value, abs=1e-12)
 
     def test_recovered_loadings_match_sqrt_correlations(self):
         spec = one_factor_spec(3)
@@ -538,11 +551,41 @@ class TestStandardize:
 
     def test_from_fit_result(self, survey_spec, survey_sim_moments):
         res = lp.fit(survey_spec, survey_sim_moments, compute_se=False)
-        std = lp.standardize(res.matrices, res.theta)
-        assert std == res.standardized
+        m = res.matrices
+        A_std, S_std = lp.standardize(m, res.theta)
+        std = res.standardized
+        assert set(m.labels) < set(std)  # markers and fixed cells too
+        for label, value in std.items():
+            assert value == std_cell(A_std, S_std, m, label), label
         # standardized latent variances are one by construction
         for name in ("ConsEth", "EnvSt", "PBC", "PerVa", "PB"):
-            assert std[f"{name}~~{name}"] <= 1.0 + 1e-9
+            assert std_cell(A_std, S_std, m, f"{name}~~{name}") <= 1.0 + 1e-9
+
+    def test_parameter_table_reads_each_parameter_at_its_cell(self):
+        # a free and a fixed path, an error covariance, loadings and variances
+        spec = lp.parse_model(
+            "X =~ x1 + x2 + x3\nM =~ m1 + m2 + m3\nY =~ y1 + y2 + y3\n"
+            "M ~ X\nY ~ M + 0.5*X\nx1 ~~ m1\n")
+        m = lp.build_matrices(spec, spec.indicator_names)
+        theta = lp.theta_from_config(m, {}, dict(
+            loading=0.8, path=0.4, latent_variance=1.0, disturbance_variance=0.6,
+            error_variance=0.5, error_covariance=0.1))
+        res = lp.fit(spec, lp.covariance(lp.simulate(m, theta, 500, seed=3)))
+        m = res.matrices
+        A_std, S_std = lp.standardize(m, res.theta)
+        pos = {name: i for i, name in enumerate(m.variables)}
+        table = res.parameter_table()
+        kinds = {par.kind for par in m.parameters}
+        assert {"loading", "path", "error_covariance", "error_variance",
+                "latent_variance", "disturbance_variance"} <= kinds
+        for row in table:
+            i, j = pos[row["lhs"]], pos[row["rhs"]]
+            cell = {"loading": A_std[j, i], "path": A_std[i, j],
+                    "covariance": S_std[i, j]}[row["kind"]]
+            assert row["standardized"] == cell, row["label"]
+        # the fixed path is in the standardized solution, not in the table
+        assert res.standardized["Y~X"] == A_std[pos["Y"], pos["X"]] != 0.0
+        assert "Y~X" not in [row["label"] for row in table]
 
 
 class TestSimulate:

@@ -6,7 +6,9 @@ the benchmark: referenced in the package outside its own definition and
 field, property and method of an exported class. A name that only tests
 reach belongs in the tests as a helper, not in the package. A demo reads
 as a user's script: it imports ``latentpath`` and its exports, and no
-module of the package.
+module of the package. Parameter labels are formed where the model is
+compiled and where a fit's standardized solution is named, and nowhere
+else: every other reader finds a parameter by its cell.
 """
 
 from __future__ import annotations
@@ -104,3 +106,44 @@ def test_demos_import_only_the_package_and_its_exports():
     imported = [f"{path.name}: {name}" for path in sorted((ROOT / "demos").glob("*.py"))
                 for name in package_imports(path) if name not in allowed]
     assert not imported, f"demos import from latentpath's modules: {imported}"
+
+
+LABEL_OPERATORS = {"=~", "~", "~~"}
+
+
+def label_fstrings(path: Path) -> list[tuple[int, str]]:
+    """The f-strings of a Python file that join two names with a bare ``=~``,
+    ``~`` or ``~~``, as a parameter label does: each one's line and the dotted
+    name of the class and function it is in. Model source (``f"{name} =~ "``)
+    and messages have spaces around the operator, and do not count."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.JoinedStr):
+                v = child.values
+                if any(isinstance(v[k], ast.Constant) and v[k].value in LABEL_OPERATORS
+                       and isinstance(v[k - 1], ast.FormattedValue)
+                       and isinstance(v[k + 1], ast.FormattedValue)
+                       for k in range(1, len(v) - 1)):
+                    found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_parameter_labels_are_formed_only_where_cells_are_named():
+    model, sem = PACKAGE / "model.py", PACKAGE / "sem.py"
+    # the check sees the labels it allows
+    assert {scope for _, scope in label_fstrings(sem)} == {"FitResult.standardized"}
+    assert len(label_fstrings(model)) == 3
+    formed = [f"{path.relative_to(ROOT)}:{line} ({scope or 'module'})"
+              for path in [*PACKAGE.rglob("*.py"), *(ROOT / "demos").glob("*.py")]
+              if path != model
+              for line, scope in label_fstrings(path)
+              if (path, scope) != (sem, "FitResult.standardized")]
+    assert not formed, f"parameter labels formed outside model.py and FitResult.standardized: {formed}"
