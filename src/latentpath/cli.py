@@ -24,7 +24,7 @@ from . import fit_indices
 from .data import Dataset, SampleMoments, covariance, load_table, save_table
 from .effects import (
     EffectDecomposition,
-    _validate_mediator,
+    _validate_mediators,
     bootstrap_ci,
     classify_hypotheses,
     delta_ci,
@@ -501,13 +501,11 @@ def _cmd_report(args) -> int:
     spec, dataset = inputs.spec, inputs.dataset
     triples = [_parse_effect(e) for e in args.effect] if args.effect \
         else _derive_mediation_triples(spec)
-    for triple in triples:  # checked as mediate checks them, with or without replicates
-        _validate_mediator(spec, *triple)
+    _validate_mediators(spec, triples)  # as mediate checks them, with or without replicates
     built = {
         "dataset": ("dataset", _dataset_payload(dataset)),
         **_psychometric_sections(dataset, _constructs(spec), args.divisor),
-        **_efa_sections(covariance(dataset.subset(spec.indicator_names), divisor=args.divisor),
-                        **_REPORT_EFA),
+        **_efa_sections(inputs.moments, **_REPORT_EFA),
     }
     cfa, cfa_converged = _cfa_sections(inputs, args)
     sem, sem_converged = _fit_sections(inputs, args)

@@ -143,8 +143,7 @@ def bootstrap_ci(
         raise EstimationError(f"seed must be a non-negative integer, got {seed!r}")
     opts = opts or EstimationOptions()
 
-    for src, med, dst in effects:
-        _validate_mediator(spec, src, med, dst)
+    _validate_mediators(spec, effects)
 
     dataset = dataset.subset(model_columns(spec, dataset.names))
     # full-sample point estimates; the replicates reuse its compiled model
@@ -152,8 +151,8 @@ def bootstrap_ci(
                standardize_latents=standardize_latents, compute_se=False)
     full_eff = decompose_fit(full)
 
-    draws, reasons = _refit_replicates(dataset.complete_rows(), dataset.names,
-                                       full.matrices, effects, opts, seed, replicates)
+    draws, reasons = _refit_replicates(dataset.complete_rows(), full.matrices, effects,
+                                       opts, seed, replicates)
     n_dropped = replicates - len(draws)
     if n_dropped > _MAX_FAILURE_RATE * replicates:
         counts = ", ".join(f"{count} {reason}" for reason, count in
@@ -165,14 +164,11 @@ def bootstrap_ci(
         )
 
     alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0).tolist()  # each (routes, 3)
     out = []
     for k, (src, med, dst) in enumerate(effects):
         tot, dire, ind = full_eff.effect(src, dst, med)
-        bounds = []
-        for comp in range(3):
-            vals = draws[:, k, comp]
-            lo, hi = np.quantile(vals, [alpha, 1.0 - alpha])
-            bounds.append((float(lo), float(hi)))
+        bounds = list(zip(lo[k], hi[k]))
         out.append(EffectDecomposition(
             source=src, target=dst, mediator=med,
             total=tot, direct=dire, indirect=ind,
@@ -205,19 +201,19 @@ def _drop_reason(error: Exception | None) -> str:
     return "non-PD start values"
 
 
-def _refit_replicates(X: np.ndarray, names: list[str], m: ParamMatrices,
-                      routes: list[tuple], opts: EstimationOptions, seed: int,
+def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
+                      opts: EstimationOptions, seed: int,
                       replicates: int) -> tuple[np.ndarray, list[str]]:
     """Effects (kept, routes, 3) of the replicates that converge, in replicate
     order, and the reason each other one dropped.
 
+    X's columns come in ``m.variable_order``, so no replicate's S is reordered.
     Replicate r resamples the rows of X with a generator seeded seed + r.
     The replicates are fitted in blocks, stacked so that no temporary
     passes _BLOCK_BYTES; the widest are the (t x t) products of the
     information or the (v x v) matrices of the RAM form.
     """
     n, p = X.shape[0], m.n_observed
-    idx = [names.index(v) for v in m.variable_order]
     width = max(m.n_free, len(m.variables))
     block = max(1, _BLOCK_BYTES // (8 * width * width))
     draws, reasons = [], []
@@ -227,7 +223,7 @@ def _refit_replicates(X: np.ndarray, names: list[str], m: ParamMatrices,
         for b, r in enumerate(members):
             # the resampled rows are dropped at once; the stack keeps only S
             rows = np.random.default_rng(seed + r).integers(0, n, n)
-            S[b] = _covariance_matrix(X[rows], n - 1)[np.ix_(idx, idx)]
+            S[b] = _covariance_matrix(X[rows], n - 1)
         opt = _minimize(_Objective(m, S), start_values(m, S), opts)
         reasons += [_drop_reason(err) for err, ok in zip(opt.errors, opt.converged) if not ok]
         # one batched (I - D)^-1 over the replicates that converged
@@ -287,9 +283,9 @@ def delta_ci(
 
     eff = decompose_fit(result)
     z = ndtri(0.5 + level / 2.0)
+    _validate_mediators(result.matrices.spec, effects)
     out = []
     for src, med, dst in effects:
-        _validate_mediator(result.matrices.spec, src, med, dst)
         point = eff.effect(src, dst, med)
         G = _effect_gradients(result.matrices, eff, src, med, dst)
         sd = np.sqrt(((G @ result.acov) * G).sum(axis=1))
@@ -304,19 +300,23 @@ def delta_ci(
     return out
 
 
-def _validate_mediator(spec: ModelSpec, src: str, med: str, dst: str) -> None:
+def _validate_mediators(spec: ModelSpec, effects: list[tuple[str, str, str]]) -> None:
+    """Raise ModelSpecificationError unless each (source, mediator, target)
+    names latents of spec and the mediator lies on a directed route."""
     names = spec.latent_names
-    for name in (src, med, dst):
-        if name not in names:
-            raise ModelSpecificationError(f"{name!r} is not a latent in the model")
     # with unit arrows, T counts the directed routes between two latents
     arrows = np.zeros((len(names), len(names)))
     for r in spec.regressions:
         arrows[names.index(r.dependent), names.index(r.predictor)] = 1.0
-    if decompose(arrows, names).effect(src, dst, med)[2] == 0:
-        raise ModelSpecificationError(
-            f"{med!r} does not mediate any directed route {src} -> {dst}"
-        )
+    routes = decompose(arrows, names)
+    for src, med, dst in effects:
+        for name in (src, med, dst):
+            if name not in names:
+                raise ModelSpecificationError(f"{name!r} is not a latent in the model")
+        if routes.effect(src, dst, med)[2] == 0:
+            raise ModelSpecificationError(
+                f"{med!r} does not mediate any directed route {src} -> {dst}"
+            )
 
 
 @dataclass

@@ -254,7 +254,6 @@ class _OptimResult:
     """One entry per member of the stack."""
 
     theta: np.ndarray  # (B, t)
-    f: np.ndarray
     grad: np.ndarray  # (B, t)
     history: list[list[float]]
     iterations: np.ndarray
@@ -376,7 +375,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             break
         _each_member(lambda r: iterate(r, it), rows, errors)
         active &= alive()
-    return _OptimResult(theta, at.f, g, history, iterations, converged, at, errors)
+    return _OptimResult(theta, g, history, iterations, converged, at, errors)
 
 
 def _each_member(step, rows: np.ndarray, errors: list) -> None:
@@ -572,7 +571,7 @@ def fit(
     opt = _minimize(objective, start_values(m, S)[None], opts)
     if opt.errors[0] is not None:
         raise opt.errors[0]
-    theta, f_min, converged = opt.theta[0], float(opt.f[0]), bool(opt.converged[0])
+    theta, f_min, converged = opt.theta[0], float(opt.at.f[0]), bool(opt.converged[0])
 
     n = moments.n
     mult = (n - 1) if opts.chisq_multiplier == "n-1" else n

@@ -454,16 +454,22 @@ class TestStackedRefits:
         data = lp.simulate(*planted, 519, seed=42)
         self.check_stack(survey_spec, data, 1, 20, monkeypatch)
 
-    def test_mediation_model_matches_lone_fits(self, monkeypatch):
+    # the columns in the model's order, and reversed: the replicates'
+    # covariances come in the compiled order, the data's, with no reorder
+    @pytest.mark.parametrize("reverse", [False, True], ids=["model_order", "reversed"])
+    def test_mediation_model_matches_lone_fits(self, monkeypatch, reverse):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
+        if reverse:
+            data = data.subset(data.names[::-1])
         fits, lone = self.check_stack(spec, data, 2, 100, monkeypatch)
+        assert fits[0].matrices.variable_order == data.names
         # some line-search trials left the PD cone, so the per-slice
         # Cholesky fallback ran inside the stack
         assert lone
         # the bootstrap builds the same moments and reads the same effects
         routes = [("X", "M", "Y"), ("X", None, "Y")]
         draws, reasons = effects._refit_replicates(
-            data.values, data.names, fits[0].matrices, routes,
+            data.values, fits[0].matrices, routes,
             lp.EstimationOptions(), 2, 100)
         assert reasons == []
         expected = [[lp.decompose_fit(res).effect(src, dst, med) for src, med, dst in routes]
