@@ -3,9 +3,10 @@
 Subcommands: fit, cfa, efa, reliability, mediate, simulate, report.
 Exit status 0 on success, 1 on a domain error (non-convergence,
 under-identification, estimation failure), 2 on a usage error (bad flags,
-missing files, model syntax problems). Every run emits a provenance
-header with input hashes, the seed, and the options in effect; the
-``LATENTPATH_SEED`` environment variable supplies the default seed.
+a path that cannot be read or written, model syntax problems). Every run
+emits a provenance header with input hashes, the seed, and the options in
+effect; the ``LATENTPATH_SEED`` environment variable supplies the default
+seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import efa as efa_mod
 from . import fit_indices
-from .data import Dataset, SampleMoments, covariance, load_table, save_table
+from .data import Dataset, SampleMoments, covariance, load_table, read_text, save_table
 from .effects import (
     EffectDecomposition,
     _validate_mediators,
@@ -58,7 +59,7 @@ from .sem import (
     theta_from_config,
 )
 
-_USAGE_ERRORS = (ModelSyntaxError, ModelSpecificationError, DataError, FileNotFoundError)
+_USAGE_ERRORS = (ModelSyntaxError, ModelSpecificationError, DataError, OSError)
 _DOMAIN_ERRORS = (UnderIdentifiedError, EstimationError, NotPositiveDefiniteError)
 
 
@@ -146,7 +147,18 @@ def _add_mediation(parser: argparse.ArgumentParser, effect: dict, boot: dict) ->
 
 
 def _read_model(path: str) -> ModelSpec:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(read_text(path))
+
+
+def _read_params(path: str) -> dict:
+    """simulate's --params file, which must hold a JSON object."""
+    try:
+        config = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise DataError(f"{path} must hold a JSON object, not {type(config).__name__}")
+    return config
 
 
 # a subcommand's output: section name -> (kind, payload), in report order
@@ -473,7 +485,7 @@ def _cmd_mediate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _read_model(args.model)
-    config = json.loads(Path(args.params).read_text(encoding="utf-8"))
+    config = _read_params(args.params)
     std_lv = bool(config.get("standardize_latents", False))
     m = build_matrices(spec, spec.indicator_names, standardize_latents=std_lv)
     theta = theta_from_config(m, config.get("values"), config.get("defaults"))

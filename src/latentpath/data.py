@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,6 +73,34 @@ class Dataset:
         return Dataset(list(names), self.values.take(idx, axis=1))
 
 
+@contextmanager
+def _reading(path: Path):
+    """Raise DataError, naming path, for an OSError or a UnicodeDecodeError
+    met while reading it as UTF-8 text."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # exc places the byte within the block the reader decoded; a decode
+        # of the whole file places it within the file
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        except OSError:
+            pass
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 text file; DataError when it cannot be read or
+    is not UTF-8."""
+    path = Path(path)
+    with _reading(path):
+        return path.read_text(encoding="utf-8")
+
+
 def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     """Read a delimited UTF-8 text file into a Dataset.
 
@@ -93,7 +122,7 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     buffer = array("d")
     n_rows = 0  # rows read, the header included
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with _reading(path), open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             rows = (row for row in reader if len(row) > 1 or any(cell.strip() for cell in row))
             first = next(rows, None)
@@ -114,18 +143,6 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
                         buffer.append(float(cell))
                     except ValueError:  # the missing markers and any other text
                         buffer.append(math.nan)
-    except UnicodeDecodeError as exc:
-        # exc places the byte within the block the reader decoded; a decode
-        # of the whole file places it within the file
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        except OSError:
-            pass
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
     if n_rows == 1:

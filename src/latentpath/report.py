@@ -98,7 +98,13 @@ def to_jsonable(obj):
 
 
 def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The SHA-256 of a file, read 64 KB at a time, so that hashing holds
+    no more of the file than that."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(64 * 1024), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def provenance(model_path=None, data_path=None, seed=None, options=None) -> dict:

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -78,6 +80,33 @@ class TestSimulate:
         assert status == 2
         assert "unrecognized arguments: --delimiter" in capsys.readouterr().err
         assert not out.exists()
+
+    # a path other than --data that cannot be read or written: None makes
+    # it a directory, bytes make it a file holding them
+    @pytest.mark.parametrize("flag, content", [
+        ("--model", None),
+        ("--model", "CE =~ café".encode("latin-1")),
+        ("--params", None),
+        ("--params", b'{"values": '),
+        ("--params", b"[1, 2]"),
+        ("--output", None),
+        ("--out", None),
+    ], ids=["model-dir", "model-latin1", "params-dir", "params-malformed", "params-list",
+            "output-dir", "out-dir"])
+    def test_bad_path_exits_2_naming_it(self, tmp_path, flag, content, capsys):
+        bad = tmp_path / "bad"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        paths = {"--model": MODEL, "--params": PARAMS, "--out": str(tmp_path / "sim.csv"),
+                 "--output": str(tmp_path / "sim.txt"), flag: str(bad)}
+        status = dispatch(["simulate", "--n", "10",
+                           *(arg for item in paths.items() for arg in item)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("seed", ["abc", "-1"])
     def test_bad_env_seed_exits_2(self, tmp_path, seed, monkeypatch, capsys):
@@ -624,8 +653,16 @@ class TestReportIsTheUnionOfItsSubcommands:
         (alone,) = json.loads(mediate["mediation"])["effects"]
         assert entries[("EnvSt", "PerVa", "PB")] == json.dumps(alone, sort_keys=True)
 
-    def test_psychometric_and_efa_sections_match(self, sim_csv, tmp_path):
-        # the simulated file holds exactly the model's indicators, in its order
+    # the simulated file holds exactly the model's indicators, in the
+    # model's order; its permuted copy holds them in another order, which
+    # report's efa follows as efa does
+    @pytest.mark.parametrize("permute", [False, True], ids=["model_order", "permuted"])
+    def test_psychometric_and_efa_sections_match(self, sim_csv, tmp_path, permute):
+        if permute:
+            data = lp.load_table(sim_csv)
+            order = np.random.default_rng(0).permutation(data.p)
+            sim_csv = str(tmp_path / "permuted.csv")
+            lp.save_table(data.subset([data.names[i] for i in order]), sim_csv)
         report = json_sections(["report", "--model", MODEL, "--data", sim_csv, "--boot", "0"],
                                tmp_path / "report.json")
         efa = json_sections(["efa", "--data", sim_csv], tmp_path / "efa.json")
@@ -684,3 +721,17 @@ class TestStars:
         assert report_mod.stars(0.03, "conventional") == "*"
         assert report_mod.stars(0.007, "conventional") == "**"
         assert report_mod.stars(0.0005, "conventional") == "***"
+
+
+class TestFileSha256:
+    def test_hashes_in_chunks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(8 * 1024 * 1024))
+        tracemalloc.start()
+        try:
+            digest = report_mod.file_sha256(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 1024 * 1024  # reading the whole file peaked at 8 MB
