@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -88,7 +89,8 @@ def _ranged(convert, ok, wanted: str):
 
 
 _POSITIVE_INT = _ranged(int, lambda v: v > 0, "positive")
-_POSITIVE_FLOAT = _ranged(float, lambda v: v > 0, "positive")
+_TOLERANCE = _ranged(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_CUTOFF = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 _LEVEL = _ranged(float, lambda v: 0 < v < 1, "inside (0, 1)")
 _REPLICATES = _ranged(int, lambda v: v == 0 or v >= 100, "0 or at least 100")
 _SEED = _ranged(int, lambda v: v >= 0, "non-negative")  # numpy's generators reject v < 0
@@ -128,7 +130,7 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 
 def _add_estimation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=_POSITIVE_INT, default=500)
-    parser.add_argument("--gtol", type=_POSITIVE_FLOAT, default=1e-6)
+    parser.add_argument("--gtol", type=_TOLERANCE, default=1e-6)
     parser.add_argument("--chisq-n", choices=("n", "n-1"), default="n-1",
                         help="chi-square multiplier")
     parser.add_argument("--std-lv", action="store_true",
@@ -151,13 +153,26 @@ def _read_model(path: str) -> ModelSpec:
 
 
 def _read_params(path: str) -> dict:
-    """simulate's --params file, which must hold a JSON object."""
+    """simulate's --params file: a JSON object whose "values" and "defaults",
+    where given, map names to finite numbers, and whose
+    "standardize_latents", where given, is true or false."""
     try:
-        config = json.loads(read_text(path))
+        # every number as a float: an integer too large for one becomes inf
+        config = json.loads(read_text(path), parse_int=float)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not JSON: {exc}") from None
     if not isinstance(config, dict):
         raise DataError(f"{path} must hold a JSON object, not {type(config).__name__}")
+    for key in ("values", "defaults"):
+        table = config.get(key, {})
+        wanted = f"{path}: {key!r} must be an object of finite numbers"
+        if not isinstance(table, dict):
+            raise DataError(wanted)
+        bad = [name for name, v in table.items() if type(v) is not float or not math.isfinite(v)]
+        if bad:
+            raise DataError(f"{wanted}; not so at {bad}")
+    if not isinstance(config.get("standardize_latents", False), bool):
+        raise DataError(f"{path}: 'standardize_latents' must be true or false")
     return config
 
 
@@ -486,8 +501,8 @@ def _cmd_mediate(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = _read_model(args.model)
     config = _read_params(args.params)
-    std_lv = bool(config.get("standardize_latents", False))
-    m = build_matrices(spec, spec.indicator_names, standardize_latents=std_lv)
+    m = build_matrices(spec, spec.indicator_names,
+                       standardize_latents=config.get("standardize_latents", False))
     theta = theta_from_config(m, config.get("values"), config.get("defaults"))
     seed = _seed(args)
     dataset = simulate(m, theta, args.n, seed)
@@ -553,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("efa", _cmd_efa, "exploratory factor analysis", model=False)
     p.add_argument("--retain", type=_retention, default="kaiser",
                    help="'kaiser' or 'm=<k>' (default kaiser)")
-    p.add_argument("--suppress", type=float, default=0.4)
+    p.add_argument("--suppress", type=_CUTOFF, default=0.4)
     p.add_argument("--rotation", choices=("varimax", "none"), default="varimax")
     p.add_argument("--method", choices=("principal", "principal-axis"),
                    default="principal")

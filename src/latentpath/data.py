@@ -116,8 +116,10 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     byte that is not UTF-8, the error reported is the one the reader meets
     first. Lines end at "\\r\\n", "\\r" or "\\n" (the file is opened with
     ``newline=""``), and a quoted cell keeps the line breaks it holds as
-    written.
+    written. A delimiter that is not one character raises ``DataError``.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DataError(f"the delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     buffer = array("d")
     n_rows = 0  # rows read, the header included

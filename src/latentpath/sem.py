@@ -28,6 +28,7 @@ import numpy as np
 
 from .data import Dataset, SampleMoments
 from .errors import (
+    DataError,
     EstimationError,
     NotPositiveDefiniteError,
     UnderIdentifiedError,
@@ -47,8 +48,8 @@ class EstimationOptions:
     def __post_init__(self):
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        if self.gtol <= 0:
-            raise ValueError("gtol must be positive")
+        if not (np.isfinite(self.gtol) and self.gtol > 0):
+            raise ValueError("gtol must be finite and positive")
         if self.chisq_multiplier not in ("n-1", "n"):
             raise ValueError("chisq_multiplier must be 'n-1' or 'n'")
 
@@ -500,17 +501,33 @@ def standardize(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.nda
     return A * sd / sd[:, None], S / (sd[:, None] * sd)
 
 
-def _check_identified(H: np.ndarray, labels: list[str]) -> None:
+def _check_identified(H: np.ndarray, acov: np.ndarray, labels: list[str]) -> None:
     """Reject information with a (near) null direction: the model is not identified.
 
-    Tests d·H·d, d = |diag(H)|^-1/2, whose eigenvalues do not change when a
-    parameter is rescaled (an indicator in other units); a diagonal entry
-    that is not positive makes one non-positive. Names the parameters that
-    weigh most in the eigenvector of the smallest, the flat direction.
+    Tests Hs = d·H·d, d = |diag(H)|^-1/2, whose eigenvalues do not change
+    when a parameter is rescaled (an indicator in other units); a diagonal
+    entry that is not positive makes one non-positive. Identified means
+    λ_min > 1e-6 λ_max. When Hs has a Cholesky factor it is positive
+    definite, and its unit diagonal gives λ_max <= tr Hs = t and
+    1/λ_min <= tr Hs^-1 = Σ acov_ii H_ii, with acov = H^-1. So
+    1 / (t Σ acov_ii H_ii) never exceeds λ_min/λ_max, and when it clears
+    1e-6 the model is identified without an eigendecomposition. Otherwise
+    (a NaN acov included) ``eigh`` decides, and the message names the
+    parameters that weigh most in the eigenvector of the smallest
+    eigenvalue, the flat direction.
     """
     diag = np.abs(np.diag(H))
     d = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
-    lam, vec = np.linalg.eigh(d[:, None] * H * d[None, :])
+    Hs = d[:, None] * H * d[None, :]
+    try:
+        np.linalg.cholesky(Hs)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        trace_inv = np.diag(acov) @ np.diag(H)  # NaN when H was not inverted
+        if 0 < trace_inv < 1e6 / len(H):  # 1 / (t trace_inv) > 1e-6, without overflow
+            return
+    lam, vec = np.linalg.eigh(Hs)
     if lam[0] > 1e-6 * lam[-1]:
         return
     weight = np.abs(vec[:, 0])
@@ -581,12 +598,12 @@ def fit(
     acov = np.full((t, t), np.nan)
     if compute_se and t:
         H = ((n - 1) / 2.0) * objective.informations(opt.at)[0]
-        if converged:
-            _check_identified(H, m.labels)
         try:
             acov = np.linalg.inv(H)
         except np.linalg.LinAlgError:
             pass
+        if converged:
+            _check_identified(H, acov, m.labels)
     diag = np.diag(acov)
     se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -639,12 +656,16 @@ def theta_from_config(
     values: dict[str, float] | None = None,
     defaults: dict[str, float] | None = None,
 ) -> np.ndarray:
-    """Build a full parameter vector from per-label values plus per-kind defaults."""
+    """Build a full parameter vector from per-label values plus per-kind defaults.
+
+    Raises DataError when ``values`` names a parameter the model lacks, or a
+    parameter has neither a value nor a default for its kind.
+    """
     values = values or {}
     defaults = defaults or {}
     unknown = set(values) - set(m.labels)
     if unknown:
-        raise EstimationError(f"config names unknown parameters: {sorted(unknown)}")
+        raise DataError(f"'values' names unknown parameters: {sorted(unknown)}")
     theta = np.zeros(m.n_free)
     missing = []
     for k, par in enumerate(m.parameters):
@@ -655,7 +676,7 @@ def theta_from_config(
         else:
             missing.append(par.label)
     if missing:
-        raise EstimationError(
+        raise DataError(
             f"no value or default for parameters: {sorted(missing)[:8]}"
             + ("..." if len(missing) > 8 else "")
         )

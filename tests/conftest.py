@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import latentpath as lp
+from latentpath.errors import UnderIdentifiedError
 
 ASSETS = Path(lp.__file__).parent / "assets"
 
@@ -72,6 +73,26 @@ def sobel_variance(gamma: float, b: float, var_gamma: float, var_b: float) -> fl
     if var_gamma < 0 or var_b < 0:
         raise ValueError("variances must be nonnegative")
     return gamma * gamma * var_b + b * b * var_gamma + var_gamma * var_b
+
+
+def check_identified_by_eigh(H: np.ndarray, labels: list[str]) -> None:
+    """The identification check by eigendecomposition alone: raise
+    UnderIdentifiedError when d·H·d, d = |diag(H)|^-1/2, has a smallest
+    eigenvalue of at most 1e-6 times its largest, naming the parameters that
+    weigh most in the eigenvector of the smallest."""
+    diag = np.abs(np.diag(H))
+    d = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    lam, vec = np.linalg.eigh(d[:, None] * H * d[None, :])
+    if lam[0] > 1e-6 * lam[-1]:
+        return
+    weight = np.abs(vec[:, 0])
+    flat = [labels[k] for k in np.argsort(-weight, kind="stable")
+            if weight[k] >= 0.5 * weight.max()]
+    raise UnderIdentifiedError(
+        f"model is not identified: the information matrix is singular "
+        f"(smallest/largest scaled eigenvalue {lam[0] / lam[-1]:.1e}); "
+        f"the fit is flat along {', '.join(flat)}"
+    )
 
 
 def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int) -> float:

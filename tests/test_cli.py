@@ -108,6 +108,24 @@ class TestSimulate:
         assert err.startswith("error: ") and str(bad) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content, key", [
+        ('{"values": 3}', "'values'"),
+        ('{"defaults": "x"}', "'defaults'"),
+        ('{"values": {"nope": 1}}', "'nope'"),
+        ('{"standardize_latents": "no"}', "'standardize_latents'"),
+    ], ids=["values-number", "defaults-string", "values-unknown", "std-lv-string"])
+    def test_bad_params_content_exits_2_naming_the_key(self, tmp_path, content, key, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(content, encoding="utf-8")
+        out = tmp_path / "sim.csv"
+        status = dispatch(["simulate", "--model", MODEL, "--params", str(params),
+                           "--n", "10", "--out", str(out)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["abc", "-1"])
     def test_bad_env_seed_exits_2(self, tmp_path, seed, monkeypatch, capsys):
         monkeypatch.setenv("LATENTPATH_SEED", seed)
@@ -341,6 +359,17 @@ class TestEfa:
                          "--format", "json", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["sections"]["efa"]["n_factors"] == 2
+
+    @pytest.mark.parametrize("suppress", ["nan", "inf", "-0.1"])
+    def test_bad_suppress_exits_2(self, sim_csv, suppress, capsys):
+        assert dispatch(["efa", "--data", sim_csv, "--suppress", suppress]) == 2
+        assert (f"argument --suppress: must be finite and non-negative, got {suppress}"
+                in capsys.readouterr().err)
+
+    def test_bad_delimiter_exits_2(self, sim_csv, capsys):
+        assert dispatch(["efa", "--data", sim_csv, "--delimiter", ";;"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the delimiter must be one character, got ';;'")
 
     @pytest.mark.parametrize("retain", ["m=abc", "m=", "three"])
     def test_malformed_retention_exits_2(self, sim_csv, retain, capsys):
@@ -687,6 +716,7 @@ class TestFlagRanges:
         ["fit", "--max-iter", "0"],
         ["cfa", "--max-iter", "-3"],
         ["fit", "--gtol", "0"],
+        ["fit", "--gtol", "inf"],
         ["report", "--boot", "0", "--gtol", "nan"],
         ["mediate", "--effect", "EnvSt:PerVa:PB", "--boot", "100", "--seed", "-1"],
         ["report", "--boot", "100", "--seed", "-3"],

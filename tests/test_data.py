@@ -118,6 +118,11 @@ class TestLoadTable:
         assert ds.names == ["a", "b"]
         assert ds.values[1, 1] == 4
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        with pytest.raises(DataError, match="delimiter must be one character"):
+            lp.load_table(write(tmp_path, "a,b\n1,2\n"), delimiter=delimiter)
+
     def test_save_round_trip(self, tmp_path):
         ds = lp.load_table(write(tmp_path, "a,b\n1.5,\n3,4\n"))
         out = tmp_path / "echo.csv"

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
 from latentpath.errors import NotPositiveDefiniteError, UnderIdentifiedError
 from latentpath.model import VARIANCE_KINDS
-from latentpath.sem import _Objective
+from latentpath.sem import _check_identified, _Objective
 
-from conftest import evaluate, log_likelihood, one_factor_spec
+from conftest import check_identified_by_eigh, evaluate, log_likelihood, one_factor_spec
+from test_effects import planted_mediation_data
 from test_model import count_free_by_enumeration, free_cell, random_specs_with_covariance
 
 
@@ -500,6 +501,117 @@ class TestFit:
         res = lp.fit(spec, mom, compute_se=False)
         assert "a~~a" in res.heywood
         assert res.estimates["a~~a"] == pytest.approx(1 - 1.28, abs=1e-3)
+
+
+WIDE_MODEL = "\n".join(
+    [f"{f} =~ " + " + ".join(f"{f.lower()}{i}" for i in range(1, 7)) for f in "ABCDEFGH"]
+    + ["D ~ A + B + C", "E ~ A + B + C", "F ~ D + E + A", "G ~ D + E + B", "H ~ F + G + C"])
+
+
+def wide_moments() -> tuple[lp.ModelSpec, lp.SampleMoments]:
+    """Eight latents of six indicators each and five structural equations
+    (p = 48, t = 114), simulated at n = 2000."""
+    spec = lp.parse_model(WIDE_MODEL)
+    m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
+    theta = lp.theta_from_config(
+        m, {f"{r.dependent}~{r.predictor}": 0.3 for r in spec.regressions},
+        dict(loading=0.75, latent_variance=1.0, latent_covariance=0.25,
+             disturbance_variance=0.5, error_variance=0.4375))
+    return spec, lp.covariance(lp.simulate(m, theta, 2000, seed=42))
+
+
+def information_with_ratio(t: int, ratio: float, seed: int, spread: float) -> np.ndarray:
+    """A symmetric t x t matrix whose unit-diagonal scaling has eigenvalues
+    from ratio to 1 (before normalizing to trace t), its rows and columns
+    scaled by 10^U(-spread, spread)."""
+    from scipy.stats import random_correlation
+
+    rng = np.random.default_rng(seed)
+    lam = np.concatenate([[ratio, 1.0], rng.uniform(ratio, 1.0, t - 2)])
+    C = random_correlation.rvs(lam * t / lam.sum(), random_state=rng)
+    d = 10.0 ** rng.uniform(-spread, spread, t)
+    H = d[:, None] * C * d[None, :]
+    return (H + H.T) / 2.0
+
+
+@pytest.fixture
+def no_eigh(monkeypatch):
+    """np.linalg.eigh raises for the rest of the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+class TestIdentificationCertificate:
+    """``_check_identified`` decides as the eigendecomposition alone does."""
+
+    @staticmethod
+    def outcome(check, *args):
+        try:
+            check(*args)
+        except UnderIdentifiedError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=20, deadline=None)
+    @given(t=st.integers(2, 40),
+           ratio=st.sampled_from([0.3, 1e-2, 1e-4, 3e-5, 1.001e-6, 1e-6, 0.999e-6, 1e-9, 0.0]),
+           seed=st.integers(0, 2**16), spread=st.sampled_from([0.0, 1.0, 4.0]),
+           diagonal=st.sampled_from([None, 0.0, -1.0]))
+    # the edges: at t = 2 the bound certifies a ratio just above 1e-6; at
+    # t = 40 a ratio just below it must reach eigh; non-positive diagonals
+    @example(t=2, ratio=1.001e-6, seed=0, spread=0.0, diagonal=None)
+    @example(t=40, ratio=0.999e-6, seed=1, spread=4.0, diagonal=None)
+    @example(t=3, ratio=1e-6, seed=2, spread=1.0, diagonal=None)
+    @example(t=5, ratio=0.3, seed=3, spread=1.0, diagonal=0.0)
+    @example(t=5, ratio=0.3, seed=3, spread=1.0, diagonal=-1.0)
+    def test_agrees_with_the_eigendecomposition(self, t, ratio, seed, spread, diagonal):
+        H = information_with_ratio(t, ratio, seed, spread)
+        if diagonal is not None:
+            H[seed % t, seed % t] *= diagonal  # a zero or a negative diagonal entry
+        try:
+            acov = np.linalg.inv(H)
+        except np.linalg.LinAlgError:
+            acov = np.full_like(H, np.nan)
+        labels = [f"p{k}" for k in range(t)]
+        assert (self.outcome(_check_identified, H, acov, labels)
+                == self.outcome(check_identified_by_eigh, H, labels))
+
+    def test_certified_information_skips_eigh(self, no_eigh):
+        H = information_with_ratio(30, 0.2, seed=3, spread=3.0)
+        _check_identified(H, np.linalg.inv(H), [f"p{k}" for k in range(30)])
+
+    def test_uninverted_information_falls_back_to_eigh(self):
+        H = information_with_ratio(6, 0.0, seed=1, spread=1.0)
+        labels = [f"p{k}" for k in range(6)]
+        with pytest.raises(UnderIdentifiedError) as info:
+            _check_identified(H, np.full_like(H, np.nan), labels)
+        assert str(info.value) == self.outcome(check_identified_by_eigh, H, labels)
+
+    @pytest.mark.parametrize("workload", ["wide", "survey", "mediation"])
+    @pytest.mark.parametrize("structural", [True, False], ids=["sem", "cfa"])
+    def test_identified_fits_never_call_eigh(self, workload, structural, survey_spec, planted,
+                                             no_eigh):
+        if workload == "wide":
+            spec, moments = wide_moments()
+        elif workload == "survey":
+            spec, moments = survey_spec, lp.covariance(lp.simulate(*planted, 519, seed=42))
+        else:
+            spec, data = planted_mediation_data(0.5, 0.0, 0.4, 500, seed=42)
+            moments = lp.covariance(data)
+        if not structural:
+            spec = spec.without_regressions()
+        res = lp.fit(spec, moments)
+        assert res.converged
+        assert np.all(np.isfinite(res.se)) and np.all(res.se > 0)
+
+
+class TestEstimationOptions:
+    @pytest.mark.parametrize("gtol", [0.0, -1e-6, math.inf, math.nan])
+    def test_gtol_must_be_finite_and_positive(self, gtol):
+        with pytest.raises(ValueError, match="gtol must be finite and positive"):
+            lp.EstimationOptions(gtol=gtol)
 
 
 def std_cell(A_std, S_std, m, label: str) -> float:
