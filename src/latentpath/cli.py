@@ -232,11 +232,12 @@ def _dataset_payload(dataset: Dataset) -> dict:
 
 
 def _fit_payload(result: FitResult) -> dict:
+    labels = result.labels
     return {
         "estimates": result.estimates,
-        "se": dict(zip(result.labels, result.se)),
-        "crit_ratio": dict(zip(result.labels, result.crit_ratio)),
-        "p_values": dict(zip(result.labels, result.p_values)),
+        "se": dict(zip(labels, result.se)),
+        "crit_ratio": dict(zip(labels, result.crit_ratio)),
+        "p_values": dict(zip(labels, result.p_values)),
         "standardized": result.standardized,
         "f_min": result.f_min,
         "chisq": result.chisq,
@@ -318,12 +319,14 @@ def _discriminant_payload(result: FitResult, convergent: dict) -> dict:
 
 
 def _psychometric_sections(dataset: Dataset, constructs: list[tuple[str, list[str]]],
-                           divisor: str) -> Sections:
-    """The reliability (alpha) and sampling_adequacy (KMO, Bartlett) sections."""
-    reliability, adequacy = [], []
+                           divisor: str) -> tuple[Sections, list[SampleMoments]]:
+    """The reliability (alpha) and sampling_adequacy (KMO, Bartlett) sections,
+    and the moments of each construct's items they were taken from."""
+    reliability, adequacy, taken = [], [], []
     for name, items in constructs:
         sub = dataset.subset(items)
         moments = covariance(sub, divisor=divisor)
+        taken.append(moments)
         R = moments.R
         chi2, df, p = bartlett(R, moments.n)
         reliability.append({"name": name, "items": items,
@@ -331,7 +334,7 @@ def _psychometric_sections(dataset: Dataset, constructs: list[tuple[str, list[st
         adequacy.append({"name": name, "items": items, "kmo": kmo(R),
                          "bartlett_chi2": chi2, "bartlett_df": df, "bartlett_p": p})
     return {"reliability": ("reliability", {"constructs": reliability}),
-            "sampling_adequacy": ("sampling_adequacy", {"constructs": adequacy})}
+            "sampling_adequacy": ("sampling_adequacy", {"constructs": adequacy})}, taken
 
 
 def _hypotheses_payload(result: FitResult) -> dict:
@@ -434,13 +437,12 @@ def _efa_sections(moments: SampleMoments, retain: str, suppress: float, rotation
 
 def _reliability_sections(dataset: Dataset, constructs: list[tuple[str, list[str]]],
                           divisor: str) -> Sections:
-    sections = _psychometric_sections(dataset, constructs, divisor)
+    sections, moments = _psychometric_sections(dataset, constructs, divisor)
     convergent = []  # no model given: one one-factor fit per construct
-    for name, items in constructs:
+    for (name, items), construct_moments in zip(constructs, moments):
         try:
             one_factor = parse_model(f"{name} =~ " + " + ".join(items))
-            result = fit(one_factor, covariance(dataset.subset(items), divisor=divisor),
-                         compute_se=False)
+            result = fit(one_factor, construct_moments, compute_se=False)
         except (LatentPathError, ValueError):
             result = None
         convergent += _convergent_payload([(name, items)], result)["constructs"]
@@ -529,9 +531,10 @@ def _cmd_report(args) -> int:
     triples = [_parse_effect(e) for e in args.effect] if args.effect \
         else _derive_mediation_triples(spec)
     _validate_mediators(spec, triples)  # as mediate checks them, with or without replicates
+    psychometric, _ = _psychometric_sections(dataset, _constructs(spec), args.divisor)
     built = {
         "dataset": ("dataset", _dataset_payload(dataset)),
-        **_psychometric_sections(dataset, _constructs(spec), args.divisor),
+        **psychometric,
         **_efa_sections(inputs.moments, **_REPORT_EFA),
     }
     cfa, cfa_converged = _cfa_sections(inputs, args)

@@ -7,10 +7,11 @@ ignored, and each remaining line is one statement::
     PB ~ H1*ConsEth + PerVa        # regression among latents
     ConsEth ~~ 0.3*EnvSt           # (co)variance, optionally fixed
 
-A ``value*`` prefix fixes the loading/path/covariance to ``value``; a
-non-numeric prefix on a regression term is a hypothesis label. Statement
-order never matters: parsing canonicalizes latents by name, regressions by
-(dependent, predictor), covariances by sorted pair.
+A ``value*`` prefix fixes the loading/path/covariance to ``value``, which
+must be a finite number; a non-numeric prefix on a regression term is a
+hypothesis label. Statement order never matters: parsing canonicalizes
+latents by name, regressions by (dependent, predictor), covariances by
+sorted pair.
 """
 
 from __future__ import annotations
@@ -126,6 +127,10 @@ def _split_terms(rhs: str, line_no: int, offset: int) -> list[_Term]:
                 fixed = float(prefix)
             except ValueError:
                 label = prefix
+            else:
+                if not np.isfinite(fixed):  # nan, inf, or a number that overflows
+                    raise ModelSyntaxError(f"fixed value {prefix!r} is not finite",
+                                           line_no, column)
         else:
             name = text
         if not _NAME_RE.match(name):
@@ -292,9 +297,10 @@ def _check_acyclic(regressions: list[Regression]) -> None:
 # ---------------------------------------------------------------------------
 # Compilation to RAM form
 
-#: parameter kinds of the variances; the other kinds are "loading", "path",
-#: "latent_covariance" and "error_covariance"
+#: parameter kinds of the variances
 VARIANCE_KINDS = frozenset({"latent_variance", "disturbance_variance", "error_variance"})
+#: every parameter kind
+PARAMETER_KINDS = VARIANCE_KINDS | {"loading", "path", "latent_covariance", "error_covariance"}
 
 
 @dataclass(frozen=True)

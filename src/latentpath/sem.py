@@ -34,7 +34,8 @@ from .errors import (
     UnderIdentifiedError,
 )
 from .fit_indices import chisq_tail
-from .model import VARIANCE_KINDS, ModelSpec, ParamMatrices, build_matrices, count_df
+from .model import (PARAMETER_KINDS, VARIANCE_KINDS, ModelSpec, ParamMatrices, build_matrices,
+                    count_df)
 
 
 @dataclass
@@ -396,29 +397,59 @@ def _each_member(step, rows: np.ndarray, errors: list) -> None:
 
 @dataclass
 class FitResult:
-    """Estimates, inference, and diagnostics from one ML fit; ``p_values``,
-    ``chisq_p`` and ``standardized`` are properties computed on read, not fields."""
+    """What one ML fit found, with the model and moments it belongs to. The
+    rest (SEs, ratios, p-values, chisq, df, implied covariance, Heywood
+    cases, ...) are properties computed on read, so they describe ``theta``."""
 
     theta: np.ndarray
-    labels: list[str]
-    se: np.ndarray
     f_min: float
-    chisq: float
-    df: int
     n: int
-    p: int
     iterations: int
     gradient_norm: float
     converged: bool
-    implied: np.ndarray
-    crit_ratio: np.ndarray
-    heywood: list[str]
     f_history: list[float] = field(repr=False)
     # asymptotic covariance of theta (inverse information); NaN without SEs
     acov: np.ndarray = field(repr=False)
     matrices: ParamMatrices = field(repr=False)
     options: EstimationOptions = field(repr=False)
     S: np.ndarray = field(repr=False)
+
+    @property
+    def labels(self) -> list[str]:
+        return self.matrices.labels
+
+    @property
+    def p(self) -> int:
+        return self.matrices.n_observed
+
+    @property
+    def df(self) -> int:
+        return count_df(self.matrices).value
+
+    @property
+    def chisq(self) -> float:
+        mult = (self.n - 1) if self.options.chisq_multiplier == "n-1" else self.n
+        return mult * self.f_min
+
+    @property
+    def se(self) -> np.ndarray:
+        diag = np.diag(self.acov)
+        return np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
+
+    @property
+    def crit_ratio(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.theta / self.se
+
+    @property
+    def implied(self) -> np.ndarray:
+        return implied_covariance(self.matrices, self.theta)
+
+    @property
+    def heywood(self) -> list[str]:
+        # the variances estimated below zero
+        return [par.label for par, value in zip(self.matrices.parameters, self.theta)
+                if par.kind in VARIANCE_KINDS and value < 0]
 
     @property
     def chisq_p(self) -> float:
@@ -429,11 +460,12 @@ class FitResult:
     def p_values(self) -> np.ndarray:
         # two-sided Wald p-values, computed on read so that a fit whose p-values
         # go unread never loads scipy.special; without SEs every ratio is NaN, and so is p
-        if np.isnan(self.crit_ratio).all():
-            return np.full(self.crit_ratio.shape, np.nan)
+        crit = self.crit_ratio
+        if np.isnan(crit).all():
+            return np.full(crit.shape, np.nan)
         from scipy.special import ndtr
 
-        return 2.0 * ndtr(-np.abs(self.crit_ratio))
+        return 2.0 * ndtr(-np.abs(crit))
 
     @property
     def standardized(self) -> dict[str, float]:
@@ -464,6 +496,7 @@ class FitResult:
         """Per-parameter records; kind filters to 'loading', 'path' or 'covariance'."""
         m = self.matrices
         hypotheses = {pair: lab for lab, pair in m.spec.labels.items()}
+        se, crit = self.se, self.crit_ratio
         p_values, standardized = self.p_values, self.standardized
         rows = []
         for i, par in enumerate(m.parameters):
@@ -476,8 +509,8 @@ class FitResult:
                 "lhs": par.lhs,
                 "rhs": par.rhs,
                 "estimate": float(self.theta[i]),
-                "se": float(self.se[i]),
-                "crit_ratio": float(self.crit_ratio[i]),
+                "se": float(se[i]),
+                "crit_ratio": float(crit[i]),
                 "p": float(p_values[i]),
                 "standardized": standardized.get(par.label),
                 "hypothesis": hypotheses.get((par.lhs, par.rhs)) if k == "path" else None,
@@ -566,12 +599,13 @@ def fit(
     standardize_latents: bool = False,
     compute_se: bool = True,
 ) -> FitResult:
-    """Estimate a model against sample moments by maximum likelihood.
+    """Estimate a model against sample moments by maximum likelihood: compile
+    it, minimize F, and with ``compute_se`` invert (n-1)/2 times the expected
+    information at the optimum into ``acov``.
 
     Returns a FitResult even when the iteration limit is hit (flagged via
-    ``converged``). With ``compute_se`` it carries SEs, critical ratios and
-    the asymptotic covariance; its Wald p-values are computed from the
-    ratios when ``p_values`` is read. Raises UnderIdentifiedError when the
+    ``converged``); its SEs, ratios, p-values, chi-square and implied
+    covariance are computed on read. Raises UnderIdentifiedError when the
     model has more free parameters than sample moments or, with SEs, a
     converged fit has a singular information; NotPositiveDefiniteError for
     a non-PD sample covariance.
@@ -588,13 +622,9 @@ def fit(
     opt = _minimize(objective, start_values(m, S)[None], opts)
     if opt.errors[0] is not None:
         raise opt.errors[0]
-    theta, f_min, converged = opt.theta[0], float(opt.at.f[0]), bool(opt.converged[0])
+    converged = bool(opt.converged[0])
 
-    n = moments.n
-    mult = (n - 1) if opts.chisq_multiplier == "n-1" else n
-    chisq = mult * f_min
-
-    t = m.n_free
+    n, t = moments.n, m.n_free
     acov = np.full((t, t), np.nan)
     if compute_se and t:
         H = ((n - 1) / 2.0) * objective.informations(opt.at)[0]
@@ -604,37 +634,13 @@ def fit(
             pass
         if converged:
             _check_identified(H, acov, m.labels)
-    diag = np.diag(acov)
-    se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crit = theta / se
-
-    labels = m.labels
-    heywood = [
-        par.label for par, value in zip(m.parameters, theta)
-        if par.kind in VARIANCE_KINDS and value < 0
-    ]
 
     return FitResult(
-        theta=theta,
-        labels=labels,
-        se=se,
-        f_min=f_min,
-        chisq=chisq,
-        df=dfres.value,
-        n=n,
-        p=len(names),
+        theta=opt.theta[0], f_min=float(opt.at.f[0]), n=n,
         iterations=int(opt.iterations[0]),
         gradient_norm=float(np.max(np.abs(opt.grad[0]), initial=0.0)),
-        converged=converged,
-        implied=implied_covariance(m, theta),
-        crit_ratio=crit,
-        heywood=heywood,
-        f_history=opt.history[0],
-        acov=acov,
-        matrices=m,
-        options=opts,
-        S=S,
+        converged=converged, f_history=opt.history[0], acov=acov,
+        matrices=m, options=opts, S=S,
     )
 
 
@@ -658,14 +664,19 @@ def theta_from_config(
 ) -> np.ndarray:
     """Build a full parameter vector from per-label values plus per-kind defaults.
 
-    Raises DataError when ``values`` names a parameter the model lacks, or a
-    parameter has neither a value nor a default for its kind.
+    Raises DataError when ``values`` names a parameter the model lacks,
+    ``defaults`` names no parameter kind, or a parameter has neither a
+    value nor a default for its kind. A default for a kind the model has
+    no parameter of is allowed, so one config serves several models.
     """
     values = values or {}
     defaults = defaults or {}
     unknown = set(values) - set(m.labels)
     if unknown:
         raise DataError(f"'values' names unknown parameters: {sorted(unknown)}")
+    unknown = set(defaults) - PARAMETER_KINDS
+    if unknown:
+        raise DataError(f"'defaults' names unknown parameter kinds: {sorted(unknown)}")
     theta = np.zeros(m.n_free)
     missing = []
     for k, par in enumerate(m.parameters):

@@ -95,6 +95,31 @@ def check_identified_by_eigh(H: np.ndarray, labels: list[str]) -> None:
     )
 
 
+def derived_fit_values(res: lp.FitResult) -> dict:
+    """The eight values a FitResult computes on read, computed here in one
+    pass from its stored fields, with the operations of the fit itself:
+    labels, p, df, chisq, se, crit_ratio, implied and heywood."""
+    m = res.matrices
+    p, t = res.S.shape[0], len(m.parameters)
+    mult = (res.n - 1) if res.options.chisq_multiplier == "n-1" else res.n
+    diag = np.diag(res.acov)
+    se = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crit = res.theta / se
+    variances = {"latent_variance", "disturbance_variance", "error_variance"}
+    return {
+        "labels": [par.label for par in m.parameters],
+        "p": p,
+        "df": p * (p + 1) // 2 - t,
+        "chisq": mult * res.f_min,
+        "se": se,
+        "crit_ratio": crit,
+        "implied": lp.implied_covariance(m, res.theta),
+        "heywood": [par.label for par, value in zip(m.parameters, res.theta)
+                    if par.kind in variances and value < 0],
+    }
+
+
 def log_likelihood(sigma: np.ndarray, S: np.ndarray, n: int) -> float:
     """Normal-theory log-likelihood -(n/2)[log|Sigma| + tr(S Sigma^-1) + p log 2pi]."""
     sign, logdet = np.linalg.slogdet(sigma)

@@ -113,7 +113,9 @@ class TestSimulate:
         ('{"defaults": "x"}', "'defaults'"),
         ('{"values": {"nope": 1}}', "'nope'"),
         ('{"standardize_latents": "no"}', "'standardize_latents'"),
-    ], ids=["values-number", "defaults-string", "values-unknown", "std-lv-string"])
+        ('{"defaults": {"loading": 0.75, "loadingz": 1.0}}', "'loadingz'"),
+    ], ids=["values-number", "defaults-string", "values-unknown", "std-lv-string",
+            "defaults-unknown-kind"])
     def test_bad_params_content_exits_2_naming_the_key(self, tmp_path, content, key, capsys):
         params = tmp_path / "params.json"
         params.write_text(content, encoding="utf-8")
@@ -186,6 +188,17 @@ class TestFit:
         status = dispatch(["fit", "--model", str(bad), "--data", sim_csv])
         assert status == 2
         assert "cycle" in capsys.readouterr().err
+
+    def test_non_finite_fixed_value_exits_2(self, sim_csv, tmp_path, capsys):
+        bad = tmp_path / "inf.model"
+        bad.write_text(Path(MODEL).read_text().replace("ConsEth =~ ", "ConsEth =~ inf*"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = dispatch(["fit", "--model", str(bad), "--data", sim_csv])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixed value 'inf' is not finite (line 5, column 12)")
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, tmp_path):
         status = dispatch(["fit", "--model", MODEL, "--data",

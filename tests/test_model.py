@@ -130,6 +130,18 @@ class TestParsing:
             lp.parse_model("A =~ x1 + x2\n???")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("line, column", [
+        ("C =~ z1 + {}*z2 + z3", 11),
+        ("B ~  {}*A", 6),
+        ("A ~~ {}*B", 6),
+    ], ids=["loading", "path", "covariance"])
+    def test_non_finite_fixed_value_rejected_at_its_term(self, value, line, column):
+        with pytest.raises(ModelSyntaxError) as err:
+            lp.parse_model("A =~ x1 + x2 + x3\nB =~ y1 + y2 + y3\n" + line.format(value))
+        assert str(err.value).startswith(f"fixed value {value!r} is not finite")
+        assert (err.value.line, err.value.column) == (3, column)
+
     def test_comments_and_blank_lines_ignored(self):
         spec = lp.parse_model("# header\n\nA =~ x1 + x2  # tail comment\n")
         assert spec.latent_names == ["A"]

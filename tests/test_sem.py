@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from latentpath.errors import NotPositiveDefiniteError, UnderIdentifiedError
 from latentpath.model import VARIANCE_KINDS
 from latentpath.sem import _check_identified, _Objective
 
-from conftest import check_identified_by_eigh, evaluate, log_likelihood, one_factor_spec
+from conftest import (check_identified_by_eigh, derived_fit_values, evaluate, log_likelihood,
+                      one_factor_spec)
 from test_effects import planted_mediation_data
 from test_model import count_free_by_enumeration, free_cell, random_specs_with_covariance
 
@@ -605,6 +607,62 @@ class TestIdentificationCertificate:
         res = lp.fit(spec, moments)
         assert res.converged
         assert np.all(np.isfinite(res.se)) and np.all(res.se > 0)
+
+
+STORED_FIELDS = ["theta", "f_min", "n", "iterations", "gradient_norm", "converged",
+                 "f_history", "acov", "matrices", "options", "S"]
+DERIVED = ["labels", "p", "df", "chisq", "se", "crit_ratio", "implied", "heywood"]
+
+
+class TestDerivedValues:
+    """A FitResult stores what the fit found and computes the rest on read."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self, survey_spec, survey_sim_moments):
+        spec, data = planted_mediation_data(0.5, 0.3, 0.2, 300, seed=7)
+        # the saturated triad of test_heywood_flagging, whose error variance of a is negative
+        triad = lp.SampleMoments(S=np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.5], [0.8, 0.5, 1.0]]),
+                                 n=200, names=["a", "b", "c"])
+        return {"survey": (survey_spec, survey_sim_moments), "wide": wide_moments(),
+                "mediation": (spec, lp.covariance(data)),
+                "heywood": (lp.parse_model("F =~ 1*a + b + c"), triad)}
+
+    def test_fields_are_what_the_fit_found(self):
+        assert [f.name for f in dataclasses.fields(lp.FitResult)] == STORED_FIELDS
+        for name in DERIVED + ["p_values", "chisq_p", "standardized", "estimates"]:
+            assert isinstance(getattr(lp.FitResult, name), property), name
+
+    @pytest.mark.parametrize("compute_se", [True, False], ids=["se", "no-se"])
+    @pytest.mark.parametrize("multiplier", ["n-1", "n"])
+    @pytest.mark.parametrize("workload", ["survey", "wide", "mediation", "heywood"])
+    def test_each_bit_as_computed_from_the_fields(self, workloads, workload, multiplier,
+                                                  compute_se):
+        spec, moments = workloads[workload]
+        res = lp.fit(spec, moments, lp.EstimationOptions(chisq_multiplier=multiplier),
+                     compute_se=compute_se)
+        ref = derived_fit_values(res)
+        for name in ("labels", "p", "df", "chisq", "heywood"):
+            assert getattr(res, name) == ref[name], name
+        assert type(res.p) is type(res.df) is int
+        for name in ("se", "crit_ratio", "implied"):
+            assert np.array_equal(getattr(res, name), ref[name], equal_nan=True), name
+        assert np.isnan(res.se).all() != compute_se
+        assert (res.heywood == ["a~~a"]) == (workload == "heywood")
+
+    def test_a_replaced_theta_carries_its_derived_values(self, survey_spec, survey_sim_moments,
+                                                         planted):
+        m, theta = planted  # the generator's values, standardized latents
+        res = lp.fit(survey_spec, survey_sim_moments, standardize_latents=True)
+        assert res.labels == m.labels and res.heywood == []
+        theta = theta.copy()
+        k = m.labels.index("CE1~~CE1")
+        theta[k] = -0.05
+        moved = dataclasses.replace(res, theta=theta)
+        assert moved.heywood == ["CE1~~CE1"]
+        assert np.array_equal(moved.crit_ratio, theta / res.se)
+        assert np.array_equal(moved.implied, lp.implied_covariance(m, theta))
+        assert not np.array_equal(moved.implied, res.implied)
+        assert np.array_equal(moved.se, res.se)
 
 
 class TestEstimationOptions:
