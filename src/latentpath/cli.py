@@ -443,7 +443,7 @@ def _reliability_sections(dataset: Dataset, constructs: list[tuple[str, list[str
         try:
             one_factor = parse_model(f"{name} =~ " + " + ".join(items))
             result = fit(one_factor, construct_moments, compute_se=False)
-        except (LatentPathError, ValueError):
+        except LatentPathError:
             result = None
         convergent += _convergent_payload([(name, items)], result)["constructs"]
     sections["convergent_validity"] = ("convergent_validity", {"constructs": convergent})

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sem
 from .data import Dataset, _covariance_matrix, covariance
-from .errors import EstimationError, ModelSpecificationError, NotPositiveDefiniteError
+from .errors import EstimationError, ModelSpecificationError
 from .model import ModelSpec, ParamMatrices
 from .sem import (EstimationOptions, FitResult, _minimize, _Objective, fit, model_columns,
                   start_values)
@@ -191,14 +192,10 @@ def bootstrap_ci(
 _BLOCK_BYTES = 64 * 1024
 
 
-def _drop_reason(error: Exception | None) -> str:
-    if error is None:
-        return "not converged"
-    if isinstance(error, np.linalg.LinAlgError):
-        return "LinAlgError"
-    if isinstance(error, NotPositiveDefiniteError):
-        return "non-PD sample covariance"
-    return "non-PD start values"
+# the reason a replicate is dropped, by its stop code
+_DROP_REASONS = {sem.STALLED: "not converged", sem.NO_STEP: "not converged",
+                 sem.MAX_ITER: "not converged", sem.NONPD_SAMPLE: "non-PD sample covariance",
+                 sem.NONPD_START: "non-PD start values", sem.LINALG: "LinAlgError"}
 
 
 def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
@@ -225,9 +222,10 @@ def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
             rows = np.random.default_rng(seed + r).integers(0, n, n)
             S[b] = _covariance_matrix(X[rows], n - 1)
         opt = _minimize(_Objective(m, S), start_values(m, S), opts)
-        reasons += [_drop_reason(err) for err, ok in zip(opt.errors, opt.converged) if not ok]
+        kept = opt.stop == sem.GTOL
+        reasons += [_DROP_REASONS[stop] for stop in opt.stop[~kept].tolist()]
         # one batched (I - D)^-1 over the replicates that converged
-        eff = decompose(m.A.materialize(opt.theta[opt.converged])[:, p:, p:], m.latent_names)
+        eff = decompose(m.A.materialize(opt.theta[kept])[:, p:, p:], m.latent_names)
         draws.append(np.stack([np.stack(eff.effect(src, dst, med), axis=1)
                                for src, med, dst in routes], axis=1))
     return np.concatenate(draws), reasons

@@ -175,10 +175,12 @@ class _Objective:
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
         """F at thetas (k, t) of the members ``rows`` of the stack."""
-        _, S, E = _ram(self.m, theta)
-        Ep = E[:, :self.p]
-        sigma = Ep @ S @ _t(Ep)
-        L, logdet = _chol_logdet((sigma + _t(sigma)) / 2.0)
+        # a Sigma that overflows (a huge fixed value) gets F = inf, the point's rejection
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, S, E = _ram(self.m, theta)
+            Ep = E[:, :self.p]
+            sigma = Ep @ S @ _t(Ep)
+            L, logdet = _chol_logdet((sigma + _t(sigma)) / 2.0)
         pt = _Point(np.full(len(theta), np.inf), S, E, L,
                     np.full_like(L, np.nan), np.full_like(L, np.nan))
         pd = ~np.isnan(logdet)
@@ -251,6 +253,10 @@ def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
     return theta0
 
 
+# why a member of the stack stopped, one code per member in _OptimResult.stop
+RUNNING, GTOL, STALLED, NO_STEP, MAX_ITER, NONPD_SAMPLE, NONPD_START, LINALG = range(8)
+
+
 @dataclass
 class _OptimResult:
     """One entry per member of the stack."""
@@ -259,11 +265,8 @@ class _OptimResult:
     grad: np.ndarray  # (B, t)
     history: list[list[float]]
     iterations: np.ndarray
-    converged: np.ndarray
+    stop: np.ndarray  # (B,) stop codes; GTOL is converged
     at: _Point  # each member's last accepted point, the one at its theta
-    # why a member was given up: its sample covariance or start values are
-    # not PD, or a LinAlgError; None for a member that ran its course
-    errors: list[Exception | None]
 
 
 # relative change of F below which an iteration counts as stalled
@@ -284,18 +287,15 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     so its path is the one it would take alone. Sigma is factored once per
     trial point; the accepted one serves the gradient and the next
     information. An iteration whose stacked call raises LinAlgError is
-    redone one member at a time, and a member that raises alone is given
-    up with the error recorded.
+    redone one member at a time. A member's stop code says why it stopped:
+    GTOL (converged), STALLED (F stalled three iterations running), NO_STEP
+    (60 halvings found no acceptable step), MAX_ITER, NONPD_SAMPLE or
+    NONPD_START (its sample covariance, or the Sigma of its start, is not
+    PD) or LINALG (it raised LinAlgError alone).
     """
     theta = np.array(theta0, dtype=float)
     B = len(theta)
-    errors: list[Exception | None] = [None] * B
-    for b in np.flatnonzero(np.isnan(objective.logdet_S)):
-        errors[b] = NotPositiveDefiniteError("sample covariance is not positive definite")
-
-    def alive():
-        return np.array([err is None for err in errors], dtype=bool)
-
+    stop = np.where(np.isnan(objective.logdet_S), NONPD_SAMPLE, RUNNING)
     v, p = len(objective.m.variables), objective.p
     at = _Point.empty(B, v, p)  # every member at its theta
     g = np.full(theta.shape, np.nan)
@@ -305,19 +305,13 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         g[rows] = objective.gradients(pt)
         at.put(rows, pt)
 
-    rows = np.flatnonzero(alive())
-    _each_member(start, rows, errors)
-    for b in rows[~np.isfinite(at.f[rows])]:
-        if errors[b] is None:
-            errors[b] = EstimationError(
-                "starting values give a non-positive-definite implied covariance")
+    _each_member(start, np.flatnonzero(stop == RUNNING), stop)
+    stop[(stop == RUNNING) & ~np.isfinite(at.f)] = NONPD_START
     history = [[f] for f in at.f.tolist()]
     iterations = np.zeros(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
     stalls = np.zeros(B, dtype=int)
-    active = alive()
-    converged[active] = np.max(np.abs(g[active]), axis=1, initial=0.0) < opts.gtol
-    active &= ~converged
+    rows = np.flatnonzero(stop == RUNNING)
+    stop[rows[np.max(np.abs(g[rows]), axis=1, initial=0.0) < opts.gtol]] = GTOL
 
     def iterate(rows, it):
         # every linear-algebra call comes before the first write to the
@@ -348,7 +342,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             pending = pending[~ok]
             step[pending] *= 0.5
         if not accepted:
-            active[rows] = False  # no acceptable step; report whatever we have
+            stop[rows] = NO_STEP  # report whatever we have
             return
         moved, trial, new = accepted[0]
         if len(accepted) > 1:
@@ -356,7 +350,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             new = _Point(*map(np.concatenate, zip(*(part[2] for part in accepted))))
         g_moved = objective.gradients(new)
 
-        active[rows[pending]] = False
+        stop[rows[pending]] = NO_STEP
         rows, f_prev = rows[moved], f[moved]
         theta[rows] = trial
         g[rows] = g_moved
@@ -364,25 +358,25 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         for b, f_new in zip(rows, new.f.tolist()):
             history[b].append(f_new)
         iterations[rows] = it
-        converged[rows] = np.max(np.abs(g_moved), axis=1, initial=0.0) < opts.gtol
         # give up only after the objective stalls repeatedly; near an
         # optimum the steps keep shrinking the gradient after F stops moving
         stalled = np.abs(f_prev - new.f) < _FTOL * np.maximum(1.0, np.abs(f_prev))
         stalls[rows] = np.where(stalled, stalls[rows] + 1, 0)
-        active[rows] = ~converged[rows] & (stalls[rows] < 3)
+        stop[rows] = np.where(np.max(np.abs(g_moved), axis=1, initial=0.0) < opts.gtol, GTOL,
+                              np.where(stalls[rows] < 3, RUNNING, STALLED))
 
     for it in range(1, opts.max_iter + 1):
-        rows = np.flatnonzero(active)
+        rows = np.flatnonzero(stop == RUNNING)
         if not rows.size:
             break
-        _each_member(lambda r: iterate(r, it), rows, errors)
-        active &= alive()
-    return _OptimResult(theta, g, history, iterations, converged, at, errors)
+        _each_member(lambda r: iterate(r, it), rows, stop)
+    stop[stop == RUNNING] = MAX_ITER
+    return _OptimResult(theta, g, history, iterations, stop, at)
 
 
-def _each_member(step, rows: np.ndarray, errors: list) -> None:
+def _each_member(step, rows: np.ndarray, stop: np.ndarray) -> None:
     """step(rows) on the stack; if it raises LinAlgError, step on one member
-    at a time, recording the error of each member that raises alone."""
+    at a time, and stop each member that raises alone with LINALG."""
     if not rows.size:
         return
     try:
@@ -391,8 +385,8 @@ def _each_member(step, rows: np.ndarray, errors: list) -> None:
         for b in rows:
             try:
                 step(np.array([b]))
-            except np.linalg.LinAlgError as exc:
-                errors[b] = exc
+            except np.linalg.LinAlgError:
+                stop[b] = LINALG
 
 
 @dataclass
@@ -608,7 +602,8 @@ def fit(
     covariance are computed on read. Raises UnderIdentifiedError when the
     model has more free parameters than sample moments or, with SEs, a
     converged fit has a singular information; NotPositiveDefiniteError for
-    a non-PD sample covariance.
+    a non-PD sample covariance; EstimationError for start values that give
+    a non-PD implied covariance or a LinAlgError during the fit.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
@@ -620,9 +615,14 @@ def fit(
         )
     objective = _Objective(m, S)
     opt = _minimize(objective, start_values(m, S)[None], opts)
-    if opt.errors[0] is not None:
-        raise opt.errors[0]
-    converged = bool(opt.converged[0])
+    stop = opt.stop[0]
+    if stop == NONPD_SAMPLE:
+        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+    if stop == NONPD_START:
+        raise EstimationError("starting values give a non-positive-definite implied covariance")
+    if stop == LINALG:
+        raise EstimationError("a linear-algebra routine failed during the fit (LinAlgError)")
+    converged = bool(stop == GTOL)
 
     n, t = moments.n, m.n_free
     acov = np.full((t, t), np.nan)

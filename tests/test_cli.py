@@ -15,9 +15,11 @@ import pytest
 import latentpath as lp
 from latentpath import cli
 from latentpath import report as report_mod
+from latentpath import sem
 from latentpath.cli import dispatch
 
 from conftest import latent_covariance
+from test_sem import Raising
 
 ASSETS = Path(lp.__file__).parent / "assets"
 MODEL = str(ASSETS / "wuliangye.model")
@@ -199,6 +201,24 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: fixed value 'inf' is not finite (line 5, column 12)")
         assert "Traceback" not in err
+
+    def test_huge_fixed_value_exits_1_without_a_warning(self, sim_csv, tmp_path, capsys):
+        # finite, so the model parses; Sigma overflows and the start is refused
+        bad = tmp_path / "huge.model"
+        bad.write_text(Path(MODEL).read_text().replace("ConsEth =~ ", "ConsEth =~ 1e308*"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = dispatch(["fit", "--model", str(bad), "--data", sim_csv])
+        assert status == 1
+        assert capsys.readouterr().err == ("estimation error: starting values give a "
+                                           "non-positive-definite implied covariance\n")
+
+    def test_linalg_error_exits_1(self, sim_csv, monkeypatch, capsys):
+        monkeypatch.setattr(sem, "_Objective", Raising)
+        status = dispatch(["fit", "--model", MODEL, "--data", sim_csv])
+        assert status == 1
+        assert capsys.readouterr().err == ("estimation error: a linear-algebra routine "
+                                           "failed during the fit (LinAlgError)\n")
 
     def test_missing_file_exits_2(self, tmp_path):
         status = dispatch(["fit", "--model", MODEL, "--data",

@@ -424,6 +424,10 @@ def failing_objective(member, from_call=1):
     return Failing
 
 
+# the stop codes of a member that was not given up
+RAN_ITS_COURSE = (sem.GTOL, sem.STALLED, sem.NO_STEP, sem.MAX_ITER)
+
+
 class TestStackedRefits:
     """The stacked optimizer against lone fits of the same resampled moments."""
 
@@ -444,15 +448,16 @@ class TestStackedRefits:
         opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S), opts)
         monkeypatch.undo()
         for b, res in enumerate(fits):
-            assert opt.errors[b] is None
+            assert opt.stop[b] in RAN_ITS_COURSE, b
             assert opt.theta[b].tobytes() == res.theta.tobytes(), b
             assert opt.iterations[b] == res.iterations, b
-            assert opt.converged[b] == res.converged, b
-        return fits, lone_factorizations
+            assert (opt.stop[b] == sem.GTOL) == res.converged, b
+        return fits, lone_factorizations, opt
 
     def test_survey_model_matches_lone_fits(self, survey_spec, planted, monkeypatch):
         data = lp.simulate(*planted, 519, seed=42)
-        self.check_stack(survey_spec, data, 1, 20, monkeypatch)
+        _, _, opt = self.check_stack(survey_spec, data, 1, 20, monkeypatch)
+        assert (opt.stop == sem.GTOL).all()
 
     # the columns in the model's order, and reversed: the replicates'
     # covariances come in the compiled order, the data's, with no reorder
@@ -461,7 +466,7 @@ class TestStackedRefits:
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
         if reverse:
             data = data.subset(data.names[::-1])
-        fits, lone = self.check_stack(spec, data, 2, 100, monkeypatch)
+        fits, lone, _ = self.check_stack(spec, data, 2, 100, monkeypatch)
         assert fits[0].matrices.variable_order == data.names
         # some line-search trials left the PD cone, so the per-slice
         # Cholesky fallback ran inside the stack
@@ -480,9 +485,9 @@ class TestStackedRefits:
         # no fit can reach this gtol, so every member stops on three stalls,
         # each after its own count of iterations
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
-        fits, _ = self.check_stack(spec, data, 2, 30, monkeypatch,
-                                   lp.EstimationOptions(gtol=1e-13))
-        assert not any(res.converged for res in fits)
+        fits, _, opt = self.check_stack(spec, data, 2, 30, monkeypatch,
+                                        lp.EstimationOptions(gtol=1e-13))
+        assert (opt.stop == sem.STALLED).all()
         assert len({res.iterations for res in fits}) > 1
 
     # the first call is the start; the third is the second iteration's first trial
@@ -494,13 +499,11 @@ class TestStackedRefits:
         S = np.array([res.S for res in fits])
         objective = failing_objective(2, from_call)(m, S)
         opt = sem._minimize(objective, sem.start_values(m, S), lp.EstimationOptions())
-        assert isinstance(opt.errors[2], np.linalg.LinAlgError)
-        assert str(opt.errors[2]) == "planted"
-        assert not opt.converged[2]
+        assert opt.stop[2] == sem.LINALG
         assert opt.iterations[2] == (0 if from_call == 1 else 1)
         for b, res in enumerate(fits):
             if b != 2:
-                assert opt.errors[b] is None
+                assert opt.stop[b] in RAN_ITS_COURSE, b
                 assert opt.theta[b].tobytes() == res.theta.tobytes(), b
                 assert opt.iterations[b] == res.iterations, b
 
@@ -520,14 +523,14 @@ class TestStackedRefits:
         S = np.array([res.S for res in fits])
         S[1, 0, :] = S[1, 1, :]  # a repeated indicator: singular
         S[1, :, 0] = S[1, :, 1]
-        with pytest.raises(NotPositiveDefiniteError) as lone:
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^sample covariance is not positive definite$"):
             sem.fit(spec, lp.SampleMoments(S[1], 100, m.variable_order),
                     compute_se=False)
         opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S),
                             lp.EstimationOptions())
-        assert isinstance(opt.errors[1], NotPositiveDefiniteError)
-        assert str(opt.errors[1]) == str(lone.value)
-        assert not opt.converged[1]
+        assert opt.stop[1] == sem.NONPD_SAMPLE
+        assert opt.iterations[1] == 0
         for b in (0, 2):
             assert opt.theta[b].tobytes() == fits[b].theta.tobytes()
 

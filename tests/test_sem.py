@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
-from latentpath.errors import NotPositiveDefiniteError, UnderIdentifiedError
+from latentpath import sem
+from latentpath.errors import EstimationError, NotPositiveDefiniteError, UnderIdentifiedError
 from latentpath.model import VARIANCE_KINDS
 from latentpath.sem import _check_identified, _Objective
 
@@ -663,6 +664,111 @@ class TestDerivedValues:
         assert np.array_equal(moved.implied, lp.implied_covariance(m, theta))
         assert not np.array_equal(moved.implied, res.implied)
         assert np.array_equal(moved.se, res.se)
+
+
+ABC_MODEL = "F =~ a + b + c"
+
+
+def abc_moments() -> lp.SampleMoments:
+    """Moments of 200 rows of three indicators a, b, c of one factor."""
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(200)
+    X = np.column_stack([f + rng.standard_normal(200) for _ in range(3)])
+    return lp.covariance(lp.Dataset(["a", "b", "c"], X))
+
+
+def minimize(objective_class, text: str, members: int = 1, opts=None, **kwargs):
+    """``_minimize`` on ``members`` copies of the a, b, c moments, with an
+    objective of ``objective_class`` built from (m, S, **kwargs)."""
+    spec = lp.parse_model(text)
+    S, names = sem.align_moments(spec, abc_moments())
+    m = lp.build_matrices(spec, names)
+    S = np.repeat(S[None], members, axis=0)
+    return sem._minimize(objective_class(m, S, **kwargs), sem.start_values(m, S),
+                         opts or lp.EstimationOptions())
+
+
+class Refusing(_Objective):
+    """Rejects every trial point of the members ``refuse`` (their starts pass)."""
+
+    def __init__(self, m, S, refuse):
+        super().__init__(m, S)
+        self.refuse, self.started = refuse, False
+
+    def point(self, theta, rows):
+        pt = super().point(theta, rows)
+        if self.started:
+            pt.f[np.isin(rows, self.refuse)] = np.inf
+        self.started = True
+        return pt
+
+
+class Raising(_Objective):
+    """Raises LinAlgError from the ``from_call``-th point on."""
+
+    def __init__(self, m, S, from_call=1):
+        super().__init__(m, S)
+        self.from_call, self.calls = from_call, 0
+
+    def point(self, theta, rows):
+        self.calls += 1
+        if self.calls >= self.from_call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return super().point(theta, rows)
+
+
+class TestStopCodes:
+    """Each stop code of ``_minimize``, reached by a real input where one is
+    known, and what ``fit`` makes of it."""
+
+    def test_gtol_at_the_start(self):
+        opts = lp.EstimationOptions(gtol=1e3)
+        opt = minimize(_Objective, ABC_MODEL, opts=opts)
+        assert opt.stop.tolist() == [sem.GTOL] and opt.iterations.tolist() == [0]
+        res = lp.fit(lp.parse_model(ABC_MODEL), abc_moments(), opts)
+        assert res.converged and res.iterations == 0
+
+    def test_stalled(self):
+        # with a fixed loading of 1e150, F stops moving while the gradient is above gtol
+        opt = minimize(_Objective, "F =~ a + 1e150*b + c")
+        assert opt.stop.tolist() == [sem.STALLED]
+        assert 0 < opt.iterations[0] < 500
+        res = lp.fit(lp.parse_model("F =~ a + 1e150*b + c"), abc_moments(), compute_se=False)
+        assert not res.converged and res.iterations == opt.iterations[0]
+
+    def test_max_iter(self):
+        opt = minimize(_Objective, "F =~ a + 1e30*b + c")
+        assert opt.stop.tolist() == [sem.MAX_ITER] and opt.iterations.tolist() == [500]
+        res = lp.fit(lp.parse_model("F =~ a + 1e30*b + c"), abc_moments(), compute_se=False)
+        assert not res.converged and res.iterations == 500
+
+    # no real input is known to exhaust the 60 halvings, so a stub refuses every trial
+    def test_no_acceptable_step_alone(self):
+        opt = minimize(Refusing, ABC_MODEL, refuse=[0])
+        assert opt.stop.tolist() == [sem.NO_STEP] and opt.iterations.tolist() == [0]
+
+    def test_no_acceptable_step_beside_a_member_that_moves(self):
+        opt = minimize(Refusing, ABC_MODEL, members=2, refuse=[0])
+        lone = minimize(_Objective, ABC_MODEL)
+        assert opt.stop.tolist() == [sem.NO_STEP, sem.GTOL]
+        assert opt.iterations[0] == 0
+        assert opt.theta[1].tobytes() == lone.theta[0].tobytes()
+
+    def test_non_pd_start_values(self):
+        opt = minimize(_Objective, "F =~ a + b + c\na ~~ -1*a")
+        assert opt.stop.tolist() == [sem.NONPD_START] and opt.iterations.tolist() == [0]
+        with pytest.raises(EstimationError, match="^starting values give a "
+                                                  "non-positive-definite implied covariance$"):
+            lp.fit(lp.parse_model("F =~ a + b + c\na ~~ -1*a"), abc_moments())
+
+    # the first call is the start, the second the first iteration's first trial
+    @pytest.mark.parametrize("from_call", [1, 2])
+    def test_linalg_error(self, from_call, monkeypatch):
+        opt = minimize(Raising, ABC_MODEL, from_call=from_call)
+        assert opt.stop.tolist() == [sem.LINALG] and opt.iterations.tolist() == [0]
+        monkeypatch.setattr(sem, "_Objective", lambda m, S: Raising(m, S, from_call))
+        with pytest.raises(EstimationError, match=r"\(LinAlgError\)$"):
+            lp.fit(lp.parse_model(ABC_MODEL), abc_moments())
 
 
 class TestEstimationOptions:
