@@ -21,7 +21,6 @@ data = lp.simulate(m, theta, n=519, seed=42)
 result = lp.fit(spec, lp.covariance(data))
 print(f"converged: {result.converged} after {result.iterations} iterations")
 print(f"F_min = {result.f_min:.6f}, chisq = {result.chisq:.2f}, df = {result.df}")
-print(f"monotone descent: {all(b <= a for a, b in zip(result.f_history, result.f_history[1:]))}")
 
 print("\nregression weights (raw, standard error, critical ratio, p, standardized):")
 for row in result.parameter_table(kind="path"):

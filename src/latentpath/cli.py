@@ -473,12 +473,12 @@ def _mediation_sections(inputs: _Inputs, args,
 
 def _cmd_fit(args) -> int:
     inputs = _Inputs(args)
-    return _emit(args, inputs.opts, *_fit_sections(inputs, args))
+    return _emit(args, vars(inputs.opts), *_fit_sections(inputs, args))
 
 
 def _cmd_cfa(args) -> int:
     inputs = _Inputs(args)
-    return _emit(args, inputs.opts, *_cfa_sections(inputs, args))
+    return _emit(args, vars(inputs.opts), *_cfa_sections(inputs, args))
 
 
 def _cmd_efa(args) -> int:
@@ -497,7 +497,7 @@ def _cmd_reliability(args) -> int:
 def _cmd_mediate(args) -> int:
     inputs = _Inputs(args)
     effects = [_parse_effect(e) for e in args.effect]
-    return _emit(args, inputs.opts, *_mediation_sections(inputs, args, effects))
+    return _emit(args, vars(inputs.opts), *_mediation_sections(inputs, args, effects))
 
 
 def _cmd_simulate(args) -> int:
@@ -544,7 +544,7 @@ def _cmd_report(args) -> int:
     if triples and args.boot > 0:
         built |= _mediation_sections(inputs, args, triples)[0]
     sections = {name: built[name] for name in _REPORT_SECTIONS if name in built}
-    return _emit(args, inputs.opts, sections, cfa_converged and sem_converged)
+    return _emit(args, vars(inputs.opts), sections, cfa_converged and sem_converged)
 
 
 def build_parser() -> argparse.ArgumentParser:

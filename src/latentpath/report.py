@@ -13,7 +13,6 @@ one (* < 0.05, ** < 0.01, *** < 0.001).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -27,7 +26,7 @@ SCHEMA_VERSION = 3
 
 def stars(p: float | None, convention: str = "survey") -> str:
     """Significance stars for a two-sided p-value."""
-    if p is None or (isinstance(p, float) and np.isnan(p)):
+    if p is None or np.isnan(p):
         return ""
     if convention == "survey":
         cuts = ((0.001, "***"), (0.05, "**"), (0.1, "*"))
@@ -41,25 +40,18 @@ def stars(p: float | None, convention: str = "survey") -> str:
     return ""
 
 
-def _fmt(value, decimals: int = 3) -> str:
+def _fmt(value: float | None, decimals: int = 3) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "Yes" if value else "No"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        if np.isnan(value):
-            return "NA"
-        return f"{value:.{decimals}f}"
-    return str(value)
+    if np.isnan(value):
+        return "NA"
+    return f"{value:.{decimals}f}"
 
 
-def render_table(headers: list[str], rows: list[list], title: str | None = None) -> str:
-    """Column-aligned plain-text table."""
-    cells = [[_fmt(c) if not isinstance(c, str) else c for c in row] for row in rows]
+def render_table(headers: list[str], rows: list[list[str]], title: str | None = None) -> str:
+    """Column-aligned plain-text table of cells already formatted."""
     widths = [len(h) for h in headers]
-    for row in cells:
+    for row in rows:
         for j, cell in enumerate(row):
             widths[j] = max(widths[j], len(cell))
     lines = []
@@ -67,34 +59,25 @@ def render_table(headers: list[str], rows: list[list], title: str | None = None)
         lines.append(title)
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
+    for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
 
 def to_jsonable(obj):
-    """Recursively convert results into JSON-serializable primitives."""
+    """The payload as JSON primitives, NaN as None; raises TypeError on a
+    type no payload builder writes."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, float):  # np.float64 included
         return None if np.isnan(obj) else obj
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if not f.name.startswith("_") and f.repr
-        }
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} to a report")
 
 
 def file_sha256(path: str | Path) -> str:

@@ -263,7 +263,6 @@ class _OptimResult:
 
     theta: np.ndarray  # (B, t)
     grad: np.ndarray  # (B, t)
-    history: list[list[float]]
     iterations: np.ndarray
     stop: np.ndarray  # (B,) stop codes; GTOL is converged
     at: _Point  # each member's last accepted point, the one at its theta
@@ -307,7 +306,6 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
 
     _each_member(start, np.flatnonzero(stop == RUNNING), stop)
     stop[(stop == RUNNING) & ~np.isfinite(at.f)] = NONPD_START
-    history = [[f] for f in at.f.tolist()]
     iterations = np.zeros(B, dtype=int)
     stalls = np.zeros(B, dtype=int)
     rows = np.flatnonzero(stop == RUNNING)
@@ -355,8 +353,6 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         theta[rows] = trial
         g[rows] = g_moved
         at.put(rows, new)
-        for b, f_new in zip(rows, new.f.tolist()):
-            history[b].append(f_new)
         iterations[rows] = it
         # give up only after the objective stalls repeatedly; near an
         # optimum the steps keep shrinking the gradient after F stops moving
@@ -371,7 +367,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             break
         _each_member(lambda r: iterate(r, it), rows, stop)
     stop[stop == RUNNING] = MAX_ITER
-    return _OptimResult(theta, g, history, iterations, stop, at)
+    return _OptimResult(theta, g, iterations, stop, at)
 
 
 def _each_member(step, rows: np.ndarray, stop: np.ndarray) -> None:
@@ -401,7 +397,6 @@ class FitResult:
     iterations: int
     gradient_norm: float
     converged: bool
-    f_history: list[float] = field(repr=False)
     # asymptotic covariance of theta (inverse information); NaN without SEs
     acov: np.ndarray = field(repr=False)
     matrices: ParamMatrices = field(repr=False)
@@ -639,7 +634,7 @@ def fit(
         theta=opt.theta[0], f_min=float(opt.at.f[0]), n=n,
         iterations=int(opt.iterations[0]),
         gradient_norm=float(np.max(np.abs(opt.grad[0]), initial=0.0)),
-        converged=converged, f_history=opt.history[0], acov=acov,
+        converged=converged, acov=acov,
         matrices=m, options=opts, S=S,
     )
 
