@@ -76,6 +76,21 @@ def _chol_logdet(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
 
 
+# the least share of a sample variance that its column may keep after
+# regression on the columns before it; below it, S counts as singular
+_PIVOT_FLOOR = 1e-12
+
+
+def _sample_logdet(S: np.ndarray) -> np.ndarray:
+    """log|S| of each sample covariance of a stack (B, p, p), NaN where S is
+    not PD or where some column keeps less than _PIVOT_FLOOR of its variance
+    after regression on the columns before it (L_ii^2 / S_ii, S = L L'): an S
+    that is singular but whose Cholesky factorization succeeds by roundoff."""
+    L, logdet = _chol_logdet(S)
+    share = np.diagonal(L, axis1=1, axis2=2) ** 2 / np.diagonal(S, axis1=1, axis2=2)
+    return np.where(share.min(axis=1, initial=np.inf) < _PIVOT_FLOOR, np.nan, logdet)
+
+
 def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, S and E = (I - A)^-1 at theta (t,), or at each row of theta (B, t).
 
@@ -112,7 +127,7 @@ def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
     """
     sigma = np.asarray(sigma, dtype=float)
     S = np.asarray(S, dtype=float)
-    _, (logdet_S,) = _chol_logdet(S[None])
+    (logdet_S,) = _sample_logdet(S[None])
     if np.isnan(logdet_S):
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
     (L,), (logdet,) = _chol_logdet(sigma[None])
@@ -164,7 +179,7 @@ class _Objective:
         S = np.asarray(S, dtype=float)
         self.m = m
         self.S_obs = S.reshape((-1,) + S.shape[-2:])
-        _, self.logdet_S = _chol_logdet(self.S_obs)  # NaN where S is not PD
+        self.logdet_S = _sample_logdet(self.S_obs)  # NaN where S is not PD
         self.p = S.shape[-1]
         if not np.array_equal(np.concatenate([m.A.slots, m.S.slots]), np.arange(m.n_free)):
             raise ValueError("theta must list the parameters of A, then those of S")

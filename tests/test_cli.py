@@ -15,11 +15,10 @@ import pytest
 import latentpath as lp
 from latentpath import cli
 from latentpath import report as report_mod
-from latentpath import sem
 from latentpath.cli import dispatch
 
 from conftest import latent_covariance
-from test_sem import Raising
+from test_sem import CHAIN_MODEL, ZERO_LOADINGS_MODEL, two_factor_data
 
 ASSETS = Path(lp.__file__).parent / "assets"
 MODEL = str(ASSETS / "wuliangye.model")
@@ -213,12 +212,26 @@ class TestFit:
         assert capsys.readouterr().err == ("estimation error: starting values give a "
                                            "non-positive-definite implied covariance\n")
 
-    def test_linalg_error_exits_1(self, sim_csv, monkeypatch, capsys):
-        monkeypatch.setattr(sem, "_Objective", Raising)
-        status = dispatch(["fit", "--model", MODEL, "--data", sim_csv])
-        assert status == 1
-        assert capsys.readouterr().err == ("estimation error: a linear-algebra routine "
-                                           "failed during the fit (LinAlgError)\n")
+    def test_linalg_error_exits_1(self, sim_csv, tmp_path, capsys):
+        chain = tmp_path / "chain.model"
+        chain.write_text(CHAIN_MODEL)
+        for command in (["fit"], ["mediate", "--effect", "P:Q:R", "--boot", "0"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                status = dispatch(command + ["--model", str(chain), "--data", sim_csv])
+            assert status == 1
+            assert capsys.readouterr().err == ("estimation error: a linear-algebra routine "
+                                               "failed during the fit (LinAlgError)\n")
+
+    def test_standard_errors_that_cannot_be_computed_show_as_na(self, tmp_path, capsys):
+        data, model = tmp_path / "six.csv", tmp_path / "zero.model"
+        lp.save_table(two_factor_data(), data)
+        model.write_text(ZERO_LOADINGS_MODEL)
+        status = dispatch(["fit", "--model", str(model), "--data", str(data), "--max-iter", "1"])
+        assert status == 1  # not converged
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[rows.index("Regression weights") + 3].split() == [
+            "G", "<-", "F", "0.000", "NA", "NA", "NA"]
 
     def test_missing_file_exits_2(self, tmp_path):
         status = dispatch(["fit", "--model", MODEL, "--data",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -452,6 +453,17 @@ class TestFit:
         k = res.labels.index("F=~f3")
         assert res.se[k] == pytest.approx(100.0 * base.se[k], rel=1e-3)
 
+    def test_latent_without_loadings(self):
+        moments = lp.covariance(two_factor_data())
+        spec = lp.parse_model(ZERO_LOADINGS_MODEL)
+        with pytest.raises(UnderIdentifiedError, match="not identified"):
+            lp.fit(spec, moments)
+        # not converged, so no identification check: what is left is the
+        # information that would not invert, and no standard error at all
+        res = lp.fit(spec, moments, lp.EstimationOptions(max_iter=1))
+        assert not res.converged
+        assert np.isnan(res.acov).all() and np.isnan(res.se).all()
+
     def test_acov_carries_the_standard_errors(self, survey_spec, survey_sim_moments):
         res = lp.fit(survey_spec, survey_sim_moments)
         t = len(res.labels)
@@ -673,20 +685,48 @@ class TestDerivedValues:
 
 ABC_MODEL = "F =~ a + b + c"
 
+# four latents on the survey simulation's columns joined by fixed paths of
+# 1e200: the LU inverse of I - A_ll meets an exact zero pivot by underflow
+CHAIN_MODEL = """P =~ CE1 + CE3 + CE4
+Q =~ ES1 + ES3 + ES4
+R =~ PBC1 + PBC2 + PBC3
+T =~ PV1 + PV2 + PV3
+Q ~ 1e200*P
+R ~ 1e200*Q
+T ~ 1e200*R
+"""
+
+
+def abc_rows(seed: int = 0) -> np.ndarray:
+    """200 rows of three indicators a, b, c of one factor."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(200)
+    return np.column_stack([f + rng.standard_normal(200) for _ in range(3)])
+
 
 def abc_moments() -> lp.SampleMoments:
-    """Moments of 200 rows of three indicators a, b, c of one factor."""
+    """Moments of ``abc_rows()``."""
+    return lp.covariance(lp.Dataset(["a", "b", "c"], abc_rows()))
+
+
+# G's loadings are all fixed at 0, so neither its variance nor the path into
+# it moves Sigma: the information has an exact zero row, and inverting it raises
+ZERO_LOADINGS_MODEL = "F =~ a + b + c\nG =~ 0*d + 0*e + 0*f\nG ~ F\n"
+
+
+def two_factor_data() -> lp.Dataset:
+    """200 rows of a, b, c on one factor and d, e, f on another."""
     rng = np.random.default_rng(0)
-    f = rng.standard_normal(200)
-    X = np.column_stack([f + rng.standard_normal(200) for _ in range(3)])
-    return lp.covariance(lp.Dataset(["a", "b", "c"], X))
+    f = rng.standard_normal((200, 2))
+    X = np.column_stack([f[:, k // 3] + rng.standard_normal(200) for k in range(6)])
+    return lp.Dataset(list("abcdef"), X)
 
 
-def minimize(objective_class, text: str, members: int = 1, opts=None, **kwargs):
-    """``_minimize`` on ``members`` copies of the a, b, c moments, with an
-    objective of ``objective_class`` built from (m, S, **kwargs)."""
+def minimize(objective_class, text: str, members: int = 1, opts=None, moments=None, **kwargs):
+    """``_minimize`` on ``members`` copies of the moments (by default the a,
+    b, c ones), with an objective of ``objective_class`` built from (m, S, **kwargs)."""
     spec = lp.parse_model(text)
-    S, names = sem.align_moments(spec, abc_moments())
+    S, names = sem.align_moments(spec, moments or abc_moments())
     m = lp.build_matrices(spec, names)
     S = np.repeat(S[None], members, axis=0)
     return sem._minimize(objective_class(m, S, **kwargs), sem.start_values(m, S),
@@ -766,14 +806,38 @@ class TestStopCodes:
                                                   "non-positive-definite implied covariance$"):
             lp.fit(lp.parse_model("F =~ a + b + c\na ~~ -1*a"), abc_moments())
 
-    # the first call is the start, the second the first iteration's first trial
-    @pytest.mark.parametrize("from_call", [1, 2])
-    def test_linalg_error(self, from_call, monkeypatch):
-        opt = minimize(Raising, ABC_MODEL, from_call=from_call)
+    # c a copy of a makes S singular; at seed 0 its Cholesky factorization
+    # succeeds by roundoff, leaving c 1e-16 of its variance after a and b
+    @pytest.mark.parametrize("seed", range(6))
+    def test_singular_sample_covariance(self, seed):
+        X = abc_rows(seed)
+        X[:, 2] = X[:, 0]
+        moments = lp.covariance(lp.Dataset(["a", "b", "c"], X))
+        spec = lp.parse_model(ABC_MODEL)
+        m = lp.build_matrices(spec, moments.names)
+        opt = sem._minimize(_Objective(m, moments.S[None]), sem.start_values(m, moments.S)[None],
+                            lp.EstimationOptions())
+        assert opt.stop.tolist() == [sem.NONPD_SAMPLE] and opt.iterations.tolist() == [0]
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^sample covariance is not positive definite$"):
+            lp.fit(spec, moments)
+        with pytest.raises(NotPositiveDefiniteError, match="sample"):
+            lp.f_ml(np.eye(3), moments.S)
+
+    # the chain raises at its start; the stub raises from its first call (the
+    # start) or its second (the first iteration's first trial)
+    @pytest.mark.parametrize("from_call", [pytest.param(None, id="chain"), 1, 2])
+    def test_linalg_error(self, from_call, monkeypatch, survey_sim_moments):
+        if from_call is None:
+            text, moments, objective = CHAIN_MODEL, survey_sim_moments, _Objective
+        else:
+            text, moments = ABC_MODEL, abc_moments()
+            objective = functools.partial(Raising, from_call=from_call)
+        opt = minimize(objective, text, moments=moments)
         assert opt.stop.tolist() == [sem.LINALG] and opt.iterations.tolist() == [0]
-        monkeypatch.setattr(sem, "_Objective", lambda m, S: Raising(m, S, from_call))
+        monkeypatch.setattr(sem, "_Objective", objective)
         with pytest.raises(EstimationError, match=r"\(LinAlgError\)$"):
-            lp.fit(lp.parse_model(ABC_MODEL), abc_moments())
+            lp.fit(lp.parse_model(text), moments)
 
 
 class TestEstimationOptions:
