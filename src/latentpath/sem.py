@@ -76,8 +76,6 @@ def _chol_logdet(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
 
 
-# the least share of a sample variance that its column may keep after
-# regression on the columns before it; below it, S counts as singular
 _PIVOT_FLOOR = 1e-12
 
 
@@ -87,8 +85,9 @@ def _sample_logdet(S: np.ndarray) -> np.ndarray:
     after regression on the columns before it (L_ii^2 / S_ii, S = L L'): an S
     that is singular but whose Cholesky factorization succeeds by roundoff."""
     L, logdet = _chol_logdet(S)
-    share = np.diagonal(L, axis1=1, axis2=2) ** 2 / np.diagonal(S, axis1=1, axis2=2)
-    return np.where(share.min(axis=1, initial=np.inf) < _PIVOT_FLOOR, np.nan, logdet)
+    left = np.diagonal(L, axis1=1, axis2=2) ** 2
+    singular = (left < _PIVOT_FLOOR * np.diagonal(S, axis1=1, axis2=2)).any(axis=1)
+    return np.where(singular, np.nan, logdet)
 
 
 def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -115,8 +115,10 @@ class TestSimulate:
         ('{"values": {"nope": 1}}', "'nope'"),
         ('{"standardize_latents": "no"}', "'standardize_latents'"),
         ('{"defaults": {"loading": 0.75, "loadingz": 1.0}}', "'loadingz'"),
+        ('{"values": {"PB~PerVa": "0.3"}}', "['PB~PerVa']"),
+        ('{"defaults": {"loading": 0.75}}', "no value or default for parameters"),
     ], ids=["values-number", "defaults-string", "values-unknown", "std-lv-string",
-            "defaults-unknown-kind"])
+            "defaults-unknown-kind", "values-string-number", "no-value-or-default"])
     def test_bad_params_content_exits_2_naming_the_key(self, tmp_path, content, key, capsys):
         params = tmp_path / "params.json"
         params.write_text(content, encoding="utf-8")
@@ -386,6 +388,10 @@ class TestReliability:
         assert dispatch(["reliability", "--data", sim_csv,
                          "--construct", "nonsense"]) == 2
 
+    def test_construct_without_items_exits_2(self, sim_csv, capsys):
+        assert dispatch(["reliability", "--data", sim_csv, "--construct", "F= , "]) == 2
+        assert capsys.readouterr().err == "error: --construct 'F' lists no items\n"
+
 
 class TestEfa:
     def test_retention_and_suppression(self, sim_csv, tmp_path):
@@ -416,6 +422,10 @@ class TestEfa:
         assert dispatch(["efa", "--data", sim_csv, "--delimiter", ";;"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the delimiter must be one character, got ';;'")
+
+    def test_no_factors_exits_2(self, sim_csv, capsys):
+        assert dispatch(["efa", "--data", sim_csv, "--retain", "m=0"]) == 2
+        assert capsys.readouterr().err == "error: factor count must be in 1..21\n"
 
     @pytest.mark.parametrize("retain", ["m=abc", "m=", "three"])
     def test_malformed_retention_exits_2(self, sim_csv, retain, capsys):
@@ -518,6 +528,12 @@ class TestReport:
                         "Hypotheses", "Effects:"):
             assert heading in text, heading
 
+
+    def test_malformed_effect_exits_2(self, sim_csv, capsys):
+        assert dispatch(["mediate", "--model", MODEL, "--data", sim_csv,
+                         "--effect", "EnvSt:PB", "--boot", "0"]) == 2
+        assert capsys.readouterr().err == ("error: --effect wants SRC:MED:DST, "
+                                           "got 'EnvSt:PB'\n")
 
     def test_effect_outside_the_model_exits_2_without_replicates(self, sim_csv, tmp_path,
                                                                   capsys):
@@ -797,6 +813,20 @@ class TestStars:
         assert report_mod.stars(0.03, "conventional") == "*"
         assert report_mod.stars(0.007, "conventional") == "**"
         assert report_mod.stars(0.0005, "conventional") == "***"
+
+
+class TestToJsonable:
+    def test_payload_types(self):
+        payload = {"a": (1, np.float64(0.5), float("nan")), 2: np.array([[True, None]]),
+                   "s": ["x", None, False]}
+        assert report_mod.to_jsonable(payload) == {
+            "a": [1, 0.5, None], "2": [[True, None]], "s": ["x", None, False]}
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object()],
+                             ids=["int64", "bool_", "set", "object"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError, match="^cannot write .* to a report$"):
+            report_mod.to_jsonable({"x": [value]})
 
 
 class TestFileSha256:

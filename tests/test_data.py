@@ -67,6 +67,10 @@ class TestLoadTable:
         with pytest.raises(DataError, match="no data rows"):
             lp.load_table(write(tmp_path, "a,b\n"))
 
+    def test_duplicate_header_names_error(self, tmp_path):
+        with pytest.raises(DataError, match="duplicate column names in header$"):
+            lp.load_table(write(tmp_path, "a,b, a\n1,2,3\n"))
+
     def test_empty_file_errors(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             lp.load_table(write(tmp_path, ""))

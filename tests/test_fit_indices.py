@@ -125,6 +125,13 @@ class TestIndices:
         assert rep.agfi is None
         assert rep.passed["chisq_df"] is None
 
+    def test_null_model_that_fits(self):
+        # a diagonal S gives the independence model chi-square 0
+        rep = lp.indices(chisq=0.0, df=1, chisq_null=0.0, df_null=3,
+                         n=50, S=np.eye(3), sigma_hat=np.eye(3))
+        assert rep.nfi is None and rep.pnfi is None
+        assert rep.cfi == 1.0
+
     def test_nfi_clamped(self):
         rep = lp.indices(chisq=120.0, df=4, chisq_null=100.0, df_null=6,
                          n=50, S=np.eye(2), sigma_hat=np.eye(2))

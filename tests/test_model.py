@@ -142,6 +142,33 @@ class TestParsing:
         assert str(err.value).startswith(f"fixed value {value!r} is not finite")
         assert (err.value.line, err.value.column) == (3, column)
 
+    # each statement follows two good ones, so its line is 3
+    @pytest.mark.parametrize("line, message, column", [
+        ("C =~ z1 + + z3", "empty term", 11),
+        ("C =~ z1 + 9z", "invalid name '9z'", 11),
+        ("B ~ 9lab*A", "invalid label '9lab'", 5),
+        ("C =~  # nothing", "empty right-hand side", 5),
+        ("A ~~ B + x1", "covariance takes exactly one right-hand term", 1),
+        ("A ~~ lab*B", "labels are only supported on regression terms", 6),
+    ], ids=["empty-term", "name", "label", "empty-rhs", "covariance-terms", "covariance-label"])
+    def test_syntax_error_names_line_and_column(self, line, message, column):
+        with pytest.raises(ModelSyntaxError) as err:
+            lp.parse_model("A =~ x1 + x2 + x3\nB =~ y1 + y2 + y3\n" + line)
+        assert str(err.value) == f"{message} (line 3, column {column})"
+        assert (err.value.line, err.value.column) == (3, column)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("C =~ A + z1", "name(s) used as both latent and indicator: ['A']"),
+        ("B ~ A\nB ~ A", "duplicate path B ~ A"),
+        ("A ~~ ghost", "covariance names undeclared variable 'ghost'"),
+        ("A ~~ B\nB ~~ A", "duplicate covariance A ~~ B"),
+    ], ids=["latent-as-indicator", "duplicate-path", "covariance-undeclared",
+            "duplicate-covariance"])
+    def test_specification_error(self, lines, message):
+        with pytest.raises(ModelSpecificationError) as err:
+            lp.parse_model("A =~ x1 + x2 + x3\nB =~ y1 + y2 + y3\n" + lines)
+        assert str(err.value) == message
+
     def test_comments_and_blank_lines_ignored(self):
         spec = lp.parse_model("# header\n\nA =~ x1 + x2  # tail comment\n")
         assert spec.latent_names == ["A"]

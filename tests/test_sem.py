@@ -580,9 +580,11 @@ class TestIdentificationCertificate:
            seed=st.integers(0, 2**16), spread=st.sampled_from([0.0, 1.0, 4.0]),
            diagonal=st.sampled_from([None, 0.0, -1.0]))
     # the edges: at t = 2 the bound certifies a ratio just above 1e-6; at
-    # t = 40 a ratio just below it must reach eigh; non-positive diagonals
+    # t = 40 a ratio just below it must reach eigh, and so does 1e-5, which
+    # the bound cannot certify but eigh passes; non-positive diagonals
     @example(t=2, ratio=1.001e-6, seed=0, spread=0.0, diagonal=None)
     @example(t=40, ratio=0.999e-6, seed=1, spread=4.0, diagonal=None)
+    @example(t=40, ratio=1e-5, seed=0, spread=1.0, diagonal=None)
     @example(t=3, ratio=1e-6, seed=2, spread=1.0, diagonal=None)
     @example(t=5, ratio=0.3, seed=3, spread=1.0, diagonal=0.0)
     @example(t=5, ratio=0.3, seed=3, spread=1.0, diagonal=-1.0)
