@@ -815,14 +815,11 @@ class TestStopCodes:
         X = abc_rows(seed)
         X[:, 2] = X[:, 0]
         moments = lp.covariance(lp.Dataset(["a", "b", "c"], X))
-        spec = lp.parse_model(ABC_MODEL)
-        m = lp.build_matrices(spec, moments.names)
-        opt = sem._minimize(_Objective(m, moments.S[None]), sem.start_values(m, moments.S)[None],
-                            lp.EstimationOptions())
+        opt = minimize(_Objective, ABC_MODEL, moments=moments)
         assert opt.stop.tolist() == [sem.NONPD_SAMPLE] and opt.iterations.tolist() == [0]
         with pytest.raises(NotPositiveDefiniteError,
                            match="^sample covariance is not positive definite$"):
-            lp.fit(spec, moments)
+            lp.fit(lp.parse_model(ABC_MODEL), moments)
         with pytest.raises(NotPositiveDefiniteError, match="sample"):
             lp.f_ml(np.eye(3), moments.S)
 
