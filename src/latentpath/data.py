@@ -200,9 +200,10 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
     """Sample moments from mean-centered complete rows (listwise deletion).
 
     ``divisor`` is ``"n-1"`` (unbiased, default) or ``"n"``, the form the
-    normal-theory derivation uses. ``DataError`` names each column without
-    variance (no fit reproduces one), or, under 2 complete rows, each
-    column without a number.
+    normal-theory derivation uses; another is a programmer error
+    (``ValueError``), as ``--divisor`` offers only these two. ``DataError``
+    names each column whose variance overflows or that has none (no fit
+    reproduces one), or, under 2 complete rows, each column without a number.
     """
     if divisor not in ("n-1", "n"):
         raise ValueError("divisor must be 'n-1' or 'n'")
@@ -212,7 +213,11 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
         empty = [nm for nm, gone in zip(dataset.names, dataset.missing.all(axis=0)) if gone]
         raise DataError(f"need at least 2 complete rows, have {n}"
                         + (f"; no number in column(s): {', '.join(empty)}" if empty else ""))
-    S = _covariance_matrix(X, n - 1 if divisor == "n-1" else n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _covariance_matrix(X, n - 1 if divisor == "n-1" else n)
+    overflow = [nm for nm, v in zip(dataset.names, np.diag(S)) if not np.isfinite(v)]
+    if overflow:
+        raise DataError(f"variance overflows in column(s): {', '.join(overflow)}; rescale them")
     # a constant's mean can round: 519 rows of 0.1 have a variance of 8e-31
     flat = (np.ptp(X, axis=0) == 0) | (np.diag(S) == 0)
     constant = [nm for nm, f in zip(dataset.names, flat) if f]

@@ -16,6 +16,7 @@ sorted pair.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -225,11 +226,16 @@ def parse_model(text: str) -> ModelSpec:
             f"name(s) used as both latent and indicator: {sorted(overlap)}"
         )
 
+    # no directed cycle among latents, so I - A is always invertible; adding
+    # the predictor first walks from the predictors in statement order
+    paths = graphlib.TopologicalSorter()
     seen_pairs, labeled = set(), {}
     for reg in regressions:
         for name in (reg.dependent, reg.predictor):
             if name not in latents:
                 raise ModelSpecificationError(f"regression names undeclared latent {name!r}")
+        paths.add(reg.predictor)
+        paths.add(reg.dependent, reg.predictor)
         pair = (reg.dependent, reg.predictor)
         if pair in seen_pairs:
             raise ModelSpecificationError(f"duplicate path {reg.dependent} ~ {reg.predictor}")
@@ -251,7 +257,12 @@ def parse_model(text: str) -> ModelSpec:
             raise ModelSpecificationError(f"duplicate covariance {cov.a} ~~ {cov.b}")
         seen_covs.add((cov.a, cov.b))
 
-    _check_acyclic(regressions)
+    try:
+        paths.prepare()
+    except graphlib.CycleError as err:
+        raise ModelSpecificationError(
+            "regression graph contains a cycle: " + " -> ".join(err.args[1])
+        ) from None
 
     spec = ModelSpec(
         latents=tuple(Latent(name, latents[name]) for name in sorted(latents)),
@@ -260,38 +271,6 @@ def parse_model(text: str) -> ModelSpec:
         fixed_loadings=tuple(sorted(fixed_loadings.items())),
     )
     return spec
-
-
-def _check_acyclic(regressions: list[Regression]) -> None:
-    """Reject directed cycles among latents so I - A is always invertible."""
-    graph: dict[str, set[str]] = {}
-    for reg in regressions:
-        graph.setdefault(reg.predictor, set()).add(reg.dependent)
-        graph.setdefault(reg.dependent, set())
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    # depth-first, with an explicit stack so that a long chain of latents
-    # cannot exhaust the interpreter's recursion limit: the path from the
-    # root, and the successors of each node on it that are still to visit
-    for root in graph:
-        if root in state:
-            continue
-        state[root] = 0
-        path, todo = [root], [iter(graph[root])]
-        while todo:
-            for nxt in todo[-1]:
-                if state.get(nxt) == 0:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise ModelSpecificationError(
-                        "regression graph contains a cycle: " + " -> ".join(cycle)
-                    )
-                if nxt not in state:
-                    state[nxt] = 0
-                    path.append(nxt)
-                    todo.append(iter(graph[nxt]))
-                    break
-            else:
-                state[path.pop()] = 1
-                todo.pop()
 
 
 # ---------------------------------------------------------------------------

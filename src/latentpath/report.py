@@ -25,7 +25,9 @@ SCHEMA_VERSION = 3
 
 
 def stars(p: float | None, convention: str = "survey") -> str:
-    """Significance stars for a two-sided p-value."""
+    """Significance stars for a two-sided p-value. A ``convention`` outside
+    ``--stars``' choices, survey and conventional, is a programmer error
+    (``ValueError``)."""
     if p is None or np.isnan(p):
         return ""
     if convention == "survey":

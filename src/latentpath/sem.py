@@ -40,7 +40,8 @@ from .model import (PARAMETER_KINDS, VARIANCE_KINDS, ModelSpec, ParamMatrices, b
 
 @dataclass
 class EstimationOptions:
-    """Optimizer and reporting knobs for :func:`fit`."""
+    """Optimizer and reporting knobs for :func:`fit`. A value out of range is
+    a programmer error (``ValueError``): the CLI checks each flag first."""
 
     max_iter: int = 500
     gtol: float = 1e-6
@@ -95,7 +96,8 @@ def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
     No arrow leaves an observed variable, so A's first p columns are zero
     and E = [[I, A_ol T], [0, T]] with T = (I - A_ll)^-1 over the latents
-    alone, a much smaller inverse.
+    alone, a much smaller inverse. A theta of the wrong length is a
+    programmer error (``ValueError``).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (m.n_free,):
@@ -171,7 +173,8 @@ class _Objective:
     ``point`` evaluates F at thetas (k, t) of k members of the stack, named
     by ``rows``; ``gradients`` and ``informations`` continue from the
     point. A member whose sample covariance is not PD has a NaN
-    ``logdet_S``; ``_minimize`` gives it up.
+    ``logdet_S``; ``_minimize`` gives it up. Slots out of ``build_matrices``'
+    order (A's parameters, then S's) are a programmer error (``ValueError``).
     """
 
     def __init__(self, m: ParamMatrices, S: np.ndarray):

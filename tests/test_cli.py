@@ -637,6 +637,41 @@ class TestConstantColumn:
         assert not out.exists()
 
 
+class TestOverflowingColumn:
+    """A column whose variance overflows a float is a usage error naming it,
+    not an S of inf and NaN that numpy warns about and the commands fit,
+    factor or score."""
+
+    @pytest.fixture(scope="class")
+    def huge_b(self, tmp_path_factory):
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal(200)
+        X = f[:, None] + rng.standard_normal((200, 3))
+        X[:, 1] *= 1e160
+        path = tmp_path_factory.mktemp("overflow") / "huge_b.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n"
+                                            for row in X.tolist()))
+        (path.parent / "f.model").write_text("F =~ a + b + c\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "f.model"],
+        ["efa"],
+        ["reliability", "--construct", "F=a,b,c"],
+    ], ids=lambda argv: argv[0])
+    def test_names_the_column_and_exits_2(self, huge_b, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(huge_b.parent)
+        out = tmp_path / "r.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = dispatch([*argv, "--data", huge_b.name, "--output", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == \
+            "error: variance overflows in column(s): b; rescale them\n"
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+
 class TestHeywood:
     def test_fit_text_names_the_negative_variance(self, tmp_path):
         # test_sem's Heywood triad: s12 * s13 / s23 = 1.28 > s11, so the ML

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +110,23 @@ class TestParsing:
         ring = " -> ".join(f"L{i}" for i in [*range(1200), 0])
         with pytest.raises(ModelSpecificationError, match=f"cycle: {ring}$"):
             lp.parse_model(chain_text(1200) + "\nL0 ~ L1199")
+
+    def test_cycle_report_does_not_depend_on_the_hash_seed(self):
+        # X has three successors; the cycle named is the first one met
+        # walking from the predictors in statement order, under every
+        # string-hash seed
+        text = ("A =~ a1 + a2\nB =~ b1 + b2\nC =~ c1 + c2\nX =~ x1 + x2\n"
+                "A ~ X\nB ~ X\nC ~ X\nX ~ A\nX ~ B\nX ~ C")
+        script = ("import sys, latentpath\n"
+                  "try:\n    latentpath.parse_model(sys.argv[1])\n"
+                  "except latentpath.errors.ModelSpecificationError as err:\n    print(err)\n")
+        src_dir = str(Path(lp.__file__).resolve().parents[1])
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", script, text], capture_output=True,
+                                  text=True, env=env, timeout=60, check=True)
+            assert proc.stdout.endswith("cycle: X -> A -> X\n"), (seed, proc.stdout)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ModelSpecificationError, match="cycle"):
