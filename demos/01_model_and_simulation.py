@@ -27,9 +27,9 @@ print("labeled paths:", spec.labels)
 # indicator listed for each construct is its marker (loading fixed to 1).
 m = lp.build_matrices(spec, spec.indicator_names)
 df = lp.count_df(m)
-print(f"\nfree parameters t = {df.n_free}")
-print(f"sample moments p(p+1)/2 = {df.n_moments}")
-print(f"degrees of freedom = {df.value} (under-identified: {df.under_identified})")
+print(f"\nfree parameters t = {m.n_free}")
+print(f"sample moments p(p+1)/2 = {m.n_free + df}")
+print(f"degrees of freedom = {df} (under-identified: {df < 0})")
 
 print("\nfirst ten free parameters:")
 for label in m.labels[:10]:

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fit_indices import FitIndices, baseline, from_fit, indices
 from .model import (
-    DegreesOfFreedom,
     ModelSpec,
     ParamMatrices,
     build_matrices,
@@ -72,7 +71,7 @@ __all__ = [
     "DataError", "NotPositiveDefiniteError", "UnderIdentifiedError",
     "EstimationError",
     "FitIndices", "baseline", "from_fit", "indices",
-    "ModelSpec", "ParamMatrices", "DegreesOfFreedom", "parse_model",
+    "ModelSpec", "ParamMatrices", "parse_model",
     "build_matrices", "count_df",
     "cronbach_alpha", "composite_reliability", "average_variance_extracted",
     "kmo", "bartlett", "fornell_larcker",

@@ -49,7 +49,7 @@ from .reliability import (
     fornell_larcker,
     kmo,
 )
-from .report import file_sha256, provenance, render_report
+from .report import STARS, file_sha256, provenance, render_report
 from .sem import (
     EstimationOptions,
     FitResult,
@@ -113,8 +113,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument(
-        "--stars", choices=("survey", "conventional"), default="survey",
-        help="significance-star convention (default: * <0.1, ** <0.05, *** <0.001)",
+        "--stars", choices=tuple(STARS), default="survey",
+        help="significance-star convention (default: "
+             + ", ".join(f"{mark} <{cut:g}" for cut, mark in reversed(STARS["survey"])) + ")",
     )
     parser.add_argument(
         "--divisor", choices=("n-1", "n"), default="n-1",
@@ -274,7 +275,7 @@ def _convergent_payload(constructs: list[tuple[str, list[str]]],
         m = result.matrices
         pos = {name: i for i, name in enumerate(m.variables)}
         P = np.full(m.A.values.shape, np.nan)  # p-values at A's free cells
-        P[m.A.rows, m.A.cols] = result.p_values[m.A.slots]
+        P[m.A.rows, m.A.cols] = result.p_values[m.A.run]
         with contextlib.suppress(EstimationError):
             A_std = standardize(m, result.theta)[0]
     blocks = []
@@ -428,6 +429,11 @@ def _cfa_sections(inputs: _Inputs, args) -> tuple[Sections, bool]:
     }, result.converged
 
 
+# efa's flag defaults, which report's efa section uses
+_EFA_DEFAULTS = {"retain": "kaiser", "suppress": 0.4, "rotation": "varimax",
+                 "method": "principal"}
+
+
 def _efa_sections(moments: SampleMoments, retain: str, suppress: float, rotation: str,
                   method: str) -> Sections:
     loadings = efa_mod.extract(moments.R, retention=retain, names=moments.names,
@@ -482,8 +488,7 @@ def _cmd_cfa(args) -> int:
 
 
 def _cmd_efa(args) -> int:
-    options = {"retain": args.retain, "suppress": args.suppress,
-               "rotation": args.rotation, "method": args.method}
+    options = {key: getattr(args, key) for key in _EFA_DEFAULTS}
     return _emit(args, options, _efa_sections(_Inputs(args).moments, **options))
 
 
@@ -521,8 +526,6 @@ def _cmd_simulate(args) -> int:
 _REPORT_SECTIONS = ("dataset", "reliability", "sampling_adequacy", "efa",
                     "convergent_validity", "discriminant_validity", "cfa_fit_indices",
                     "fit", "regression_weights", "sem_fit_indices", "mediation", "hypotheses")
-_REPORT_EFA = {"retain": "kaiser", "suppress": 0.4, "rotation": "varimax",
-               "method": "principal"}
 
 
 def _cmd_report(args) -> int:
@@ -535,7 +538,7 @@ def _cmd_report(args) -> int:
     built = {
         "dataset": ("dataset", _dataset_payload(dataset)),
         **psychometric,
-        **_efa_sections(inputs.moments, **_REPORT_EFA),
+        **_efa_sections(inputs.moments, **_EFA_DEFAULTS),
     }
     cfa, cfa_converged = _cfa_sections(inputs, args)
     sem, sem_converged = _fit_sections(inputs, args)
@@ -569,12 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimation(add("cfa", _cmd_cfa, "measurement-only fit with freely covarying latents"))
 
     p = add("efa", _cmd_efa, "exploratory factor analysis", model=False)
-    p.add_argument("--retain", type=_retention, default="kaiser",
-                   help="'kaiser' or 'm=<k>' (default kaiser)")
-    p.add_argument("--suppress", type=_CUTOFF, default=0.4)
-    p.add_argument("--rotation", choices=("varimax", "none"), default="varimax")
-    p.add_argument("--method", choices=("principal", "principal-axis"),
-                   default="principal")
+    p.add_argument("--retain", type=_retention,
+                   help=f"'kaiser' or 'm=<k>' (default {_EFA_DEFAULTS['retain']})")
+    p.add_argument("--suppress", type=_CUTOFF)
+    p.add_argument("--rotation", choices=("varimax", "none"))
+    p.add_argument("--method", choices=("principal", "principal-axis"))
+    p.set_defaults(**_EFA_DEFAULTS)
 
     p = add("reliability", _cmd_reliability, "alpha, KMO, Bartlett, CR/AVE per construct",
             model=False)

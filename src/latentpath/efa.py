@@ -33,18 +33,24 @@ class LoadingMatrix:
         return (self.loadings**2).sum(axis=1)
 
 
-def _principal_axis(R: np.ndarray, m: int, max_iter: int = 100, tol: float = 1e-6):
-    """Iterated communality estimation; returns loadings for m factors."""
-    p = R.shape[0]
+_AXIS_TOL = 1e-6
+_AXIS_ITERATIONS = 100
+_VARIMAX_TOL = 1e-10
+_VARIMAX_SWEEPS = 100
+
+
+def _principal_axis(R: np.ndarray, m: int):
+    """Iterated communality estimation; returns loadings for m factors. It
+    stops when no communality moves by _AXIS_TOL, or after _AXIS_ITERATIONS."""
     h2 = 1.0 - 1.0 / np.diag(np.linalg.inv(R))  # squared multiple correlations
-    for _ in range(max_iter):
+    for _ in range(_AXIS_ITERATIONS):
         Rh = R.copy()
         np.fill_diagonal(Rh, h2)
         w, V = np.linalg.eigh(Rh)
         order = np.argsort(w)[::-1][:m]
         lam = V[:, order] * np.sqrt(np.clip(w[order], 0, None))
         h2_new = (lam**2).sum(axis=1)
-        if np.max(np.abs(h2_new - h2)) < tol:
+        if np.max(np.abs(h2_new - h2)) < _AXIS_TOL:
             h2 = h2_new
             break
         h2 = h2_new
@@ -109,10 +115,6 @@ def _varimax_criterion(L: np.ndarray) -> float:
     p = L.shape[0]
     sq = L**2
     return float(((sq**2).sum(axis=0) / p - (sq.sum(axis=0) / p) ** 2).sum())
-
-
-_VARIMAX_TOL = 1e-10
-_VARIMAX_SWEEPS = 100
 
 
 def varimax(loadings: LoadingMatrix) -> LoadingMatrix:

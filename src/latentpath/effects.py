@@ -241,17 +241,18 @@ def _effect_gradients(m: ParamMatrices, eff: EffectMatrices,
     """
     p = m.n_observed
     latent = m.A.rows >= p  # paths; loadings sit in the observed rows
-    rows, cols, slots = m.A.rows[latent] - p, m.A.cols[latent] - p, m.A.slots[latent]
+    rows, cols = m.A.rows[latent] - p, m.A.cols[latent] - p
+    in_theta = m.A.first + np.flatnonzero(latent)
     E = np.eye(len(eff.names)) + eff.total
 
     def d_total(a, b):
         g = np.zeros(m.n_free)
-        g[slots] = E[a, rows] * E[cols, b]
+        g[in_theta] = E[a, rows] * E[cols, b]
         return g
 
     i, k, j = (eff.names.index(name) for name in (dst, med, src))
     g_direct = np.zeros(m.n_free)
-    g_direct[slots] = (rows == i) & (cols == j)
+    g_direct[in_theta] = (rows == i) & (cols == j)
     g_indirect = d_total(k, j) * eff.total[i, k] + eff.total[k, j] * d_total(i, k)
     return np.array([d_total(i, j), g_direct, g_indirect])
 

@@ -14,21 +14,21 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError
 
-# Table thresholds used for the pass/fail column of reports. The model
-# p-value row follows the source convention (significant chi-square counted
-# as meeting the standard); see README.
+# The fit table's rows in report order: each index's label, and the standard
+# its pass flag tests. The model p-value row follows the source convention
+# (significant chi-square counted as meeting the standard); see README.
 THRESHOLDS = {
-    "chisq_df": ("<", 5.0),
-    "p": ("<", 0.05),
-    "rmsea": ("<", 0.08),
-    "gfi": (">", 0.9),
-    "agfi": (">", 0.9),
-    "tli": (">", 0.9),
-    "nfi": (">", 0.9),
-    "cfi": (">", 0.9),
-    "pnfi": (">", 0.5),
-    "pcfi": (">", 0.5),
-    "pgfi": (">", 0.5),
+    "chisq_df": ("Chi/DF", "<", 5.0),
+    "p": ("P", "<", 0.05),
+    "gfi": ("GFI", ">", 0.9),
+    "agfi": ("AGFI", ">", 0.9),
+    "tli": ("TLI", ">", 0.9),
+    "nfi": ("NFI", ">", 0.9),
+    "cfi": ("CFI", ">", 0.9),
+    "pnfi": ("PNFI", ">", 0.5),
+    "pcfi": ("PCFI", ">", 0.5),
+    "pgfi": ("PGFI", ">", 0.5),
+    "rmsea": ("RMSEA", "<", 0.08),
 }
 
 
@@ -91,7 +91,7 @@ class FitIndices:
     def passed(self) -> dict[str, bool | None]:
         """Each index of THRESHOLDS against its bound; None where it is undefined."""
         flags: dict[str, bool | None] = {}
-        for key, (op, bound) in THRESHOLDS.items():
+        for key, (_, op, bound) in THRESHOLDS.items():
             value = getattr(self, key)
             if value is None:
                 flags[key] = None

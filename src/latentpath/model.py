@@ -20,7 +20,6 @@ import graphlib
 import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -300,25 +299,30 @@ class Parameter:
 class MatrixTemplate:
     """A square matrix of fixed values, some of whose cells are free parameters.
 
-    ``rows[c], cols[c]`` is the cell of the parameter at position
-    ``slots[c]`` in theta, listed in theta order; every other cell is the
-    fixed constant in ``values``. A ``symmetric`` template (that of S)
-    lists a covariance once, at row >= col, and places it at both cells.
+    ``rows[c], cols[c]`` is the cell of the parameter at ``theta[first + c]``,
+    so the template's parameters are one run of theta, ``run``; every other
+    cell is the fixed constant in ``values``. A ``symmetric`` template (that
+    of S) lists a covariance once, at row >= col, and places it at both cells.
     """
 
     values: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    slots: np.ndarray
+    first: int
     symmetric: bool
+
+    @property
+    def run(self) -> slice:
+        """The slice of theta that holds this template's parameters."""
+        return slice(self.first, self.first + len(self.rows))
 
     def materialize(self, theta: np.ndarray) -> np.ndarray:
         """The matrix at theta (t,), or one matrix per row of a stack (B, t)."""
         out = np.empty(theta.shape[:-1] + self.values.shape)
         out[...] = self.values
-        out[..., self.rows, self.cols] = theta[..., self.slots]
+        out[..., self.rows, self.cols] = theta[..., self.run]
         if self.symmetric:
-            out[..., self.cols, self.rows] = theta[..., self.slots]
+            out[..., self.cols, self.rows] = theta[..., self.run]
         return out
 
 
@@ -464,22 +468,11 @@ def _template(values: np.ndarray, cells: list[tuple[int, int]], first: int,
               symmetric: bool) -> MatrixTemplate:
     """The template of free ``cells`` whose parameters sit in theta from ``first`` on."""
     rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    return MatrixTemplate(values, rows, cols, np.arange(first, first + len(cells)), symmetric)
+    return MatrixTemplate(values, rows, cols, first, symmetric)
 
 
-class DegreesOfFreedom(NamedTuple):
-    """df accounting: value = n_moments - n_free, flagged when negative."""
-
-    value: int
-    n_moments: int
-    n_free: int
-    under_identified: bool
-
-
-def count_df(matrices: ParamMatrices) -> DegreesOfFreedom:
-    """Degrees of freedom p(p+1)/2 - t for p observed variables, t free params."""
+def count_df(matrices: ParamMatrices) -> int:
+    """Degrees of freedom p(p+1)/2 - t for p observed variables and t free
+    parameters; negative when the parameters outnumber the sample moments."""
     p = matrices.n_observed
-    n_moments = p * (p + 1) // 2
-    t = matrices.n_free
-    df = n_moments - t
-    return DegreesOfFreedom(df, n_moments, t, under_identified=df < 0)
+    return p * (p + 1) // 2 - matrices.n_free

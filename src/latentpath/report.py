@@ -6,9 +6,8 @@ only that section's own keys (CR/AVE, for instance, live only under
 ``convergent_validity``). Every number shown in a text table is also
 present, unrounded, in the JSON emission; text display rounds to 3
 decimals (4 for CR/AVE), and an absent (None) number shows as blank. The
-significance-star convention defaults to the survey-report style
-(* < 0.1, ** < 0.05, *** < 0.001) and can be switched to the conventional
-one (* < 0.05, ** < 0.01, *** < 0.001).
+significance-star conventions are the table ``STARS``; the survey-report
+one is the default.
 """
 
 from __future__ import annotations
@@ -24,22 +23,19 @@ from .fit_indices import THRESHOLDS
 SCHEMA_VERSION = 3
 
 
+# each significance-star convention's cuts, smallest first: a p-value takes
+# the mark of the first cut it is below
+STARS = {
+    "survey": ((0.001, "***"), (0.05, "**"), (0.1, "*")),
+    "conventional": ((0.001, "***"), (0.01, "**"), (0.05, "*")),
+}
+
+
 def stars(p: float | None, convention: str = "survey") -> str:
-    """Significance stars for a two-sided p-value. A ``convention`` outside
-    ``--stars``' choices, survey and conventional, is a programmer error
-    (``ValueError``)."""
+    """Significance stars for a two-sided p-value under a convention of ``STARS``."""
     if p is None or np.isnan(p):
         return ""
-    if convention == "survey":
-        cuts = ((0.001, "***"), (0.05, "**"), (0.1, "*"))
-    elif convention == "conventional":
-        cuts = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
-    else:
-        raise ValueError(f"unknown star convention {convention!r}")
-    for cut, mark in cuts:
-        if p < cut:
-            return mark
-    return ""
+    return next((mark for cut, mark in STARS[convention] if p < cut), "")
 
 
 def _fmt(value: float | None, decimals: int = 3) -> str:
@@ -191,26 +187,9 @@ def _discriminant_text(name, payload, _stars):
                         title="Discriminant validity (diagonal = sqrt AVE)")
 
 
-# row order and labels; each standard is the threshold its pass flag tests
-_INDEX_DISPLAY = (
-    ("chisq_df", "Chi/DF"),
-    ("p", "P"),
-    ("gfi", "GFI"),
-    ("agfi", "AGFI"),
-    ("tli", "TLI"),
-    ("nfi", "NFI"),
-    ("cfi", "CFI"),
-    ("pnfi", "PNFI"),
-    ("pcfi", "PCFI"),
-    ("pgfi", "PGFI"),
-    ("rmsea", "RMSEA"),
-)
-
-
 def _fit_indices_text(name, payload, _stars):
     rows = []
-    for key, label in _INDEX_DISPLAY:
-        op, bound = THRESHOLDS[key]
+    for key, (label, op, bound) in THRESHOLDS.items():
         value = payload["values"][key]
         passed = payload["passed"][key]
         rows.append([

@@ -173,8 +173,7 @@ class _Objective:
     ``point`` evaluates F at thetas (k, t) of k members of the stack, named
     by ``rows``; ``gradients`` and ``informations`` continue from the
     point. A member whose sample covariance is not PD has a NaN
-    ``logdet_S``; ``_minimize`` gives it up. Slots out of ``build_matrices``'
-    order (A's parameters, then S's) are a programmer error (``ValueError``).
+    ``logdet_S``; ``_minimize`` gives it up.
     """
 
     def __init__(self, m: ParamMatrices, S: np.ndarray):
@@ -183,11 +182,9 @@ class _Objective:
         self.S_obs = S.reshape((-1,) + S.shape[-2:])
         self.logdet_S = _sample_logdet(self.S_obs)  # NaN where S is not PD
         self.p = S.shape[-1]
-        if not np.array_equal(np.concatenate([m.A.slots, m.S.slots]), np.arange(m.n_free)):
-            raise ValueError("theta must list the parameters of A, then those of S")
         # the weight of each cell, as in ``informations``: 1/2 on S's diagonal
         self.w = np.ones(m.n_free)
-        self.w[m.S.slots[m.S.rows == m.S.cols]] = 0.5
+        self.w[m.S.run][m.S.rows == m.S.cols] = 0.5
         self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
@@ -430,7 +427,7 @@ class FitResult:
 
     @property
     def df(self) -> int:
-        return count_df(self.matrices).value
+        return count_df(self.matrices)
 
     @property
     def chisq(self) -> float:
@@ -620,11 +617,10 @@ def fit(
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
     m = build_matrices(spec, names, standardize_latents=standardize_latents)
-    dfres = count_df(m)
-    if dfres.under_identified:
+    df = count_df(m)
+    if df < 0:
         raise UnderIdentifiedError(
-            f"{dfres.n_free} free parameters exceed {dfres.n_moments} sample moments"
-        )
+            f"{m.n_free} free parameters exceed {m.n_free + df} sample moments")
     objective = _Objective(m, S)
     opt = _minimize(objective, start_values(m, S)[None], opts)
     stop = opt.stop[0]
