@@ -34,13 +34,12 @@ from .effects import (
 from .errors import (
     DataError,
     EstimationError,
-    LatentPathError,
     ModelSpecificationError,
     ModelSyntaxError,
     NotPositiveDefiniteError,
     UnderIdentifiedError,
 )
-from .model import ModelSpec, build_matrices, parse_model
+from .model import Latent, ModelSpec, build_matrices, parse_model
 from .reliability import (
     average_variance_extracted,
     bartlett,
@@ -390,13 +389,22 @@ def _parse_effect(text: str) -> tuple[str, str, str]:
 
 
 def _parse_construct(text: str) -> tuple[str, list[str]]:
+    """NAME=item1,item2,...: a name, and items that are distinct and not the name."""
     if "=" not in text:
         raise DataError(f"--construct wants NAME=item1,item2,..., got {text!r}")
     name, _, items = text.partition("=")
+    name = name.strip()
     items = [item.strip() for item in items.split(",") if item.strip()]
+    if not name:
+        raise DataError(f"--construct {text!r} has no name")
     if not items:
         raise DataError(f"--construct {name!r} lists no items")
-    return name.strip(), items
+    if name in items:
+        raise DataError(f"--construct {name!r} lists its own name as an item")
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise DataError(f"--construct {name!r} lists {', '.join(repeated)} more than once")
+    return name, items
 
 
 # --- subcommands: each one's sections from its loaded inputs -----------------
@@ -446,10 +454,11 @@ def _reliability_sections(dataset: Dataset, constructs: list[tuple[str, list[str
     sections, moments = _psychometric_sections(dataset, constructs, divisor)
     convergent = []  # no model given: one one-factor fit per construct
     for (name, items), construct_moments in zip(constructs, moments):
+        one_factor = ModelSpec(latents=(Latent(name, tuple(items)),), regressions=(),
+                               covariances=())
         try:
-            one_factor = parse_model(f"{name} =~ " + " + ".join(items))
             result = fit(one_factor, construct_moments, compute_se=False)
-        except LatentPathError:
+        except _DOMAIN_ERRORS:
             result = None
         convergent += _convergent_payload([(name, items)], result)["constructs"]
     sections["convergent_validity"] = ("convergent_validity", {"constructs": convergent})

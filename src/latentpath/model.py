@@ -213,11 +213,12 @@ def parse_model(text: str) -> ModelSpec:
     indicator_owner: dict[str, str] = {}
     for name, inds in latents.items():
         for ind in inds:
-            if ind in indicator_owner:
+            owner = indicator_owner.get(ind)
+            if owner == name:
+                raise ModelSpecificationError(f"indicator {ind!r} is listed twice under {name!r}")
+            if owner is not None:
                 raise ModelSpecificationError(
-                    f"indicator {ind!r} appears under both "
-                    f"{indicator_owner[ind]!r} and {name!r}"
-                )
+                    f"indicator {ind!r} appears under both {owner!r} and {name!r}")
             indicator_owner[ind] = name
     overlap = set(latents) & set(indicator_owner)
     if overlap:

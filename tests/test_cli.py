@@ -392,6 +392,31 @@ class TestReliability:
         assert dispatch(["reliability", "--data", sim_csv, "--construct", "F= , "]) == 2
         assert capsys.readouterr().err == "error: --construct 'F' lists no items\n"
 
+    @pytest.mark.parametrize("construct, message", [
+        ("CE1=CE1,CE3,CE4", "--construct 'CE1' lists its own name as an item"),
+        ("A=CE1,CE1", "--construct 'A' lists CE1 more than once"),
+        ("=CE1,CE3", "--construct '=CE1,CE3' has no name"),
+    ])
+    def test_malformed_construct_exits_2(self, sim_csv, capsys, construct, message):
+        assert dispatch(["reliability", "--data", sim_csv, "--construct", construct]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["Brand Trust", "1st"])
+    def test_name_outside_the_model_language_is_fitted(self, sim_csv, tmp_path, name):
+        # the one-factor model is built, not parsed, so any name is a construct name
+        blocks = {}
+        for construct in (name, "BrandTrust"):
+            out = tmp_path / f"{construct}.json"
+            assert dispatch(["reliability", "--data", sim_csv, "--format", "json",
+                             "--construct", f"{construct}=CE1,CE3,CE4",
+                             "--output", str(out)]) == 0
+            section = json.loads(out.read_text())["sections"]["convergent_validity"]
+            (blocks[construct],) = section["constructs"]
+        assert blocks[name] == {**blocks["BrandTrust"], "name": name}
+        block = blocks[name]
+        assert (round(block["loadings"][0], 3), round(block["cr"], 4),
+                round(block["ave"], 4)) == (0.774, 0.7948, 0.5637)
+
 
 class TestEfa:
     def test_retention_and_suppression(self, sim_csv, tmp_path):

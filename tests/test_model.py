@@ -137,6 +137,11 @@ class TestParsing:
         with pytest.raises(ModelSpecificationError, match="appears under both"):
             lp.parse_model("A =~ x1 + x2\nB =~ x1 + x3")
 
+    def test_indicator_listed_twice_under_one_latent(self):
+        with pytest.raises(ModelSpecificationError) as err:
+            lp.parse_model("F =~ CE1 + CE1 + CE3")
+        assert str(err.value) == "indicator 'CE1' is listed twice under 'F'"
+
     def test_label_on_two_paths_rejected(self):
         # a label names one hypothesis; at two paths, one of them lost it
         with pytest.raises(ModelSpecificationError,
