@@ -184,7 +184,7 @@ class _Objective:
         self.p = S.shape[-1]
         # the weight of each cell, as in ``informations``: 1/2 on S's diagonal
         self.w = np.ones(m.n_free)
-        self.w[m.S.run][m.S.rows == m.S.cols] = 0.5
+        self.w[m.S.first + np.flatnonzero(m.S.rows == m.S.cols)] = 0.5
         self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
