@@ -504,6 +504,10 @@ def _cmd_efa(args) -> int:
 def _cmd_reliability(args) -> int:
     dataset = load_table(args.data, delimiter=args.delimiter)
     constructs = [_parse_construct(c) for c in args.construct]
+    names = [name for name, _ in constructs]
+    for name in names:
+        if names.count(name) > 1:
+            raise DataError(f"--construct {name!r} given more than once")
     return _emit(args, {"constructs": args.construct},
                  _reliability_sections(dataset, constructs, args.divisor))
 

@@ -13,7 +13,7 @@ method, g' acov g, with g the analytic gradient of an effect in the free
 parameters and acov their full asymptotic covariance. The bootstrap
 compiles the model once, refits the replicates' sample covariances as
 one stacked Fisher-scoring problem in blocks (``sem._minimize``), and
-reads their effects from one batched (I - D)^-1.
+reads their effects from one batched series.
 """
 
 from __future__ import annotations
@@ -60,16 +60,16 @@ class EffectMatrices:
 
 def decompose(A: np.ndarray, names: list[str] | None = None) -> EffectMatrices:
     """Decompose the effects of a direct-effect matrix A[target, source], or
-    of each matrix of a stack (B, k, k)."""
+    of each matrix of a stack (B, k, k). Raises ModelSpecificationError when
+    the nonzero cells of A, pooled over a stack, form a cycle."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    I = np.eye(A.shape[-1])
-    try:
-        E = np.linalg.inv(I - A)
-    except np.linalg.LinAlgError:
-        raise ModelSpecificationError("I - A is singular; effects undefined") from None
+    k = A.shape[-1]
+    arrows = (A != 0).reshape(-1, k, k).any(axis=0)
+    if np.linalg.matrix_power(arrows, k).any():
+        raise ModelSpecificationError("the direct effects form a cycle; effects undefined")
     if names is None:
-        names = [f"v{i + 1}" for i in range(A.shape[-1])]
-    return EffectMatrices(names=list(names), direct=A.copy(), total=E - I)
+        names = [f"v{i + 1}" for i in range(k)]
+    return EffectMatrices(names=list(names), direct=A.copy(), total=sem._series(A) - np.eye(k))
 
 
 def decompose_fit(result: FitResult) -> EffectMatrices:
@@ -195,7 +195,7 @@ _BLOCK_BYTES = 64 * 1024
 # the reason a replicate is dropped, by its stop code
 _DROP_REASONS = {sem.STALLED: "not converged", sem.NO_STEP: "not converged",
                  sem.MAX_ITER: "not converged", sem.NONPD_SAMPLE: "non-PD sample covariance",
-                 sem.NONPD_START: "non-PD start values", sem.LINALG: "LinAlgError"}
+                 sem.NONPD_START: "non-PD start values"}
 
 
 def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
@@ -224,7 +224,7 @@ def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
         opt = _minimize(_Objective(m, S), start_values(m, S), opts)
         kept = opt.stop == sem.GTOL
         reasons += [_DROP_REASONS[stop] for stop in opt.stop[~kept].tolist()]
-        # one batched (I - D)^-1 over the replicates that converged
+        # one batched series over the replicates that converged
         eff = decompose(m.A.materialize(opt.theta[kept])[:, p:, p:], m.latent_names)
         draws.append(np.stack([np.stack(eff.effect(src, dst, med), axis=1)
                                for src, med, dst in routes], axis=1))

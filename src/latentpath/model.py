@@ -226,7 +226,7 @@ def parse_model(text: str) -> ModelSpec:
             f"name(s) used as both latent and indicator: {sorted(overlap)}"
         )
 
-    # no directed cycle among latents, so I - A is always invertible; adding
+    # no directed cycle among latents, so their block of A is nilpotent; adding
     # the predictor first walks from the predictors in statement order
     paths = graphlib.TopologicalSorter()
     seen_pairs, labeled = set(), {}

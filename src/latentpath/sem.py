@@ -91,12 +91,27 @@ def _sample_logdet(S: np.ndarray) -> np.ndarray:
     return np.where(singular, np.nan, logdet)
 
 
+def _series(D: np.ndarray) -> np.ndarray:
+    """(I - D)^-1 = I + D + D^2 + ... for a nilpotent D (k, k) or stack (B, k, k),
+    summed up to the first power that is zero in every matrix, after at most
+    k - 2 products. The caller makes sure that D is nilpotent."""
+    k = D.shape[-1]
+    E = np.eye(k) + D
+    power = D
+    for _ in range(k - 2):
+        power = power @ D
+        if not power.any():
+            break
+        E += power
+    return E
+
+
 def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, S and E = (I - A)^-1 at theta (t,), or at each row of theta (B, t).
 
     No arrow leaves an observed variable, so A's first p columns are zero
-    and E = [[I, A_ol T], [0, T]] with T = (I - A_ll)^-1 over the latents
-    alone, a much smaller inverse. A theta of the wrong length is a
+    and E = [[I, A_ol T], [0, T]] with T = (I - A_ll)^-1, a finite series
+    as ``parse_model`` admits no cycle. A theta of the wrong length is a
     programmer error (``ValueError``).
     """
     theta = np.asarray(theta, dtype=float)
@@ -106,7 +121,7 @@ def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     p = m.n_observed
     E = np.empty_like(A)
     E[...] = np.eye(A.shape[-1])
-    E[..., p:, p:] = np.linalg.inv(E[..., p:, p:] - A[..., p:, p:])
+    E[..., p:, p:] = _series(A[..., p:, p:])
     E[..., :p, p:] = A[..., :p, p:] @ E[..., p:, p:]
     return A, m.S.materialize(theta), E
 
@@ -268,7 +283,7 @@ def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
 
 
 # why a member of the stack stopped, one code per member in _OptimResult.stop
-RUNNING, GTOL, STALLED, NO_STEP, MAX_ITER, NONPD_SAMPLE, NONPD_START, LINALG = range(8)
+RUNNING, GTOL, STALLED, NO_STEP, MAX_ITER, NONPD_SAMPLE, NONPD_START = range(7)
 
 
 @dataclass
@@ -299,12 +314,11 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     acceptance, stall count and stop, and leaves the stack when it stops,
     so its path is the one it would take alone. Sigma is factored once per
     trial point; the accepted one serves the gradient and the next
-    information. An iteration whose stacked call raises LinAlgError is
-    redone one member at a time. A member's stop code says why it stopped:
-    GTOL (converged), STALLED (F stalled three iterations running), NO_STEP
-    (60 halvings found no acceptable step), MAX_ITER, NONPD_SAMPLE or
+    information. A member's stop code says why it stopped: GTOL
+    (converged), STALLED (F stalled three iterations running), NO_STEP (60
+    halvings found no acceptable step), MAX_ITER, or NONPD_SAMPLE or
     NONPD_START (its sample covariance, or the Sigma of its start, is not
-    PD) or LINALG (it raised LinAlgError alone).
+    PD). A LinAlgError stops the whole stack as an EstimationError.
     """
     theta = np.array(theta0, dtype=float)
     B = len(theta)
@@ -312,22 +326,10 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     v, p = len(objective.m.variables), objective.p
     at = _Point.empty(B, v, p)  # every member at its theta
     g = np.full(theta.shape, np.nan)
-
-    def start(rows):
-        pt = objective.point(theta[rows], rows)
-        g[rows] = objective.gradients(pt)
-        at.put(rows, pt)
-
-    _each_member(start, np.flatnonzero(stop == RUNNING), stop)
-    stop[(stop == RUNNING) & ~np.isfinite(at.f)] = NONPD_START
     iterations = np.zeros(B, dtype=int)
     stalls = np.zeros(B, dtype=int)
-    rows = np.flatnonzero(stop == RUNNING)
-    stop[rows[np.max(np.abs(g[rows]), axis=1, initial=0.0) < opts.gtol]] = GTOL
 
     def iterate(rows, it):
-        # every linear-algebra call comes before the first write to the
-        # state, so a member redone alone starts from where it was
         info = objective.informations(at if len(rows) == B else at.take(rows))
         cells = np.arange(info.shape[1])
         diag = info[:, cells, cells]
@@ -375,28 +377,23 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         stop[rows] = np.where(np.max(np.abs(g_moved), axis=1, initial=0.0) < opts.gtol, GTOL,
                               np.where(stalls[rows] < 3, RUNNING, STALLED))
 
-    for it in range(1, opts.max_iter + 1):
+    try:
         rows = np.flatnonzero(stop == RUNNING)
-        if not rows.size:
-            break
-        _each_member(lambda r: iterate(r, it), rows, stop)
+        pt = objective.point(theta[rows], rows)
+        g[rows] = objective.gradients(pt)
+        at.put(rows, pt)
+        converged = np.max(np.abs(g[rows]), axis=1, initial=0.0) < opts.gtol
+        stop[rows] = np.where(np.isfinite(pt.f), np.where(converged, GTOL, RUNNING), NONPD_START)
+        for it in range(1, opts.max_iter + 1):
+            rows = np.flatnonzero(stop == RUNNING)
+            if not rows.size:
+                break
+            iterate(rows, it)
+    except np.linalg.LinAlgError:
+        raise EstimationError(
+            "a linear-algebra routine failed during the fit (LinAlgError)") from None
     stop[stop == RUNNING] = MAX_ITER
     return _OptimResult(theta, g, iterations, stop, at)
-
-
-def _each_member(step, rows: np.ndarray, stop: np.ndarray) -> None:
-    """step(rows) on the stack; if it raises LinAlgError, step on one member
-    at a time, and stop each member that raises alone with LINALG."""
-    if not rows.size:
-        return
-    try:
-        step(rows)
-    except np.linalg.LinAlgError:
-        for b in rows:
-            try:
-                step(np.array([b]))
-            except np.linalg.LinAlgError:
-                stop[b] = LINALG
 
 
 @dataclass
@@ -612,7 +609,7 @@ def fit(
     model has more free parameters than sample moments or, with SEs, a
     converged fit has a singular information; NotPositiveDefiniteError for
     a non-PD sample covariance; EstimationError for start values that give
-    a non-PD implied covariance or a LinAlgError during the fit.
+    a non-PD implied covariance or a failed linear-algebra routine.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
@@ -628,8 +625,6 @@ def fit(
         raise NotPositiveDefiniteError("sample covariance is not positive definite")
     if stop == NONPD_START:
         raise EstimationError("starting values give a non-positive-definite implied covariance")
-    if stop == LINALG:
-        raise EstimationError("a linear-algebra routine failed during the fit (LinAlgError)")
     converged = bool(stop == GTOL)
 
     n, t = moments.n, m.n_free

@@ -222,8 +222,8 @@ class TestFit:
                 warnings.simplefilter("error")
                 status = dispatch(command + ["--model", str(chain), "--data", sim_csv])
             assert status == 1
-            assert capsys.readouterr().err == ("estimation error: a linear-algebra routine "
-                                               "failed during the fit (LinAlgError)\n")
+            assert capsys.readouterr().err == ("estimation error: starting values give a "
+                                               "non-positive-definite implied covariance\n")
 
     def test_standard_errors_that_cannot_be_computed_show_as_na(self, tmp_path, capsys):
         data, model = tmp_path / "six.csv", tmp_path / "zero.model"
@@ -400,6 +400,11 @@ class TestReliability:
     def test_malformed_construct_exits_2(self, sim_csv, capsys, construct, message):
         assert dispatch(["reliability", "--data", sim_csv, "--construct", construct]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_construct_named_twice_exits_2(self, sim_csv, capsys):
+        assert dispatch(["reliability", "--data", sim_csv, "--construct", "A=CE1,CE3,CE4",
+                         "--construct", "A=PV1,PV2,PV3"]) == 2
+        assert capsys.readouterr().err == "error: --construct 'A' given more than once\n"
 
     @pytest.mark.parametrize("name", ["Brand Trust", "1st"])
     def test_name_outside_the_model_language_is_fitted(self, sim_csv, tmp_path, name):

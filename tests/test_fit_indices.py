@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import latentpath as lp
+from latentpath.errors import NotPositiveDefiniteError
 
 from conftest import one_factor_spec
 
@@ -38,6 +39,18 @@ class TestBaseline:
         a, _ = lp.baseline(S, n=40)
         b, _ = lp.baseline(scale @ S @ scale, n=40)
         assert a == pytest.approx(b, rel=1e-10)
+
+
+    def test_non_pd_sample_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^sample covariance is not positive definite$"):
+            lp.baseline(np.array([[1.0, 2.0], [2.0, 1.0]]), n=100)
+
+    def test_nonpositive_variances_rejected(self):
+        # -I has a positive determinant, so only its diagonal gives it away
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^sample covariance has nonpositive variances$"):
+            lp.baseline(-np.eye(2), n=100)
 
 
 class TestIndices:

@@ -82,6 +82,15 @@ class TestCronbachAlpha:
         with pytest.raises(DataError, match="zero total variance"):
             lp.cronbach_alpha(X)
 
+    @pytest.mark.parametrize("X", [np.ones(4), np.ones((4, 1))], ids=["vector", "one_item"])
+    def test_fewer_than_two_items_rejected(self, X):
+        with pytest.raises(DataError, match="^need an n x k block with k >= 2 items$"):
+            lp.cronbach_alpha(X)
+
+    def test_one_observation_rejected(self):
+        with pytest.raises(DataError, match="^need at least 2 observations$"):
+            lp.cronbach_alpha(np.array([[1.0, 2.0, 3.0]]))
+
 
 class TestCompositeReliability:
     @pytest.mark.parametrize("construct", sorted(REFERENCE_LOADINGS))
@@ -104,6 +113,12 @@ class TestCompositeReliability:
             lp.composite_reliability([])
         with pytest.raises(DataError):
             lp.average_variance_extracted([])
+
+    def test_loading_above_one_rejected(self):
+        # a standardized loading of 1.2 leaves an error variance of -0.44
+        for statistic in (lp.composite_reliability, lp.average_variance_extracted):
+            with pytest.raises(DataError, match="^error variances must be nonnegative$"):
+                statistic([1.2, 0.5])
 
     @given(st.permutations(range(4)))
     @settings(max_examples=24, deadline=None)
@@ -143,6 +158,10 @@ class TestKmo:
         R = np.full((p, p), lam * lam)
         np.fill_diagonal(R, 1.0)
         assert lp.kmo(R) > 0.7
+
+    def test_singular_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError, match="^correlation matrix is singular$"):
+            lp.kmo(np.ones((3, 3)))
 
     def test_non_symmetric_rejected(self):
         R = np.eye(3)
@@ -215,3 +234,13 @@ class TestFornellLarcker:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             lp.fornell_larcker({"A": 0.5}, np.eye(2), ["A"])
+
+    def test_names_default_to_the_order_of_ave(self):
+        corr = np.array([[1.0, 0.3], [0.3, 1.0]])
+        fl = lp.fornell_larcker({"B": 0.64, "A": 0.25}, corr)
+        assert fl.names == ["B", "A"]
+        assert fl.matrix[0, 0] == pytest.approx(0.8) and fl.matrix[1, 1] == pytest.approx(0.5)
+
+    def test_names_that_are_not_the_ave_keys_rejected(self):
+        with pytest.raises(DataError, match="^AVE keys do not match construct names$"):
+            lp.fornell_larcker({"A": 0.5}, np.eye(1), ["B"])

@@ -688,7 +688,7 @@ class TestDerivedValues:
 ABC_MODEL = "F =~ a + b + c"
 
 # four latents on the survey simulation's columns joined by fixed paths of
-# 1e200: the LU inverse of I - A_ll meets an exact zero pivot by underflow
+# 1e200: the powers of A_ll in the series (I - A_ll)^-1 overflow to inf and NaN
 CHAIN_MODEL = """P =~ CE1 + CE3 + CE4
 Q =~ ES1 + ES3 + ES4
 R =~ PBC1 + PBC2 + PBC3
@@ -823,19 +823,24 @@ class TestStopCodes:
         with pytest.raises(NotPositiveDefiniteError, match="sample"):
             lp.f_ml(np.eye(3), moments.S)
 
-    # the chain raises at its start; the stub raises from its first call (the
-    # start) or its second (the first iteration's first trial)
+    # no linear-algebra routine fails on the chain: its start is not PD. The
+    # stub raises from its first call (the start) or its second (the first
+    # iteration's first trial), and the whole fit stops as an EstimationError
     @pytest.mark.parametrize("from_call", [pytest.param(None, id="chain"), 1, 2])
     def test_linalg_error(self, from_call, monkeypatch, survey_sim_moments):
         if from_call is None:
             text, moments, objective = CHAIN_MODEL, survey_sim_moments, _Objective
+            opt = minimize(objective, text, moments=moments)
+            assert opt.stop.tolist() == [sem.NONPD_START] and opt.iterations.tolist() == [0]
+            message = "^starting values give a non-positive-definite implied covariance$"
         else:
             text, moments = ABC_MODEL, abc_moments()
             objective = functools.partial(Raising, from_call=from_call)
-        opt = minimize(objective, text, moments=moments)
-        assert opt.stop.tolist() == [sem.LINALG] and opt.iterations.tolist() == [0]
+            message = r"^a linear-algebra routine failed during the fit \(LinAlgError\)$"
+            with pytest.raises(EstimationError, match=message):
+                minimize(objective, text, moments=moments)
         monkeypatch.setattr(sem, "_Objective", objective)
-        with pytest.raises(EstimationError, match=r"\(LinAlgError\)$"):
+        with pytest.raises(EstimationError, match=message):
             lp.fit(lp.parse_model(text), moments)
 
 
