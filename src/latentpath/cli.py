@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -338,20 +339,11 @@ def _psychometric_sections(dataset: Dataset, constructs: list[tuple[str, list[st
 
 
 def _hypotheses_payload(result: FitResult) -> dict:
-    return {"verdicts": [v.__dict__ for v in classify_hypotheses(result)]}
+    return {"verdicts": [asdict(v) for v in classify_hypotheses(result)]}
 
 
 def _mediation_payload(decs: list[EffectDecomposition]) -> dict:
-    return {
-        "effects": [
-            {**{k: getattr(d, k) for k in (
-                "source", "target", "mediator", "total", "direct", "indirect",
-                "total_bounds", "direct_bounds", "indirect_bounds",
-                "level", "method", "n_replicates", "n_dropped")},
-             "verdict": d.mediation_verdict()}
-            for d in decs
-        ],
-    }
+    return {"effects": [{**asdict(d), "verdict": d.mediation_verdict()} for d in decs]}
 
 
 def _efa_payload(loadings: efa_mod.LoadingMatrix, rotation: str, suppress: float) -> dict:

@@ -200,13 +200,12 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
     """Sample moments from mean-centered complete rows (listwise deletion).
 
     ``divisor`` is ``"n-1"`` (unbiased, default) or ``"n"``, the form the
-    normal-theory derivation uses; another is a programmer error
-    (``ValueError``), as ``--divisor`` offers only these two. ``DataError``
-    names each column whose variance overflows or that has none (no fit
-    reproduces one), or, under 2 complete rows, each column without a number.
+    normal-theory derivation uses. ``DataError`` names another divisor, each
+    column whose variance overflows or that has none (no fit reproduces
+    one), or, under 2 complete rows, each column without a number.
     """
     if divisor not in ("n-1", "n"):
-        raise ValueError("divisor must be 'n-1' or 'n'")
+        raise DataError("divisor must be 'n-1' or 'n'")
     X = dataset.complete_rows()
     n = X.shape[0]
     if n < 2:

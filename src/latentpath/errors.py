@@ -28,7 +28,8 @@ class ModelSpecificationError(LatentPathError):
 
 
 class DataError(LatentPathError):
-    """Unusable input data: ragged rows, empty tables, missing variables."""
+    """Unusable input data: ragged rows, empty tables, missing variables, an
+    unknown covariance divisor, a theta of the wrong length."""
 
 
 class NotPositiveDefiniteError(LatentPathError):
@@ -40,4 +41,5 @@ class UnderIdentifiedError(LatentPathError):
 
 
 class EstimationError(LatentPathError):
-    """Estimation could not produce a usable result (e.g. bootstrap collapse)."""
+    """Estimation could not produce a usable result (e.g. bootstrap
+    collapse), or an estimation option is out of range."""

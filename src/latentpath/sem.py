@@ -41,7 +41,7 @@ from .model import (PARAMETER_KINDS, VARIANCE_KINDS, ModelSpec, ParamMatrices, b
 @dataclass
 class EstimationOptions:
     """Optimizer and reporting knobs for :func:`fit`. A value out of range is
-    a programmer error (``ValueError``): the CLI checks each flag first."""
+    an EstimationError; the CLI checks each flag first."""
 
     max_iter: int = 500
     gtol: float = 1e-6
@@ -49,11 +49,11 @@ class EstimationOptions:
 
     def __post_init__(self):
         if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+            raise EstimationError("max_iter must be positive")
         if not (np.isfinite(self.gtol) and self.gtol > 0):
-            raise ValueError("gtol must be finite and positive")
+            raise EstimationError("gtol must be finite and positive")
         if self.chisq_multiplier not in ("n-1", "n"):
-            raise ValueError("chisq_multiplier must be 'n-1' or 'n'")
+            raise EstimationError("chisq_multiplier must be 'n-1' or 'n'")
 
 
 def _chol_logdet(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +112,11 @@ def _ram(m: ParamMatrices, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     No arrow leaves an observed variable, so A's first p columns are zero
     and E = [[I, A_ol T], [0, T]] with T = (I - A_ll)^-1, a finite series
     as ``parse_model`` admits no cycle. A theta of the wrong length is a
-    programmer error (``ValueError``).
+    DataError.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (m.n_free,):
-        raise ValueError(f"theta must have length {m.n_free}, got {theta.shape}")
+        raise DataError(f"theta must have length {m.n_free}, got {theta.shape}")
     A = m.A.materialize(theta)
     p = m.n_observed
     E = np.empty_like(A)
@@ -314,11 +314,13 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     acceptance, stall count and stop, and leaves the stack when it stops,
     so its path is the one it would take alone. Sigma is factored once per
     trial point; the accepted one serves the gradient and the next
-    information. A member's stop code says why it stopped: GTOL
-    (converged), STALLED (F stalled three iterations running), NO_STEP (60
-    halvings found no acceptable step), MAX_ITER, or NONPD_SAMPLE or
-    NONPD_START (its sample covariance, or the Sigma of its start, is not
-    PD). A LinAlgError stops the whole stack as an EstimationError.
+    information. ``reach`` is the one place where a member's move is
+    recorded, at the start and after each chunk of members accepted at one
+    halving. A member's stop code says why it stopped: GTOL (converged),
+    STALLED (F stalled three iterations running), NO_STEP (60 halvings
+    found no acceptable step), MAX_ITER, or NONPD_SAMPLE or NONPD_START
+    (its sample covariance, or the Sigma of its start, is not PD). A
+    LinAlgError stops the whole stack as an EstimationError.
     """
     theta = np.array(theta0, dtype=float)
     B = len(theta)
@@ -328,6 +330,20 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     g = np.full(theta.shape, np.nan)
     iterations = np.zeros(B, dtype=int)
     stalls = np.zeros(B, dtype=int)
+
+    def reach(rows, trial, pt, f_prev, it):
+        # the members rows are now at the thetas trial, whose point is pt
+        g_rows = objective.gradients(pt)
+        theta[rows] = trial
+        g[rows] = g_rows
+        at.put(rows, pt)
+        iterations[rows] = it
+        # give up only after the objective stalls repeatedly; near an
+        # optimum the steps keep shrinking the gradient after F stops moving
+        stalled = np.abs(f_prev - pt.f) < _FTOL * np.maximum(1.0, np.abs(f_prev))
+        stalls[rows] = np.where(stalled, stalls[rows] + 1, 0)
+        stop[rows] = np.where(np.max(np.abs(g_rows), axis=1, initial=0.0) < opts.gtol, GTOL,
+                              np.where(stalls[rows] < 3, RUNNING, STALLED))
 
     def iterate(rows, it):
         info = objective.informations(at if len(rows) == B else at.take(rows))
@@ -341,49 +357,27 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         gd = (g_rows[:, None, :] @ d[:, :, None])[:, 0, 0]
         f = at.f[rows]
         step = np.ones(len(rows))
-        accepted = []  # (positions in rows, thetas, points) per halving
-        pending = np.arange(len(rows))
+        pending = np.arange(len(rows))  # positions in rows still halving
         for _ in range(60):
             tried = theta[rows[pending]] + step[pending, None] * d[pending]
             pt = objective.point(tried, rows[pending])
             ok = np.isfinite(pt.f) & (pt.f <= f[pending] + 1e-4 * step[pending] * gd[pending])
-            if ok.all():
-                accepted.append((pending, tried, pt))
-                pending = pending[:0]
-                break
             if ok.any():
-                accepted.append((pending[ok], tried[ok], pt.take(ok)))
+                reach(rows[pending[ok]], tried[ok], pt if ok.all() else pt.take(ok),
+                      f[pending[ok]], it)
             pending = pending[~ok]
+            if not pending.size:
+                break
             step[pending] *= 0.5
-        if not accepted:
-            stop[rows] = NO_STEP  # report whatever we have
-            return
-        moved, trial, new = accepted[0]
-        if len(accepted) > 1:
-            moved, trial = (np.concatenate(part) for part in list(zip(*accepted))[:2])
-            new = _Point(*map(np.concatenate, zip(*(part[2] for part in accepted))))
-        g_moved = objective.gradients(new)
-
-        stop[rows[pending]] = NO_STEP
-        rows, f_prev = rows[moved], f[moved]
-        theta[rows] = trial
-        g[rows] = g_moved
-        at.put(rows, new)
-        iterations[rows] = it
-        # give up only after the objective stalls repeatedly; near an
-        # optimum the steps keep shrinking the gradient after F stops moving
-        stalled = np.abs(f_prev - new.f) < _FTOL * np.maximum(1.0, np.abs(f_prev))
-        stalls[rows] = np.where(stalled, stalls[rows] + 1, 0)
-        stop[rows] = np.where(np.max(np.abs(g_moved), axis=1, initial=0.0) < opts.gtol, GTOL,
-                              np.where(stalls[rows] < 3, RUNNING, STALLED))
+        stop[rows[pending]] = NO_STEP  # report whatever we have
 
     try:
         rows = np.flatnonzero(stop == RUNNING)
         pt = objective.point(theta[rows], rows)
-        g[rows] = objective.gradients(pt)
-        at.put(rows, pt)
-        converged = np.max(np.abs(g[rows]), axis=1, initial=0.0) < opts.gtol
-        stop[rows] = np.where(np.isfinite(pt.f), np.where(converged, GTOL, RUNNING), NONPD_START)
+        pd = np.isfinite(pt.f)
+        stop[rows[~pd]] = NONPD_START
+        # F before the start is +inf, so the start is never a stall
+        reach(rows[pd], theta[rows[pd]], pt if pd.all() else pt.take(pd), np.inf, 0)
         for it in range(1, opts.max_iter + 1):
             rows = np.flatnonzero(stop == RUNNING)
             if not rows.size:

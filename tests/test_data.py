@@ -436,6 +436,12 @@ class TestCovariance:
         b = lp.covariance(ds, divisor="n")
         np.testing.assert_allclose(b.S, a.S * (13 - 1) / 13, atol=1e-12)
 
+    def test_unknown_divisor_is_a_data_error(self):
+        ds = lp.Dataset(v_names(2), np.random.default_rng(5).standard_normal((13, 2)))
+        with pytest.raises(DataError, match="^divisor must be 'n-1' or 'n'$") as exc:
+            lp.covariance(ds, divisor="N")
+        assert isinstance(exc.value, lp.LatentPathError)
+
     def test_listwise_deletion(self):
         X = np.array([[1.0, 2.0], [np.nan, 3.0], [2.0, 1.0], [4.0, 5.0]])
         mom = lp.covariance(lp.Dataset(v_names(2), X))

@@ -469,6 +469,14 @@ def failing_objective(member):
 RAN_ITS_COURSE = (sem.GTOL, sem.STALLED, sem.NO_STEP, sem.MAX_ITER)
 
 
+def accepting_halvings(sizes):
+    """How many halvings of one line search accepted members, from the number
+    of members at each of its trial points: a halving accepts those that the
+    next one no longer tries, and the last all it tried, unless the search
+    ran out of halvings."""
+    return sum(a > b for a, b in zip(sizes, sizes[1:])) + (len(sizes) < 60)
+
+
 class TestStackedRefits:
     """The stacked optimizer against lone fits of the same resampled moments."""
 
@@ -479,25 +487,37 @@ class TestStackedRefits:
         S = np.array([res.S for res in fits])
         lone_factorizations = []
         real_cholesky = np.linalg.cholesky
+        searches = []  # per iteration, the number of members at each trial point
 
         def spy(M):
             if M.ndim == 2:  # the stacked factorization failed; one at a time
                 lone_factorizations.append(1)
             return real_cholesky(M)
 
+        class Spying(sem._Objective):
+            def informations(self, pt):  # once per iteration, before its line search
+                searches.append([])
+                return super().informations(pt)
+
+            def point(self, theta, rows):
+                if searches:  # not the start
+                    searches[-1].append(len(rows))
+                return super().point(theta, rows)
+
         monkeypatch.setattr(np.linalg, "cholesky", spy)
-        opt = sem._minimize(sem._Objective(m, S), sem.start_values(m, S), opts)
+        opt = sem._minimize(Spying(m, S), sem.start_values(m, S), opts)
         monkeypatch.undo()
+        assert len(opt.theta) == len(fits) == replicates
         for b, res in enumerate(fits):
             assert opt.stop[b] in RAN_ITS_COURSE, b
             assert opt.theta[b].tobytes() == res.theta.tobytes(), b
             assert opt.iterations[b] == res.iterations, b
             assert (opt.stop[b] == sem.GTOL) == res.converged, b
-        return fits, lone_factorizations, opt
+        return fits, lone_factorizations, opt, searches
 
     def test_survey_model_matches_lone_fits(self, survey_spec, planted, monkeypatch):
         data = lp.simulate(*planted, 519, seed=42)
-        _, _, opt = self.check_stack(survey_spec, data, 1, 20, monkeypatch)
+        _, _, opt, _ = self.check_stack(survey_spec, data, 1, 20, monkeypatch)
         assert (opt.stop == sem.GTOL).all()
 
     # the columns in the model's order, and reversed: the replicates'
@@ -507,11 +527,14 @@ class TestStackedRefits:
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
         if reverse:
             data = data.subset(data.names[::-1])
-        fits, lone, _ = self.check_stack(spec, data, 2, 100, monkeypatch)
+        fits, lone, _, searches = self.check_stack(spec, data, 2, 100, monkeypatch)
         assert fits[0].matrices.variable_order == data.names
         # some line-search trials left the PD cone, so the per-slice
         # Cholesky fallback ran inside the stack
         assert lone
+        # some iteration accepted members at two or more halvings, so each
+        # member's bytes above held across an iteration recorded in chunks
+        assert max(map(accepting_halvings, searches)) >= 2
         # the bootstrap builds the same moments and reads the same effects
         routes = [("X", "M", "Y"), ("X", None, "Y")]
         draws, reasons = effects._refit_replicates(
@@ -526,7 +549,7 @@ class TestStackedRefits:
         # no fit can reach this gtol, so every member stops on three stalls,
         # each after its own count of iterations
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
-        fits, _, opt = self.check_stack(spec, data, 2, 30, monkeypatch,
+        fits, _, opt, _ = self.check_stack(spec, data, 2, 30, monkeypatch,
                                         lp.EstimationOptions(gtol=1e-13))
         assert (opt.stop == sem.STALLED).all()
         assert len({res.iterations for res in fits}) > 1

@@ -58,6 +58,13 @@ class TestImpliedCovariance:
         sigma = lp.implied_covariance(m, np.zeros(0))
         np.testing.assert_allclose(sigma, [[1.5, 0.8], [0.8, 1.14]], atol=1e-12)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_theta_of_the_wrong_length_is_a_data_error(self, extra):
+        m = lp.build_matrices(lp.parse_model("F =~ a + b + c"), ["a", "b", "c"])
+        with pytest.raises(lp.DataError, match=f"^theta must have length {m.n_free}, got") as exc:
+            lp.implied_covariance(m, np.ones(m.n_free + extra))
+        assert isinstance(exc.value, lp.LatentPathError)
+
     def test_random_theta_symmetric_pd(self, survey_spec, planted):
         m, theta = planted
         rng = np.random.default_rng(77)
@@ -847,8 +854,20 @@ class TestStopCodes:
 class TestEstimationOptions:
     @pytest.mark.parametrize("gtol", [0.0, -1e-6, math.inf, math.nan])
     def test_gtol_must_be_finite_and_positive(self, gtol):
-        with pytest.raises(ValueError, match="gtol must be finite and positive"):
+        with pytest.raises(EstimationError, match="^gtol must be finite and positive$") as exc:
             lp.EstimationOptions(gtol=gtol)
+        assert isinstance(exc.value, lp.LatentPathError)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_must_be_positive(self, max_iter):
+        with pytest.raises(EstimationError, match="^max_iter must be positive$") as exc:
+            lp.EstimationOptions(max_iter=max_iter)
+        assert isinstance(exc.value, lp.LatentPathError)
+
+    def test_chisq_multiplier_must_be_n_1_or_n(self):
+        with pytest.raises(EstimationError, match="^chisq_multiplier must be 'n-1' or 'n'$") as exc:
+            lp.EstimationOptions(chisq_multiplier="N")
+        assert isinstance(exc.value, lp.LatentPathError)
 
 
 def std_cell(A_std, S_std, m, label: str) -> float:
