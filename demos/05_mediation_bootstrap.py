@@ -43,9 +43,7 @@ for d in decs:
     print(f"  mediation: {d.mediation_verdict()}")
 
 # The same intervals are reproducible; replicate r always draws from a
-# generator seeded seed + r. ``workers`` is still accepted but has no
-# effect: the replicates are refitted together as one stacked problem.
-again = lp.bootstrap_ci(data, spec, triples[:1], replicates=400, level=0.95,
-                        seed=2024, workers=4)
+# generator seeded seed + r.
+again = lp.bootstrap_ci(data, spec, triples[:1], replicates=400, level=0.95, seed=2024)
 assert again[0].indirect_bounds == decs[0].indirect_bounds
-print("worker-count invariance holds")
+print("the same seed gives the same intervals")

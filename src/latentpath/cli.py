@@ -466,7 +466,7 @@ def _mediation_sections(inputs: _Inputs, args,
         decs = bootstrap_ci(
             inputs.dataset, inputs.spec, effects, replicates=args.boot,
             level=args.level, seed=_seed(args), opts=inputs.opts,
-            standardize_latents=args.std_lv, workers=args.workers,
+            standardize_latents=args.std_lv,
         )
     else:
         result = fit(inputs.spec, inputs.moments, inputs.opts, standardize_latents=args.std_lv)

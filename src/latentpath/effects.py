@@ -225,7 +225,7 @@ def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
         kept = opt.stop == sem.GTOL
         reasons += [_DROP_REASONS[stop] for stop in opt.stop[~kept].tolist()]
         # one batched series over the replicates that converged
-        eff = decompose(m.A.materialize(opt.theta[kept])[:, p:, p:], m.latent_names)
+        eff = decompose(m.A.materialize(opt.at.theta[kept])[:, p:, p:], m.latent_names)
         draws.append(np.stack([np.stack(eff.effect(src, dst, med), axis=1)
                                for src, med, dst in routes], axis=1))
     return np.concatenate(draws), reasons

@@ -16,7 +16,9 @@ the inverse of (n-1)/2 * I at the optimum gives the SEs.
 The optimizer works on a stack of sample covariances of one model: a fit
 is a stack of one, and the bootstrap refits all its replicates as one
 stack. Every member keeps its own step size, stop and result, which are
-bit for bit those of its fit alone.
+bit for bit those of its fit alone. One stacked record, ``_Point``, holds
+each member's theta with F and its gradient there, and the pieces of
+Sigma that the next information reuses.
 """
 
 from __future__ import annotations
@@ -159,19 +161,24 @@ def _t(X: np.ndarray) -> np.ndarray:
 
 
 class _Point(NamedTuple):
-    """F at k thetas, with the pieces of Sigma its gradient and information
-    reuse. Where Sigma is not PD, f is inf and the pieces are NaN."""
+    """k members of a stack, each at its theta: F and its gradient there,
+    with the pieces of Sigma the information reuses. Where Sigma is not PD,
+    f is inf and the other pieces are NaN."""
 
+    theta: np.ndarray  # (k, t)
     f: np.ndarray  # (k,)
+    g: np.ndarray  # dF/dtheta, (k, t)
     S: np.ndarray  # RAM S, (k, v, v) over all v variables
     E: np.ndarray  # (I - A)^-1, (k, v, v)
     L: np.ndarray  # Sigma = L L', (k, p, p)
-    sigma_inv: np.ndarray
-    SiS: np.ndarray  # Sigma^-1 S_obs
 
     @staticmethod
-    def empty(k: int, v: int, p: int) -> "_Point":
-        return _Point(np.full(k, np.inf), *(np.full((k, n, n), np.nan) for n in (v, v, p, p, p)))
+    def unevaluated(theta: np.ndarray, v: int, p: int) -> "_Point":
+        """The members at thetas (k, t), with nothing evaluated there yet."""
+        theta = np.array(theta, dtype=float)
+        k = len(theta)
+        return _Point(theta, np.full(k, np.inf), np.full(theta.shape, np.nan),
+                      *(np.full((k, n, n), np.nan) for n in (v, v, p)))
 
     def take(self, idx) -> "_Point":
         return _Point(*(piece[idx] for piece in self))
@@ -185,8 +192,8 @@ class _Objective:
     """F_ML, its analytic gradient and expected information over theta, for
     a stack of sample covariances of one model (one matrix for a single fit).
 
-    ``point`` evaluates F at thetas (k, t) of k members of the stack, named
-    by ``rows``; ``gradients`` and ``informations`` continue from the
+    ``point`` evaluates F and its gradient at thetas (k, t) of k members of
+    the stack, named by ``rows``; ``informations`` continues from the
     point. A member whose sample covariance is not PD has a NaN
     ``logdet_S``; ``_minimize`` gives it up.
     """
@@ -203,39 +210,36 @@ class _Objective:
         self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
-        """F at thetas (k, t) of the members ``rows`` of the stack."""
+        """F and dF/dtheta at thetas (k, t) of the members ``rows`` of the
+        stack. The gradient is 2 w_c (M S E')_c at A's cells and 2 w_c M_c at
+        S's, with M = dF/dS and the weights w of ``informations``."""
+        m, p = self.m, self.p
         # a Sigma that overflows (a huge fixed value) gets F = inf, the point's rejection
         with np.errstate(over="ignore", invalid="ignore"):
-            _, S, E = _ram(self.m, theta)
-            Ep = E[:, :self.p]
+            _, S, E = _ram(m, theta)
+            Ep = E[:, :p]
             sigma = Ep @ S @ _t(Ep)
             L, logdet = _chol_logdet((sigma + _t(sigma)) / 2.0)
-        pt = _Point(np.full(len(theta), np.inf), S, E, L,
-                    np.full_like(L, np.nan), np.full_like(L, np.nan))
+        pt = _Point(theta, np.full(len(theta), np.inf), np.full(theta.shape, np.nan), S, E, L)
         pd = ~np.isnan(logdet)
         if pd.all():
             pd = slice(None)  # views, not copies
         Linv = np.linalg.inv(L[pd])
         sigma_inv = _t(Linv) @ Linv
         SiS = sigma_inv @ self.S_obs[rows[pd]]
-        pt.sigma_inv[pd], pt.SiS[pd] = sigma_inv, SiS
         pt.f[pd] = (logdet[pd] + np.trace(SiS, axis1=1, axis2=2)
-                    - self.logdet_S[rows[pd]] - self.p)
-        return pt
-
-    def gradients(self, pt: _Point) -> np.ndarray:
-        """dF/dtheta (k, t) at a point: 2 w_c (M S E')_c at A's cells, 2 w_c M_c
-        at S's, with M = dF/dS and the weights w of ``informations``."""
-        m, p = self.m, self.p
+                    - self.logdet_S[rows[pd]] - p)
         # G = dF/dSigma; only the latent columns of A can hold free cells
-        G = pt.sigma_inv - pt.SiS @ pt.sigma_inv
+        G = sigma_inv - SiS @ sigma_inv
         G = (G + _t(G)) / 2.0
-        Ep = pt.E[:, :p]
+        S, E = S[pd], E[pd]
+        Ep = E[:, :p]
         M = _t(Ep) @ G @ Ep
-        MSE = (M @ pt.S[:, :, p:]) @ _t(pt.E[:, p:, p:])
+        MSE = (M @ S[:, :, p:]) @ _t(E[:, p:, p:])
         g = np.concatenate([MSE[:, m.A.rows, m.A.cols - p], M[:, m.S.rows, m.S.cols]], axis=1)
         g *= 2.0 * self.w
-        return g
+        pt.g[pd] = g
+        return pt
 
     def informations(self, pt: _Point) -> np.ndarray:
         """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
@@ -290,11 +294,9 @@ RUNNING, GTOL, STALLED, NO_STEP, MAX_ITER, NONPD_SAMPLE, NONPD_START = range(7)
 class _OptimResult:
     """One entry per member of the stack."""
 
-    theta: np.ndarray  # (B, t)
-    grad: np.ndarray  # (B, t)
-    iterations: np.ndarray
+    at: _Point  # each member's last accepted point; a given-up member's start theta
+    iterations: np.ndarray  # (B,)
     stop: np.ndarray  # (B,) stop codes; GTOL is converged
-    at: _Point  # each member's last accepted point, the one at its theta
 
 
 # relative change of F below which an iteration counts as stalled
@@ -312,37 +314,33 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     several times the cost of the solve. Steps that break positive
     definiteness are halved away. Each member keeps its own step size,
     acceptance, stall count and stop, and leaves the stack when it stops,
-    so its path is the one it would take alone. Sigma is factored once per
-    trial point; the accepted one serves the gradient and the next
-    information. ``reach`` is the one place where a member's move is
-    recorded, at the start and after each chunk of members accepted at one
-    halving. A member's stop code says why it stopped: GTOL (converged),
-    STALLED (F stalled three iterations running), NO_STEP (60 halvings
-    found no acceptable step), MAX_ITER, or NONPD_SAMPLE or NONPD_START
-    (its sample covariance, or the Sigma of its start, is not PD). A
-    LinAlgError stops the whole stack as an EstimationError.
+    so its path is the one it would take alone. The members' state is one
+    ``_Point``, ``at``, beside their iteration and stall counts and stop
+    codes: each trial point carries its theta, F, gradient and Sigma's
+    factor, so an accepted one serves the next information as it stands.
+    ``reach`` is the one place where a member's move is recorded, at the
+    start and after each chunk of members accepted at one halving. A
+    member's stop code says why it stopped: GTOL (converged), STALLED (F
+    stalled three iterations running), NO_STEP (60 halvings found no
+    acceptable step), MAX_ITER, or NONPD_SAMPLE or NONPD_START (its sample
+    covariance, or the Sigma of its start, is not PD; it keeps its start
+    theta). A LinAlgError stops the whole stack as an EstimationError.
     """
-    theta = np.array(theta0, dtype=float)
-    B = len(theta)
+    B = len(theta0)
     stop = np.where(np.isnan(objective.logdet_S), NONPD_SAMPLE, RUNNING)
-    v, p = len(objective.m.variables), objective.p
-    at = _Point.empty(B, v, p)  # every member at its theta
-    g = np.full(theta.shape, np.nan)
+    at = _Point.unevaluated(theta0, len(objective.m.variables), objective.p)
     iterations = np.zeros(B, dtype=int)
     stalls = np.zeros(B, dtype=int)
 
-    def reach(rows, trial, pt, f_prev, it):
-        # the members rows are now at the thetas trial, whose point is pt
-        g_rows = objective.gradients(pt)
-        theta[rows] = trial
-        g[rows] = g_rows
+    def reach(rows, pt, f_prev, it):
+        # the members rows are now at pt
         at.put(rows, pt)
         iterations[rows] = it
         # give up only after the objective stalls repeatedly; near an
         # optimum the steps keep shrinking the gradient after F stops moving
         stalled = np.abs(f_prev - pt.f) < _FTOL * np.maximum(1.0, np.abs(f_prev))
         stalls[rows] = np.where(stalled, stalls[rows] + 1, 0)
-        stop[rows] = np.where(np.max(np.abs(g_rows), axis=1, initial=0.0) < opts.gtol, GTOL,
+        stop[rows] = np.where(np.max(np.abs(pt.g), axis=1, initial=0.0) < opts.gtol, GTOL,
                               np.where(stalls[rows] < 3, RUNNING, STALLED))
 
     def iterate(rows, it):
@@ -352,19 +350,18 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         floor = 1e-10 * np.where(diag > 0, diag, 1.0)
         info += 0.0  # what adding diag(floor)'s zeros does off the diagonal: -0.0 to 0.0
         info[:, cells, cells] += floor
-        g_rows = g[rows]
-        d = -np.linalg.solve(info, g_rows[:, :, None])[:, :, 0]
-        gd = (g_rows[:, None, :] @ d[:, :, None])[:, 0, 0]
+        g = at.g[rows]
+        d = -np.linalg.solve(info, g[:, :, None])[:, :, 0]
+        gd = (g[:, None, :] @ d[:, :, None])[:, 0, 0]
         f = at.f[rows]
         step = np.ones(len(rows))
         pending = np.arange(len(rows))  # positions in rows still halving
         for _ in range(60):
-            tried = theta[rows[pending]] + step[pending, None] * d[pending]
+            tried = at.theta[rows[pending]] + step[pending, None] * d[pending]
             pt = objective.point(tried, rows[pending])
             ok = np.isfinite(pt.f) & (pt.f <= f[pending] + 1e-4 * step[pending] * gd[pending])
             if ok.any():
-                reach(rows[pending[ok]], tried[ok], pt if ok.all() else pt.take(ok),
-                      f[pending[ok]], it)
+                reach(rows[pending[ok]], pt if ok.all() else pt.take(ok), f[pending[ok]], it)
             pending = pending[~ok]
             if not pending.size:
                 break
@@ -373,11 +370,11 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
 
     try:
         rows = np.flatnonzero(stop == RUNNING)
-        pt = objective.point(theta[rows], rows)
+        pt = objective.point(at.theta[rows], rows)
         pd = np.isfinite(pt.f)
         stop[rows[~pd]] = NONPD_START
         # F before the start is +inf, so the start is never a stall
-        reach(rows[pd], theta[rows[pd]], pt if pd.all() else pt.take(pd), np.inf, 0)
+        reach(rows[pd], pt if pd.all() else pt.take(pd), np.inf, 0)
         for it in range(1, opts.max_iter + 1):
             rows = np.flatnonzero(stop == RUNNING)
             if not rows.size:
@@ -387,7 +384,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         raise EstimationError(
             "a linear-algebra routine failed during the fit (LinAlgError)") from None
     stop[stop == RUNNING] = MAX_ITER
-    return _OptimResult(theta, g, iterations, stop, at)
+    return _OptimResult(at, iterations, stop)
 
 
 @dataclass
@@ -569,12 +566,12 @@ def _check_identified(H: np.ndarray, acov: np.ndarray, labels: list[str]) -> Non
 
 def model_columns(spec: ModelSpec, names: list[str]) -> list[str]:
     """The model's indicators among ``names``, in the order of ``names``;
-    raises EstimationError when one is not there."""
+    raises DataError when one is not there."""
     wanted = set(spec.indicator_names)
     kept = [v for v in names if v in wanted]
     missing = wanted - set(kept)
     if missing:
-        raise EstimationError(f"data lacks model indicators: {sorted(missing)}")
+        raise DataError(f"data lacks model indicators: {sorted(missing)}")
     return kept
 
 
@@ -602,8 +599,9 @@ def fit(
     covariance are computed on read. Raises UnderIdentifiedError when the
     model has more free parameters than sample moments or, with SEs, a
     converged fit has a singular information; NotPositiveDefiniteError for
-    a non-PD sample covariance; EstimationError for start values that give
-    a non-PD implied covariance or a failed linear-algebra routine.
+    a non-PD sample covariance; DataError when the moments lack a model
+    indicator; EstimationError for start values that give a non-PD implied
+    covariance or a failed linear-algebra routine.
     """
     opts = opts or EstimationOptions()
     S, names = align_moments(spec, moments)
@@ -633,9 +631,9 @@ def fit(
             _check_identified(H, acov, m.labels)
 
     return FitResult(
-        theta=opt.theta[0], f_min=float(opt.at.f[0]), n=n,
+        theta=opt.at.theta[0], f_min=float(opt.at.f[0]), n=n,
         iterations=int(opt.iterations[0]),
-        gradient_norm=float(np.max(np.abs(opt.grad[0]), initial=0.0)),
+        gradient_norm=float(np.max(np.abs(opt.at.g[0]), initial=0.0)),
         converged=converged, acov=acov,
         matrices=m, options=opts, S=S,
     )

@@ -48,7 +48,7 @@ def evaluate(obj, theta):
     """F, its gradient and its expected information at one theta (t,) of an
     objective over one sample covariance, through the stacked calls."""
     pt = obj.point(np.asarray(theta, dtype=float)[None], np.zeros(1, dtype=int))
-    return float(pt.f[0]), obj.gradients(pt)[0], obj.informations(pt)[0]
+    return float(pt.f[0]), pt.g[0], obj.informations(pt)[0]
 
 
 def one_factor_spec(n_items: int = 3, name: str = "F") -> lp.ModelSpec:

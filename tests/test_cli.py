@@ -623,15 +623,14 @@ class TestModelColumns:
         assert capsys.readouterr().err == ("error: need at least 2 complete rows, have 0; "
                                            "no number in column(s): gender\n")
 
-    def test_missing_indicator_exits_1(self, sim_csv, tmp_path, capsys):
+    def test_missing_indicator_exits_2(self, sim_csv, tmp_path, capsys):
         rows = [row.split(",") for row in Path(sim_csv).read_text().splitlines()]
         k = rows[0].index("CE1")
         data = tmp_path / "no_ce1.csv"
         data.write_text("\n".join(",".join(row[:k] + row[k + 1:]) for row in rows) + "\n")
         for command in (["fit"], ["report", "--boot", "0"]):
-            assert dispatch([*command, "--model", MODEL, "--data", str(data)]) == 1
-            assert capsys.readouterr().err == \
-                "estimation error: data lacks model indicators: ['CE1']\n"
+            assert dispatch([*command, "--model", MODEL, "--data", str(data)]) == 2
+            assert capsys.readouterr().err == "error: data lacks model indicators: ['CE1']\n"
 
 
 class TestConstantColumn:

@@ -507,10 +507,14 @@ class TestStackedRefits:
         monkeypatch.setattr(np.linalg, "cholesky", spy)
         opt = sem._minimize(Spying(m, S), sem.start_values(m, S), opts)
         monkeypatch.undo()
-        assert len(opt.theta) == len(fits) == replicates
+        assert len(opt.at.theta) == len(fits) == replicates
         for b, res in enumerate(fits):
             assert opt.stop[b] in RAN_ITS_COURSE, b
-            assert opt.theta[b].tobytes() == res.theta.tobytes(), b
+            assert opt.at.theta[b].tobytes() == res.theta.tobytes(), b
+            # F and the gradient of the record are those at the member's theta
+            assert opt.at.f[b].tobytes() == np.float64(res.f_min).tobytes(), b
+            norm = np.max(np.abs(opt.at.g[b]), initial=0.0)
+            assert norm.tobytes() == np.float64(res.gradient_norm).tobytes(), b
             assert opt.iterations[b] == res.iterations, b
             assert (opt.stop[b] == sem.GTOL) == res.converged, b
         return fits, lone_factorizations, opt, searches
@@ -579,8 +583,36 @@ class TestStackedRefits:
                             lp.EstimationOptions())
         assert opt.stop[1] == sem.NONPD_SAMPLE
         assert opt.iterations[1] == 0
+        assert opt.at.theta[1].tobytes() == sem.start_values(m, S[1]).tobytes()
         for b in (0, 2):
-            assert opt.theta[b].tobytes() == fits[b].theta.tobytes()
+            assert opt.at.theta[b].tobytes() == fits[b].theta.tobytes()
+
+    # no sample covariance is known to give start values that are not PD, so
+    # a stub rejects one member's start
+    def test_non_pd_start_is_given_up_alone(self):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
+        fits = resampled_fits(spec, data, 2, 3)
+        m = fits[0].matrices
+        S = np.array([res.S for res in fits])
+
+        class RejectingAStart(sem._Objective):
+            started = False
+
+            def point(self, theta, rows):
+                pt = super().point(theta, rows)
+                if not self.started:
+                    pt.f[rows == 1] = np.inf
+                self.started = True
+                return pt
+
+        start = sem.start_values(m, S)
+        opt = sem._minimize(RejectingAStart(m, S), start, lp.EstimationOptions())
+        assert opt.stop[1] == sem.NONPD_START
+        assert opt.iterations[1] == 0
+        assert opt.at.theta[1].tobytes() == start[1].tobytes()
+        assert opt.at.f[1] == np.inf and np.isnan(opt.at.g[1]).all()
+        for b in (0, 2):
+            assert opt.at.theta[b].tobytes() == fits[b].theta.tobytes()
 
 
 class TestVerdicts:

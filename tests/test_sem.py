@@ -350,12 +350,12 @@ class TestKernelOracle:
         S = np.stack([sigma, lp.implied_covariance(m, thetas[2]), sigma + 0.1 * np.eye(len(sigma))])
         stacked = _Objective(m, S)
         pt = stacked.point(thetas, np.arange(3))
-        g, info = stacked.gradients(pt), stacked.informations(pt)
+        info = stacked.informations(pt)
         for b in range(3):
             one = _Objective(m, S[b])
             pt_b = one.point(thetas[b:b + 1], np.zeros(1, dtype=int))
             np.testing.assert_array_equal(pt.f[b:b + 1], pt_b.f)
-            np.testing.assert_array_equal(g[b:b + 1], one.gradients(pt_b))
+            np.testing.assert_array_equal(pt.g[b:b + 1], pt_b.g)
             np.testing.assert_array_equal(info[b:b + 1], one.informations(pt_b))
 
         # Sigma follows variable_order: the same theta, matched by label,
@@ -806,11 +806,17 @@ class TestStopCodes:
         lone = minimize(_Objective, ABC_MODEL)
         assert opt.stop.tolist() == [sem.NO_STEP, sem.GTOL]
         assert opt.iterations[0] == 0
-        assert opt.theta[1].tobytes() == lone.theta[0].tobytes()
+        assert opt.at.theta[1].tobytes() == lone.at.theta[0].tobytes()
 
     def test_non_pd_start_values(self):
         opt = minimize(_Objective, "F =~ a + b + c\na ~~ -1*a")
         assert opt.stop.tolist() == [sem.NONPD_START] and opt.iterations.tolist() == [0]
+        # the member keeps its start theta, with no F or gradient
+        spec = lp.parse_model("F =~ a + b + c\na ~~ -1*a")
+        S, names = sem.align_moments(spec, abc_moments())
+        start = sem.start_values(lp.build_matrices(spec, names), S)
+        assert opt.at.theta[0].tobytes() == start.tobytes()
+        assert opt.at.f.tolist() == [np.inf] and np.isnan(opt.at.g).all()
         with pytest.raises(EstimationError, match="^starting values give a "
                                                   "non-positive-definite implied covariance$"):
             lp.fit(lp.parse_model("F =~ a + b + c\na ~~ -1*a"), abc_moments())
