@@ -348,7 +348,6 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         cells = np.arange(info.shape[1])
         diag = info[:, cells, cells]
         floor = 1e-10 * np.where(diag > 0, diag, 1.0)
-        info += 0.0  # what adding diag(floor)'s zeros does off the diagonal: -0.0 to 0.0
         info[:, cells, cells] += floor
         g = at.g[rows]
         d = -np.linalg.solve(info, g[:, :, None])[:, :, 0]
