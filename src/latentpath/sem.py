@@ -17,8 +17,9 @@ The optimizer works on a stack of sample covariances of one model: a fit
 is a stack of one, and the bootstrap refits all its replicates as one
 stack. Every member keeps its own step size, stop and result, which are
 bit for bit those of its fit alone. One stacked record, ``_Point``, holds
-each member's theta with F and its gradient there, and the pieces of
-Sigma that the next information reuses.
+each member's theta with F and its gradient there, and the vectors of
+each cell's dSigma whitened by Sigma's Cholesky factor, U and V: the
+gradient is read from them, and so is the next information.
 """
 
 from __future__ import annotations
@@ -162,23 +163,23 @@ def _t(X: np.ndarray) -> np.ndarray:
 
 class _Point(NamedTuple):
     """k members of a stack, each at its theta: F and its gradient there,
-    with the pieces of Sigma the information reuses. Where Sigma is not PD,
-    f is inf and the other pieces are NaN."""
+    and the whitened vectors U and V of each cell's dSigma, from which both
+    the gradient and the information are read. Where Sigma is not PD, f is
+    inf and the other pieces are NaN."""
 
     theta: np.ndarray  # (k, t)
     f: np.ndarray  # (k,)
     g: np.ndarray  # dF/dtheta, (k, t)
-    S: np.ndarray  # RAM S, (k, v, v) over all v variables
-    E: np.ndarray  # (I - A)^-1, (k, v, v)
-    L: np.ndarray  # Sigma = L L', (k, p, p)
+    U: np.ndarray  # L^-1 u_c, (k, p, t), Sigma = L L'
+    V: np.ndarray  # w_c L^-1 v_c, (k, p, t)
 
     @staticmethod
-    def unevaluated(theta: np.ndarray, v: int, p: int) -> "_Point":
+    def unevaluated(theta: np.ndarray, p: int) -> "_Point":
         """The members at thetas (k, t), with nothing evaluated there yet."""
         theta = np.array(theta, dtype=float)
-        k = len(theta)
-        return _Point(theta, np.full(k, np.inf), np.full(theta.shape, np.nan),
-                      *(np.full((k, n, n), np.nan) for n in (v, v, p)))
+        k, t = theta.shape
+        return _Point(theta, np.full(k, np.inf), np.full((k, t), np.nan),
+                      np.full((k, p, t), np.nan), np.full((k, p, t), np.nan))
 
     def take(self, idx) -> "_Point":
         return _Point(*(piece[idx] for piece in self))
@@ -204,15 +205,23 @@ class _Objective:
         self.S_obs = S.reshape((-1,) + S.shape[-2:])
         self.logdet_S = _sample_logdet(self.S_obs)  # NaN where S is not PD
         self.p = S.shape[-1]
-        # the weight of each cell, as in ``informations``: 1/2 on S's diagonal
+        # the weight of each cell: 1/2 on S's diagonal
         self.w = np.ones(m.n_free)
         self.w[m.S.first + np.flatnonzero(m.S.rows == m.S.cols)] = 0.5
         self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
-        """F and dF/dtheta at thetas (k, t) of the members ``rows`` of the
-        stack. The gradient is 2 w_c (M S E')_c at A's cells and 2 w_c M_c at
-        S's, with M = dF/dS and the weights w of ``informations``."""
+        """F, dF/dtheta and the whitened U and V at thetas (k, t) of the
+        members ``rows`` of the stack.
+
+        The cell of parameter c makes dSigma_c = w_c (u_c v_c' + v_c u_c'),
+        with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A, E_p[:, col]
+        in S; w_c is 1/2 on S's diagonal and 1 elsewhere. Whitened by
+        Sigma = L L', U_c = L^-1 u_c and V_c = w_c L^-1 v_c. With
+        R = I - L^-1 S_obs L^-T, F = log|Sigma| + tr(L^-1 S_obs L^-T) -
+        log|S_obs| - p and dF/dtheta_c = tr(Sigma^-1 (Sigma - S_obs)
+        Sigma^-1 dSigma_c) = 2 U_c' R V_c.
+        """
         m, p = self.m, self.p
         # a Sigma that overflows (a huge fixed value) gets F = inf, the point's rejection
         with np.errstate(over="ignore", invalid="ignore"):
@@ -220,45 +229,34 @@ class _Objective:
             Ep = E[:, :p]
             sigma = Ep @ S @ _t(Ep)
             L, logdet = _chol_logdet((sigma + _t(sigma)) / 2.0)
-        pt = _Point(theta, np.full(len(theta), np.inf), np.full(theta.shape, np.nan), S, E, L)
+        pt = _Point.unevaluated(theta, p)
         pd = ~np.isnan(logdet)
         if pd.all():
             pd = slice(None)  # views, not copies
         Linv = np.linalg.inv(L[pd])
-        sigma_inv = _t(Linv) @ Linv
-        SiS = sigma_inv @ self.S_obs[rows[pd]]
-        pt.f[pd] = (logdet[pd] + np.trace(SiS, axis1=1, axis2=2)
+        Q = Linv @ self.S_obs[rows[pd]] @ _t(Linv)
+        pt.f[pd] = (logdet[pd] + np.trace(Q, axis1=1, axis2=2)
                     - self.logdet_S[rows[pd]] - p)
-        # G = dF/dSigma; only the latent columns of A can hold free cells
-        G = sigma_inv - SiS @ sigma_inv
-        G = (G + _t(G)) / 2.0
+        R = np.eye(p) - (Q + _t(Q)) / 2.0
         S, E = S[pd], E[pd]
-        Ep = E[:, :p]
-        M = _t(Ep) @ G @ Ep
-        MSE = (M @ S[:, :, p:]) @ _t(E[:, p:, p:])
-        g = np.concatenate([MSE[:, m.A.rows, m.A.cols - p], M[:, m.S.rows, m.S.cols]], axis=1)
-        g *= 2.0 * self.w
-        pt.g[pd] = g
+        W = Linv @ E[:, :p]
+        U = W[:, :, self.u_cells]
+        V = np.concatenate([(W @ S) @ _t(E[:, m.A.cols]), W[:, :, m.S.cols]], axis=2)
+        V *= self.w
+        pt.g[pd] = 2.0 * ((R @ V) * U).sum(axis=1)
+        pt.U[pd] = U
+        pt.V[pd] = V
         return pt
 
     def informations(self, pt: _Point) -> np.ndarray:
         """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
-        the expected Hessian of F (Bollen 1989, ch. 4), (k, t, t) at a point.
-
-        The cell of parameter c makes dSigma_c = w_c (u_c v_c' + v_c u_c'),
-        with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A, E_p[:, col]
-        in S; w_c is 1/2 on S's diagonal and 1 elsewhere. Whitened by
-        Sigma = L L', two such terms have trace
-        2 w_c w_d [(u_c.u_d)(v_c.v_d) + (u_c.v_d)(v_c.u_d)].
+        the expected Hessian of F (Bollen 1989, ch. 4), (k, t, t) at a point:
+        from the point's U and V, two terms have trace
+        2 [(U_c.U_d)(V_c.V_d) + (U_c.V_d)(V_c.U_d)].
         """
-        m = self.m
-        W = np.linalg.solve(pt.L, pt.E[:, :self.p])
-        U = W[:, :, self.u_cells]
-        V = np.concatenate([(W @ pt.S) @ _t(pt.E[:, m.A.cols]), W[:, :, m.S.cols]], axis=2)
-        V *= self.w
-        UV = _t(U) @ V
-        info = _t(U) @ U
-        info *= _t(V) @ V
+        UV = _t(pt.U) @ pt.V
+        info = _t(pt.U) @ pt.U
+        info *= _t(pt.V) @ pt.V
         info += UV * _t(UV)
         info *= 2.0
         return info
@@ -316,8 +314,8 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     acceptance, stall count and stop, and leaves the stack when it stops,
     so its path is the one it would take alone. The members' state is one
     ``_Point``, ``at``, beside their iteration and stall counts and stop
-    codes: each trial point carries its theta, F, gradient and Sigma's
-    factor, so an accepted one serves the next information as it stands.
+    codes: each trial point carries its theta, F, gradient, U and V, so an
+    accepted one serves the next information as it stands.
     ``reach`` is the one place where a member's move is recorded, at the
     start and after each chunk of members accepted at one halving. A
     member's stop code says why it stopped: GTOL (converged), STALLED (F
@@ -328,7 +326,7 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     """
     B = len(theta0)
     stop = np.where(np.isnan(objective.logdet_S), NONPD_SAMPLE, RUNNING)
-    at = _Point.unevaluated(theta0, len(objective.m.variables), objective.p)
+    at = _Point.unevaluated(theta0, objective.p)
     iterations = np.zeros(B, dtype=int)
     stalls = np.zeros(B, dtype=int)
 
