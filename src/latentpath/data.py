@@ -81,7 +81,7 @@ def _reading(path: Path):
         yield
     except UnicodeDecodeError as exc:
         # exc places the byte within the block the reader decoded; a decode
-        # of the whole file places it within the file
+        # of the whole file places it within the file, a BOM's bytes counted
         try:
             path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as whole:
@@ -94,15 +94,15 @@ def _reading(path: Path):
 
 
 def read_text(path: str | Path) -> str:
-    """The whole of a UTF-8 text file; DataError when it cannot be read or
-    is not UTF-8."""
+    """The whole of a UTF-8 text file, without a leading byte-order mark;
+    DataError when it cannot be read or is not UTF-8."""
     path = Path(path)
     with _reading(path):
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
 
 
 def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
-    """Read a delimited UTF-8 text file into a Dataset.
+    """Read a delimited UTF-8 text file, past a leading byte-order mark, into a Dataset.
 
     The csv reader reads the open file row by row. The first non-blank
     row is the header. One pass converts each cell with ``float`` into a
@@ -124,7 +124,7 @@ def load_table(path: str | Path, delimiter: str = ",") -> Dataset:
     buffer = array("d")
     n_rows = 0  # rows read, the header included
     try:
-        with _reading(path), open(path, encoding="utf-8", newline="") as fh:
+        with _reading(path), open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             rows = (row for row in reader if len(row) > 1 or any(cell.strip() for cell in row))
             first = next(rows, None)

@@ -248,6 +248,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.csv is not UTF-8 text" in err
 
+    def test_byte_order_marks_are_read_past(self, sim_csv, tmp_path):
+        # a BOM before the header's first name or the model's first line
+        bom = b"\xef\xbb\xbf"
+        data, model = tmp_path / "bom.csv", tmp_path / "bom.model"
+        data.write_bytes(bom + Path(sim_csv).read_bytes())
+        model.write_bytes(bom + Path(MODEL).read_bytes())
+        for argv in (["--model", MODEL, "--data", str(data)],
+                     ["--model", str(model), "--data", sim_csv]):
+            assert dispatch(["fit", *argv, "--output", str(tmp_path / "fit.txt")]) == 0
+
     def test_under_identified_exits_1(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
-from latentpath.data import _covariance_matrix, save_table
+from latentpath.data import _covariance_matrix, read_text, save_table
 from latentpath.errors import DataError
 
 from conftest import v_names
@@ -144,6 +144,19 @@ class TestLoadTable:
         # the block the reader was decoding
         path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xe9\n")
         with pytest.raises(DataError, match="byte 0xe9 in position 20006"):
+            lp.load_table(path)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet and survey-platform exports often start with a BOM
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,c\n1,2,3\n4,5,6\n")
+        ds = lp.load_table(path)
+        assert ds.names == ["a", "b", "c"]
+        np.testing.assert_array_equal(ds.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert read_text(path) == "a,b,c\n1,2,3\n4,5,6\n"
+        # a bad byte is still placed within the file, the BOM's 3 bytes counted
+        path.write_bytes(b"\xef\xbb\xbfa,b\n3,\xe9\n")
+        with pytest.raises(DataError, match="byte 0xe9 in position 9"):
             lp.load_table(path)
 
     def test_oversized_cell_names_path_and_row(self, tmp_path):
