@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NotPositiveDefiniteError
 
 
 @dataclass
@@ -35,14 +35,23 @@ class LoadingMatrix:
 
 _AXIS_TOL = 1e-6
 _AXIS_ITERATIONS = 100
+_SINGULAR_FLOOR = 1e-12
 _VARIMAX_TOL = 1e-10
 _VARIMAX_SWEEPS = 100
 
 
 def _principal_axis(R: np.ndarray, m: int):
     """Iterated communality estimation; returns loadings for m factors. It
-    stops when no communality moves by _AXIS_TOL, or after _AXIS_ITERATIONS."""
-    h2 = 1.0 - 1.0 / np.diag(np.linalg.inv(R))  # squared multiple correlations
+    stops when no communality moves by _AXIS_TOL, or after _AXIS_ITERATIONS.
+    NotPositiveDefiniteError when a variable repeats others: it keeps at most
+    _SINGULAR_FLOOR of its variance after regression on them."""
+    try:
+        left = 1.0 / np.diag(np.linalg.inv(R))  # each variance left after regression on the rest
+    except np.linalg.LinAlgError:
+        left = np.zeros(len(R))
+    if not np.all(left > _SINGULAR_FLOOR):
+        raise NotPositiveDefiniteError("correlation matrix is singular")
+    h2 = 1.0 - left  # squared multiple correlations
     for _ in range(_AXIS_ITERATIONS):
         Rh = R.copy()
         np.fill_diagonal(Rh, h2)

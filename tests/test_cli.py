@@ -467,6 +467,14 @@ class TestEfa:
         assert dispatch(["efa", "--data", sim_csv, "--retain", "m=0"]) == 2
         assert capsys.readouterr().err == "error: factor count must be in 1..21\n"
 
+    def test_principal_axis_on_a_repeated_column_exits_1(self, sim_csv, tmp_path, capsys):
+        ds = lp.load_table(sim_csv)
+        dup = tmp_path / "dup.csv"
+        lp.save_table(lp.Dataset(ds.names + ["CE1_again"],
+                                 np.column_stack([ds.values, ds.values[:, 0]])), dup)
+        assert dispatch(["efa", "--data", str(dup), "--method", "principal-axis"]) == 1
+        assert capsys.readouterr().err == "estimation error: correlation matrix is singular\n"
+
     @pytest.mark.parametrize("retain", ["m=abc", "m=", "three"])
     def test_malformed_retention_exits_2(self, sim_csv, retain, capsys):
         assert dispatch(["efa", "--data", sim_csv, "--retain", retain]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 import latentpath as lp
 from latentpath.efa import _varimax_criterion
-from latentpath.errors import DataError
+from latentpath.errors import DataError, NotPositiveDefiniteError
 
 from conftest import v_names
 
@@ -79,6 +79,22 @@ class TestExtract:
         R[0, 1] = 0.5
         with pytest.raises(DataError, match="symmetric"):
             lp.extract(R)
+
+    def test_principal_axis_rejects_a_singular_correlation(self):
+        # a column that repeats another: R's inverse fails when the two rows
+        # of R are bitwise equal, and passes when roundoff set them apart
+        exact = two_cluster_correlation(3, 3)
+        exact[5] = exact[0]
+        exact[:, 5] = exact[:, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(exact)
+        rounded = exact.copy()
+        rounded[0, 5] = rounded[5, 0] = 1.0 - 2.0**-50
+        np.linalg.inv(rounded)
+        for R in (exact, rounded):
+            with pytest.raises(NotPositiveDefiniteError, match="correlation matrix is singular"):
+                lp.extract(R, retention="m=2", method="principal-axis")
+            assert lp.extract(R, retention="m=2").n_factors == 2
 
     def test_loadings_reproduce_eigenstructure(self):
         R = two_cluster_correlation()
