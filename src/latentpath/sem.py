@@ -17,9 +17,8 @@ The optimizer works on a stack of sample covariances of one model: a fit
 is a stack of one, and the bootstrap refits all its replicates as one
 stack. Every member keeps its own step size, stop and result, which are
 bit for bit those of its fit alone. One stacked record, ``_Point``, holds
-each member's theta with F and its gradient there, and the vectors of
-each cell's dSigma whitened by Sigma's Cholesky factor, U and V: the
-gradient is read from them, and so is the next information.
+each member's theta with F and its gradient there, and the whitened
+vectors that both the gradient and the next information are read from.
 """
 
 from __future__ import annotations
@@ -162,10 +161,9 @@ def _t(X: np.ndarray) -> np.ndarray:
 
 
 class _Point(NamedTuple):
-    """k members of a stack, each at its theta: F and its gradient there,
-    and the whitened vectors U and V of each cell's dSigma, from which both
-    the gradient and the information are read. Where Sigma is not PD, f is
-    inf and the other pieces are NaN."""
+    """k members of a stack, each at its theta: F, its gradient and the
+    whitened U and V of ``_Objective.point`` there. Where Sigma is not PD,
+    f is inf and the other pieces are NaN."""
 
     theta: np.ndarray  # (k, t)
     f: np.ndarray  # (k,)
@@ -205,22 +203,18 @@ class _Objective:
         self.S_obs = S.reshape((-1,) + S.shape[-2:])
         self.logdet_S = _sample_logdet(self.S_obs)  # NaN where S is not PD
         self.p = S.shape[-1]
-        # the weight of each cell: 1/2 on S's diagonal
         self.w = np.ones(m.n_free)
         self.w[m.S.first + np.flatnonzero(m.S.rows == m.S.cols)] = 0.5
         self.u_cells = np.concatenate([m.A.rows, m.S.rows])
 
     def point(self, theta: np.ndarray, rows: np.ndarray) -> _Point:
-        """F, dF/dtheta and the whitened U and V at thetas (k, t) of the
-        members ``rows`` of the stack.
+        """F, dF/dtheta, U and V at thetas (k, t) of the members ``rows``.
 
         The cell of parameter c makes dSigma_c = w_c (u_c v_c' + v_c u_c'),
         with u_c = E_p[:, row] and v_c = (E S E_p')[col] in A, E_p[:, col]
-        in S; w_c is 1/2 on S's diagonal and 1 elsewhere. Whitened by
-        Sigma = L L', U_c = L^-1 u_c and V_c = w_c L^-1 v_c. With
-        R = I - L^-1 S_obs L^-T, F = log|Sigma| + tr(L^-1 S_obs L^-T) -
-        log|S_obs| - p and dF/dtheta_c = tr(Sigma^-1 (Sigma - S_obs)
-        Sigma^-1 dSigma_c) = 2 U_c' R V_c.
+        in S; w_c is 1/2 on S's diagonal and 1 elsewhere. With Sigma = L L',
+        U_c = L^-1 u_c, V_c = w_c L^-1 v_c and R = I - L^-1 S_obs L^-T,
+        dF/dtheta_c = tr(Sigma^-1 (Sigma - S_obs) Sigma^-1 dSigma_c) = 2 U_c' R V_c.
         """
         m, p = self.m, self.p
         # a Sigma that overflows (a huge fixed value) gets F = inf, the point's rejection
@@ -240,12 +234,11 @@ class _Objective:
         R = np.eye(p) - (Q + _t(Q)) / 2.0
         S, E = S[pd], E[pd]
         W = Linv @ E[:, :p]
-        U = W[:, :, self.u_cells]
+        pt.U[pd] = W[:, :, self.u_cells]
         V = np.concatenate([(W @ S) @ _t(E[:, m.A.cols]), W[:, :, m.S.cols]], axis=2)
         V *= self.w
-        pt.g[pd] = 2.0 * ((R @ V) * U).sum(axis=1)
-        pt.U[pd] = U
         pt.V[pd] = V
+        pt.g[pd] = 2.0 * ((R @ V) * pt.U[pd]).sum(axis=1)
         return pt
 
     def informations(self, pt: _Point) -> np.ndarray:

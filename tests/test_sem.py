@@ -335,16 +335,24 @@ class TestKernelOracle:
         np.testing.assert_allclose(evaluate(obj, theta)[2], numerical_hessian(obj, theta),
                                    rtol=1e-5, atol=1e-7)
 
-        # the gradient vanishes at theta, so check it a step away
+        # the gradient vanishes at theta, so check it a step away; there,
+        # where S differs from Sigma, the information is still
+        # tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l): it carries no S
         point = theta + 0.05 * rng.standard_normal(theta.size)
         fd = np.empty(theta.size)
+        d_sigma = np.empty((theta.size,) + sigma.shape)
         for k in range(theta.size):
             h = 1e-5 * max(1.0, abs(point[k]))
             up, down = point.copy(), point.copy()
             up[k] += h
             down[k] -= h
             fd[k] = (evaluate(obj, up)[0] - evaluate(obj, down)[0]) / (2.0 * h)
-        np.testing.assert_allclose(evaluate(obj, point)[1], fd, rtol=1e-5, atol=1e-7)
+            d_sigma[k] = (lp.implied_covariance(m, up)
+                          - lp.implied_covariance(m, down)) / (2.0 * h)
+        _, g, info = evaluate(obj, point)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
+        X = np.linalg.solve(lp.implied_covariance(m, point), d_sigma)
+        np.testing.assert_allclose(info, np.einsum("kij,lji->kl", X, X), rtol=1e-5, atol=1e-7)
 
         thetas = np.stack([theta, point, self.draw_theta(m, rng)])
         S = np.stack([sigma, lp.implied_covariance(m, thetas[2]), sigma + 0.1 * np.eye(len(sigma))])
