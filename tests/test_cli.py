@@ -249,7 +249,7 @@ class TestFit:
         assert err.startswith("error: ") and "bad.csv is not UTF-8 text" in err
 
     def test_byte_order_marks_are_read_past(self, sim_csv, tmp_path):
-        # a BOM before the header's first name or the model's first line
+        # a BOM before the header's first name, the model's first line or the params
         bom = b"\xef\xbb\xbf"
         data, model = tmp_path / "bom.csv", tmp_path / "bom.model"
         data.write_bytes(bom + Path(sim_csv).read_bytes())
@@ -257,6 +257,11 @@ class TestFit:
         for argv in (["--model", MODEL, "--data", str(data)],
                      ["--model", str(model), "--data", sim_csv]):
             assert dispatch(["fit", *argv, "--output", str(tmp_path / "fit.txt")]) == 0
+        params = tmp_path / "bom.json"
+        params.write_bytes(bom + Path(PARAMS).read_bytes())
+        assert dispatch(["simulate", "--model", MODEL, "--params", str(params), "--n", "10",
+                         "--out", str(tmp_path / "sim.csv"),
+                         "--output", str(tmp_path / "sim.txt")]) == 0
 
     def test_under_identified_exits_1(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
