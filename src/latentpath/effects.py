@@ -136,10 +136,9 @@ def bootstrap_ci(
     _MAX_FAILURE_RATE of them failing is an error that counts the drops by
     reason.
     """
-    if replicates < 100:
-        raise EstimationError("use at least 100 replicates")
-    if not 0.0 < level < 1.0:
-        raise EstimationError("level must be inside (0, 1)")
+    if not isinstance(replicates, (int, np.integer)) or replicates < 100:
+        raise EstimationError(f"replicates must be an integer of at least 100, got {replicates!r}")
+    _check_level(level)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise EstimationError(f"seed must be a non-negative integer, got {seed!r}")
     opts = opts or EstimationOptions()
@@ -164,8 +163,7 @@ def bootstrap_ci(
             "ill-conditioned for this sample size"
         )
 
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0).tolist()  # each (routes, 3)
+    lo, hi = _percentile_bounds(draws, (1.0 - level) / 2.0).tolist()  # each (routes, 3)
     out = []
     for k, (src, med, dst) in enumerate(effects):
         tot, dire, ind = full_eff.effect(src, dst, med)
@@ -179,6 +177,35 @@ def bootstrap_ci(
             n_replicates=len(draws), n_dropped=n_dropped,
         ))
     return out
+
+
+# np.quantile(draws, [alpha, 1 - alpha], axis=0) computes the same bounds, but
+# it calls np.unique, which calls np.ma.is_masked and so imports all of
+# numpy.ma (about 1.25 MB of RSS) on the first bootstrap of a process
+def _percentile_bounds(draws: np.ndarray, alpha: float) -> np.ndarray:
+    """The alpha and 1 - alpha sample quantiles (2, ...) of draws along its first
+    axis, bit for bit those of np.quantile's default "linear" method
+    (Hyndman & Fan 1996, type 7).
+
+    With k draws, quantile q lies at h = (k - 1) q between order statistics
+    i = floor(h) and j = min(i + 1, k - 1). They are selected by one
+    partition on the kth set np.quantile uses, so that of two tied draws,
+    -0.0 and 0.0, the same one lands at each position (a sort can order
+    them otherwise), and interpolated as numpy's _lerp does. A column whose
+    largest draw is NaN gets that NaN as both bounds.
+    """
+    k = draws.shape[0]
+    h = (k - 1) * np.array([alpha, 1.0 - alpha])
+    below = np.floor(h)
+    i = below.astype(np.intp)
+    j = np.minimum(i + 1, k - 1)
+    part = np.partition(draws, sorted({0, k - 1, *i.tolist(), *j.tolist()}), axis=0)
+    a, b = part[i], part[j]
+    g = (h - below).reshape((2,) + (1,) * (draws.ndim - 1))
+    diff = b - a
+    bounds = np.where(g < 0.5, a + diff * g, b - diff * (1 - g))
+    np.copyto(bounds, part[-1], where=np.isnan(part[-1]))
+    return bounds
 
 
 # the largest stacked temporary of a block of replicates, in bytes. Several
@@ -271,8 +298,7 @@ def delta_ci(
     mediator named. A fit without a finite acov (``compute_se=False``, or
     a singular information matrix) raises EstimationError.
     """
-    if not 0.0 < level < 1.0:
-        raise EstimationError("level must be inside (0, 1)")
+    _check_level(level)
     if not np.all(np.isfinite(result.acov)):
         raise EstimationError(
             "delta-method intervals need standard errors, and this fit has none "
@@ -297,6 +323,12 @@ def delta_ci(
             level=level, method="delta",
         ))
     return out
+
+
+def _check_level(level: float) -> None:
+    """Raise EstimationError unless level is a real number inside (0, 1)."""
+    if not isinstance(level, (int, float, np.integer, np.floating)) or not 0.0 < level < 1.0:
+        raise EstimationError(f"level must be a real number inside (0, 1), got {level!r}")
 
 
 def _validate_mediators(spec: ModelSpec, effects: list[tuple[str, str, str]]) -> None:

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import latentpath as lp
@@ -425,6 +427,21 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match="seed must be a non-negative integer"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=seed)
 
+    @pytest.mark.parametrize("name, value", [
+        ("replicates", 150.0), ("replicates", "200"), ("replicates", None),
+        ("level", "0.9"), ("level", None), ("level", float("nan")),
+    ])
+    def test_replicates_and_level_checked_before_fitting(self, monkeypatch, name, value):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError(f"fitted before checking {name}")
+
+        monkeypatch.setattr(effects, "fit", no_fit)
+        kwargs = dict(replicates=100, level=0.95, seed=2) | {name: value}
+        with pytest.raises(EstimationError, match=f"{name} must be an? (integer|real number)"):
+            lp.bootstrap_ci(data, spec, [("X", "M", "Y")], **kwargs)
+
     def test_failure_rate_guard(self):
         # a model that cannot converge on most resamples: under 3 complete
         # indicators the X construct is weakly identified at tiny n
@@ -433,6 +450,39 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match="replicates did not converge"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100,
                             seed=4, opts=opts, standardize_latents=True)
+
+
+def quantile_bits(draws, alpha):
+    """np.quantile's alpha and 1 - alpha bounds of draws along axis 0, as int64 bits."""
+    return np.quantile(draws, [alpha, 1.0 - alpha], axis=0).view(np.int64)
+
+
+class TestPercentileBounds:
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(80, 2000), routes=st.integers(1, 3), decimals=st.integers(0, 2),
+           level=st.sampled_from([0.5, 0.999999, 1.0 - 2.0**-52]) | st.floats(0.01, 0.999),
+           infinite=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_np_quantile(self, rows, routes, decimals, level, infinite, seed):
+        rng = np.random.default_rng(seed)
+        draws = np.round(rng.standard_normal((rows, routes, 3)), decimals)  # ties
+        draws[:, 0, 0] = rng.choice([-0.0, 0.0], rows)  # equal, but not the same bits
+        draws[rng.integers(rows), -1, 1] = np.nan
+        if infinite:
+            draws[rng.integers(rows, size=2), 0, 2] = (np.inf, -np.inf)
+        alpha = (1.0 - level) / 2.0
+        with np.errstate(invalid="ignore"):  # inf - inf, as in np.quantile
+            bounds = effects._percentile_bounds(draws, alpha)
+            want = quantile_bits(draws, alpha)
+        np.testing.assert_array_equal(bounds.view(np.int64), want)
+        assert np.isnan(bounds[:, -1, 1]).all()
+
+    def test_signed_zeros_land_where_a_partition_puts_them(self):
+        # np.quantile reads the lower bound -0.0 off its partition; a sort
+        # puts a 0.0 at that order statistic
+        draws = np.zeros((100, 1, 3))
+        draws[::2] = -0.0
+        bounds = effects._percentile_bounds(draws, 0.05)
+        np.testing.assert_array_equal(bounds.view(np.int64), quantile_bits(draws, 0.05))
 
 
 def resampled_fits(spec, data, seed, replicates, opts=None):
@@ -675,7 +725,7 @@ class TestDeltaCi:
         with pytest.raises(EstimationError, match="standard errors"):
             lp.delta_ci(res, [("X", "M", "Y")])
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan"), "0.95"])
     def test_level_outside_unit_interval_raises(self, level):
         # ndtri(0.5 + level / 2) is NaN or infinite there, and NaN bounds
         # would read as "no mediation"

@@ -32,7 +32,7 @@ def test_import_does_not_load_scipy_stats():
 
 MEDIATION_MODEL = "X =~ x1 + x2 + x3\nM =~ m1 + m2 + m3\nY =~ y1 + y2 + y3\nM ~ X\nY ~ M + X\n"
 
-COLD_START = f"""
+MEDIATION_DATA = f"""
 import sys
 import latentpath as lp, latentpath.cli
 
@@ -41,6 +41,9 @@ m = lp.build_matrices(spec, spec.indicator_names, standardize_latents=True)
 theta = lp.theta_from_config(m, {{"M~X": 0.5, "Y~M": 0.3, "Y~X": 0.2}}, dict(
     loading=0.75, latent_variance=1.0, disturbance_variance=0.6, error_variance=0.4375))
 data = lp.simulate(m, theta, 300, seed=7)
+"""
+
+COLD_START = MEDIATION_DATA + """
 moments = lp.covariance(data)
 lp.fit(spec, moments, standardize_latents=True, compute_se=False)
 lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=3,
@@ -50,6 +53,15 @@ result = lp.fit(spec, moments, standardize_latents=True)
 print("scipy.special" in sys.modules)
 result.p_values
 print("scipy.special" in sys.modules)
+"""
+
+# whether numpy.ma was loaded before the bootstrap, and after it; some numpy
+# versions import it eagerly, so only a change between the two counts
+BOOTSTRAP_MODULES = MEDIATION_DATA + """
+before = "numpy.ma" in sys.modules
+lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=3,
+                standardize_latents=True)
+print(before, "numpy.ma" in sys.modules, "scipy.special" in sys.modules)
 """
 
 NO_SE_P_VALUES = f"""
@@ -80,6 +92,14 @@ def test_no_se_fit_and_bootstrap_do_not_load_scipy_special():
     # scipy.special outweighs the rest of the import; only p-values and quantiles need
     # it, so not even a fit with SEs loads it until its p-values are read
     assert run_cold(COLD_START) == ["False", "False", "True"]
+
+
+def test_bootstrap_loads_neither_numpy_ma_nor_scipy_special():
+    # np.quantile's np.unique call imports numpy.ma; the bounds come from one
+    # np.partition instead
+    before, after, special = run_cold(BOOTSTRAP_MODULES)
+    assert after == before
+    assert special == "False"
 
 
 def test_no_se_p_values_are_nan_without_scipy_special():
