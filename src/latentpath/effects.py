@@ -12,7 +12,7 @@ Interval estimates come from nonparametric case-resampling bootstrap
 method, g' acov g, with g the analytic gradient of an effect in the free
 parameters and acov their full asymptotic covariance. The bootstrap
 compiles the model once, refits the replicates' sample covariances as
-one stacked Fisher-scoring problem in blocks (``sem._minimize``), and
+one stacked Fisher-scoring problem in blocks (``sem._estimate``), and
 reads their effects from one batched series.
 """
 
@@ -27,8 +27,7 @@ from . import sem
 from .data import Dataset, _covariance_matrix, covariance
 from .errors import EstimationError, ModelSpecificationError
 from .model import ModelSpec, ParamMatrices
-from .sem import (EstimationOptions, FitResult, _minimize, _Objective, fit, model_columns,
-                  start_values)
+from .sem import EstimationOptions, FitResult, fit, model_columns
 
 
 @dataclass
@@ -134,13 +133,15 @@ def bootstrap_ci(
     ``workers`` is accepted for compatibility and has no effect. Replicates
     that fail to converge are dropped and counted; more than
     _MAX_FAILURE_RATE of them failing is an error that counts the drops by
-    reason.
+    reason. An empty ``effects`` gives [] before any fit, as ``delta_ci`` does.
     """
     if not isinstance(replicates, (int, np.integer)) or replicates < 100:
         raise EstimationError(f"replicates must be an integer of at least 100, got {replicates!r}")
     _check_level(level)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise EstimationError(f"seed must be a non-negative integer, got {seed!r}")
+    if not effects:
+        return []
     opts = opts or EstimationOptions()
 
     _validate_mediators(spec, effects)
@@ -219,12 +220,6 @@ def _percentile_bounds(draws: np.ndarray, alpha: float) -> np.ndarray:
 _BLOCK_BYTES = 64 * 1024
 
 
-# the reason a replicate is dropped, by its stop code
-_DROP_REASONS = {sem.STALLED: "not converged", sem.NO_STEP: "not converged",
-                 sem.MAX_ITER: "not converged", sem.NONPD_SAMPLE: "non-PD sample covariance",
-                 sem.NONPD_START: "non-PD start values"}
-
-
 def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
                       opts: EstimationOptions, seed: int,
                       replicates: int) -> tuple[np.ndarray, list[str]]:
@@ -248,9 +243,9 @@ def _refit_replicates(X: np.ndarray, m: ParamMatrices, routes: list[tuple],
             # the resampled rows are dropped at once; the stack keeps only S
             rows = np.random.default_rng(seed + r).integers(0, n, n)
             S[b] = _covariance_matrix(X[rows], n - 1)
-        opt = _minimize(_Objective(m, S), start_values(m, S), opts)
+        _, opt = sem._estimate(m, S, opts)
         kept = opt.stop == sem.GTOL
-        reasons += [_DROP_REASONS[stop] for stop in opt.stop[~kept].tolist()]
+        reasons += [sem.FAILURES[stop] for stop in opt.stop[~kept].tolist()]
         # one batched series over the replicates that converged
         eff = decompose(m.A.materialize(opt.at.theta[kept])[:, p:, p:], m.latent_names)
         draws.append(np.stack([np.stack(eff.effect(src, dst, med), axis=1)

@@ -52,7 +52,9 @@ def baseline(S: np.ndarray, n: int, multiplier: str = "n-1") -> tuple[float, int
     p = S.shape[0]
     sign, logdet = np.linalg.slogdet(S)
     if sign <= 0:
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+        from .sem import FAILURES, NONPD_SAMPLE  # here, as sem imports this module
+
+        raise NotPositiveDefiniteError(FAILURES[NONPD_SAMPLE])
     diag = np.diag(S)
     if np.any(diag <= 0):
         raise NotPositiveDefiniteError("sample covariance has nonpositive variances")

@@ -147,7 +147,7 @@ def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
     S = np.asarray(S, dtype=float)
     (logdet_S,) = _sample_logdet(S[None])
     if np.isnan(logdet_S):
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+        raise NotPositiveDefiniteError(FAILURES[NONPD_SAMPLE])
     (L,), (logdet,) = _chol_logdet(sigma[None])
     if np.isnan(logdet):
         raise NotPositiveDefiniteError("implied covariance is not positive definite")
@@ -280,6 +280,13 @@ def start_values(m: ParamMatrices, S: np.ndarray) -> np.ndarray:
 # why a member of the stack stopped, one code per member in _OptimResult.stop
 RUNNING, GTOL, STALLED, NO_STEP, MAX_ITER, NONPD_SAMPLE, NONPD_START = range(7)
 
+# the reason of each failure code, in fit's errors and the bootstrap's drop counts
+FAILURES = {
+    **dict.fromkeys((STALLED, NO_STEP, MAX_ITER), "not converged"),
+    NONPD_SAMPLE: "sample covariance is not positive definite",
+    NONPD_START: "starting values give a non-positive-definite implied covariance",
+}
+
 
 @dataclass
 class _OptimResult:
@@ -375,6 +382,15 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
             "a linear-algebra routine failed during the fit (LinAlgError)") from None
     stop[stop == RUNNING] = MAX_ITER
     return _OptimResult(at, iterations, stop)
+
+
+def _estimate(m: ParamMatrices, S: np.ndarray,
+              opts: EstimationOptions) -> tuple[_Objective, _OptimResult]:
+    """Minimize F for each sample covariance of a stack S (B, p, p) from its
+    conventional start: the one estimation of ``fit`` (a stack of one) and of
+    the bootstrap's blocks. The objective comes back for ``fit``'s SE step."""
+    objective = _Objective(m, S)
+    return objective, _minimize(objective, start_values(m, S), opts)
 
 
 @dataclass
@@ -600,13 +616,12 @@ def fit(
     if df < 0:
         raise UnderIdentifiedError(
             f"{m.n_free} free parameters exceed {m.n_free + df} sample moments")
-    objective = _Objective(m, S)
-    opt = _minimize(objective, start_values(m, S)[None], opts)
+    objective, opt = _estimate(m, S[None], opts)
     stop = opt.stop[0]
     if stop == NONPD_SAMPLE:
-        raise NotPositiveDefiniteError("sample covariance is not positive definite")
+        raise NotPositiveDefiniteError(FAILURES[stop])
     if stop == NONPD_START:
-        raise EstimationError("starting values give a non-positive-definite implied covariance")
+        raise EstimationError(FAILURES[stop])
     converged = bool(stop == GTOL)
 
     n, t = moments.n, m.n_free

@@ -526,6 +526,21 @@ class TestMediate:
         # the intervals are still reported, as fit reports its estimates
         assert json.loads(out.read_text())["sections"]["mediation"]["effects"]
 
+    def test_bootstrap_failure_exits_1(self, sim_csv, capsys):
+        # one iteration converges no replicate, so the intervals are refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = dispatch([
+                "mediate", "--model", MODEL, "--data", sim_csv,
+                "--effect", "EnvSt:PerVa:PB", "--boot", "100", "--seed", "1",
+                "--max-iter", "1",
+            ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("estimation error: bootstrap failed: 100/100 replicates did not "
+                              "converge (limit 20%; 100 not converged); ")
+        assert "Traceback" not in err
+
     def test_provenance_states_the_bootstrap_divisor(self, sim_csv, tmp_path):
         # the replicates resample with n-1 whatever --divisor says; without
         # replicates there is no bootstrap divisor to state

@@ -74,6 +74,15 @@ class TestExtract:
         with pytest.raises(DataError, match="factor count of 'm=abc' is not an integer"):
             lp.extract(two_cluster_correlation(), retention="m=abc")
 
+    # library-only checks: the CLI's argparse choices let neither value through
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(retention="bogus"), "^unknown retention rule 'bogus'$"),
+        (dict(method="bogus"), "^unknown extraction method 'bogus'$"),
+    ], ids=["retention", "method"])
+    def test_unknown_retention_or_method_rejected(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            lp.extract(two_cluster_correlation(), **kwargs)
+
     def test_non_symmetric_rejected(self):
         R = np.eye(3)
         R[0, 1] = 0.5

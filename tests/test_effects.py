@@ -341,10 +341,12 @@ class TestBootstrap:
 
         class BrokenObjective(sem._Objective):
             def informations(self, pt):
-                raise TypeError("bug in a replicate")
+                if len(self.S_obs) > 1:
+                    raise TypeError("bug in a replicate")
+                return super().informations(pt)
 
-        # the full-sample fit keeps the real objective; only the stack breaks
-        monkeypatch.setattr(effects, "_Objective", BrokenObjective)
+        # the full-sample fit, a stack of one, stays real; only the replicates' stacks break
+        monkeypatch.setattr(sem, "_Objective", BrokenObjective)
         with pytest.raises(TypeError, match="bug in a replicate"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2)
 
@@ -362,8 +364,8 @@ class TestBootstrap:
         with pytest.raises(EstimationError) as err:
             lp.bootstrap_ci(lp.Dataset(data.names, X), spec, [("X", "M", "Y")],
                             replicates=100, seed=2, opts=lp.EstimationOptions(max_iter=30))
-        counts = re.search(r"(\d+)/100 .*; (\d+) not converged, (\d+) non-PD sample "
-                           r"covariance\)", str(err.value))
+        counts = re.search(r"(\d+)/100 .*; (\d+) not converged, (\d+) sample covariance "
+                           r"is not positive definite\)", str(err.value))
         assert counts is not None, str(err.value)
         dropped, not_converged, not_pd = map(int, counts.groups())
         assert not_pd > 0 and not_converged + not_pd == dropped
@@ -442,6 +444,37 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match=f"{name} must be an? (integer|real number)"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], **kwargs)
 
+    def test_empty_effects_list_fits_nothing(self, monkeypatch):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted for no effect")
+
+        monkeypatch.setattr(effects, "fit", no_fit)
+        assert lp.bootstrap_ci(data, spec, [], replicates=100, seed=2) == []
+        # the arguments are still checked first
+        with pytest.raises(EstimationError, match="replicates must be an integer"):
+            lp.bootstrap_ci(data, spec, [], replicates=5)
+
+    def test_one_estimation_for_the_sample_and_each_block(self, monkeypatch):
+        spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
+        calls = []
+        real = sem._estimate
+
+        def spy(m, S, opts):
+            calls.append((m, len(S)))
+            return real(m, S, opts)
+
+        monkeypatch.setattr(sem, "_estimate", spy)
+        lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2)
+        m = calls[0][0]
+        width = max(m.n_free, len(m.variables))
+        block = max(1, effects._BLOCK_BYTES // (8 * width * width))
+        assert 1 < block < 100 and 100 % block  # several blocks, the last one short
+        # the full sample as a stack of one, then each block of replicates
+        assert [size for _, size in calls] == [1] + [block] * (100 // block) + [100 % block]
+        assert all(other is m for other, _ in calls)
+
     def test_failure_rate_guard(self):
         # a model that cannot converge on most resamples: under 3 complete
         # indicators the X construct is weakly identified at tiny n
@@ -499,16 +532,18 @@ def resampled_fits(spec, data, seed, replicates, opts=None):
 
 def failing_objective(member):
     """An _Objective class whose ``point`` raises LinAlgError whenever
-    ``member`` of the first stack built is among the rows evaluated."""
+    ``member`` of the first stack of more than one member built is among the
+    rows evaluated."""
     built = []
 
     class Failing(sem._Objective):
         def __init__(self, m, S):
             super().__init__(m, S)
-            built.append(self)
+            if len(self.S_obs) > 1:
+                built.append(self)
 
         def point(self, theta, rows):
-            if self is built[0] and member in rows:
+            if built and self is built[0] and member in rows:
                 raise np.linalg.LinAlgError("planted")
             return super().point(theta, rows)
 
@@ -612,7 +647,7 @@ class TestStackedRefits:
     # EstimationError; no replicate is dropped for it
     def test_bootstrap_counts_a_linalg_error(self, monkeypatch):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
-        monkeypatch.setattr(effects, "_Objective", failing_objective(2))
+        monkeypatch.setattr(sem, "_Objective", failing_objective(2))
         with pytest.raises(EstimationError, match=r"^a linear-algebra routine failed "
                                                   r"during the fit \(LinAlgError\)$"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2,

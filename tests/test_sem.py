@@ -783,6 +783,25 @@ class TestStopCodes:
     """Each stop code of ``_minimize``, reached by a real input where one is
     known, and what ``fit`` makes of it."""
 
+    def test_each_failure_has_a_reason(self):
+        # the stop codes are sem's upper-case int constants
+        codes = {name: value for name, value in vars(sem).items()
+                 if name.isupper() and type(value) is int}
+        assert sorted(codes.values()) == list(range(len(codes)))
+        assert set(sem.FAILURES) == set(codes.values()) - {sem.RUNNING, sem.GTOL}
+
+    def test_fit_estimates_once_on_a_stack_of_one(self, monkeypatch):
+        shapes = []
+        real = sem._estimate
+
+        def spy(m, S, opts):
+            shapes.append(S.shape)
+            return real(m, S, opts)
+
+        monkeypatch.setattr(sem, "_estimate", spy)
+        lp.fit(lp.parse_model(ABC_MODEL), abc_moments())
+        assert shapes == [(1, 3, 3)]
+
     def test_gtol_at_the_start(self):
         opts = lp.EstimationOptions(gtol=1e3)
         opt = minimize(_Objective, ABC_MODEL, opts=opts)
