@@ -1,4 +1,4 @@
-"""Tabular ingestion and sample moments.
+"""Tabular ingestion, sample moments, and the one singularity rule.
 
 Input files are delimiter-separated UTF-8 text with a mandatory header
 row; rows whose cells are all blank are skipped. Empty cells and ``NA``
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NotPositiveDefiniteError
 
 
 @dataclass
@@ -223,3 +223,57 @@ def covariance(dataset: Dataset, divisor: str = "n-1") -> SampleMoments:
     if constant:
         raise DataError(f"no variance in column(s): {', '.join(constant)}")
     return SampleMoments(S=S, n=n, names=list(dataset.names))
+
+
+def _chol_logdet(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log-determinants of a stack of matrices (B, k, k).
+
+    The log-determinant is NaN where a matrix is not positive definite. A
+    stacked factorization fails as a whole when one matrix is not PD, so
+    only then are the matrices factored one at a time.
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        L = np.full_like(M, np.nan)
+        for b, one in enumerate(M):
+            try:
+                L[b] = np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                pass
+    # the factorization rejects a pivot that is not positive, and passes
+    # NaN through, so a diagonal entry is either positive or NaN
+    return L, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+
+
+_PIVOT_FLOOR = 1e-12
+
+
+def _sample_logdet(S: np.ndarray) -> np.ndarray:
+    """log|S| of each sample covariance of a stack (B, p, p), NaN where S is
+    not PD or where some column keeps less than _PIVOT_FLOOR of its variance
+    after regression on the columns before it (L_ii^2 / S_ii, S = L L'): an S
+    that is singular but whose Cholesky factorization succeeds by roundoff."""
+    L, logdet = _chol_logdet(S)
+    left = np.diagonal(L, axis1=1, axis2=2) ** 2
+    singular = (left < _PIVOT_FLOOR * np.diagonal(S, axis1=1, axis2=2)).any(axis=1)
+    return np.where(singular, np.nan, logdet)
+
+
+def _nonsingular(M: np.ndarray, what: str) -> float:
+    """log|M| of one sample covariance or correlation matrix M (p, p) that
+    passes _sample_logdet's test, the one singularity rule of every command;
+    otherwise NotPositiveDefiniteError("<what> is not positive definite")."""
+    (logdet,) = _sample_logdet(np.asarray(M, dtype=float)[None])
+    if np.isnan(logdet):
+        raise NotPositiveDefiniteError(f"{what} is not positive definite")
+    return float(logdet)
+
+
+def _correlation(R) -> np.ndarray:
+    """R as a float array; DataError unless it is square and symmetric."""
+    R = np.asarray(R, dtype=float)
+    p = R.shape[0]
+    if R.shape != (p, p) or not np.allclose(R, R.T, atol=1e-10):
+        raise DataError("R must be a symmetric correlation matrix")
+    return R

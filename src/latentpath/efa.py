@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, NotPositiveDefiniteError
+from .data import _correlation, _nonsingular
+from .errors import DataError
 
 
 @dataclass
@@ -35,23 +36,17 @@ class LoadingMatrix:
 
 _AXIS_TOL = 1e-6
 _AXIS_ITERATIONS = 100
-_SINGULAR_FLOOR = 1e-12
 _VARIMAX_TOL = 1e-10
 _VARIMAX_SWEEPS = 100
 
 
 def _principal_axis(R: np.ndarray, m: int):
-    """Iterated communality estimation; returns loadings for m factors. It
-    stops when no communality moves by _AXIS_TOL, or after _AXIS_ITERATIONS.
-    NotPositiveDefiniteError when a variable repeats others: it keeps at most
-    _SINGULAR_FLOOR of its variance after regression on them."""
-    try:
-        left = 1.0 / np.diag(np.linalg.inv(R))  # each variance left after regression on the rest
-    except np.linalg.LinAlgError:
-        left = np.zeros(len(R))
-    if not np.all(left > _SINGULAR_FLOOR):
-        raise NotPositiveDefiniteError("correlation matrix is singular")
-    h2 = 1.0 - left  # squared multiple correlations
+    """Iterated communality estimation from the squared multiple correlations;
+    returns loadings for m factors. It stops when no communality moves by
+    _AXIS_TOL, or after _AXIS_ITERATIONS. An R that ``data._nonsingular``
+    rejects is a NotPositiveDefiniteError."""
+    _nonsingular(R, "correlation matrix")
+    h2 = 1.0 - 1.0 / np.diag(np.linalg.inv(R))  # squared multiple correlations
     for _ in range(_AXIS_ITERATIONS):
         Rh = R.copy()
         np.fill_diagonal(Rh, h2)
@@ -78,10 +73,8 @@ def extract(
     for a fixed count. Columns are ordered by descending eigenvalue and
     sign-flipped so each column's largest-magnitude loading is positive.
     """
-    R = np.asarray(R, dtype=float)
+    R = _correlation(R)
     p = R.shape[0]
-    if R.shape != (p, p) or not np.allclose(R, R.T, atol=1e-10):
-        raise DataError("R must be a symmetric correlation matrix")
     if names is None:
         names = [f"v{j + 1}" for j in range(p)]
     w, V = np.linalg.eigh(R)

@@ -159,9 +159,8 @@ def bootstrap_ci(
         counts = ", ".join(f"{count} {reason}" for reason, count in
                            sorted(Counter(reasons).items(), key=lambda rc: -rc[1]))
         raise EstimationError(
-            f"bootstrap failed: {n_dropped}/{replicates} replicates did not "
-            f"converge (limit {_MAX_FAILURE_RATE:.0%}; {counts}); the model may be "
-            "ill-conditioned for this sample size"
+            f"bootstrap failed: {n_dropped}/{replicates} replicates were dropped "
+            f"(limit {_MAX_FAILURE_RATE:.0%}; {counts})"
         )
 
     lo, hi = _percentile_bounds(draws, (1.0 - level) / 2.0).tolist()  # each (routes, 3)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .data import _nonsingular
 
 # The fit table's rows in report order: each index's label, and the standard
 # its pass flag tests. The model p-value row follows the source convention
@@ -47,22 +47,14 @@ def chisq_tail(chisq: float, df: int) -> float:
 
 
 def baseline(S: np.ndarray, n: int, multiplier: str = "n-1") -> tuple[float, int]:
-    """Chi-square and df of the independence model, in closed form."""
+    """Chi-square and df of the independence model, in closed form, log|S|
+    slogdet's; a NotPositiveDefiniteError when ``data._nonsingular`` rejects S."""
     S = np.asarray(S, dtype=float)
+    _nonsingular(S, "sample covariance")
     p = S.shape[0]
-    sign, logdet = np.linalg.slogdet(S)
-    if sign <= 0:
-        from .sem import FAILURES, NONPD_SAMPLE  # here, as sem imports this module
-
-        raise NotPositiveDefiniteError(FAILURES[NONPD_SAMPLE])
-    diag = np.diag(S)
-    if np.any(diag <= 0):
-        raise NotPositiveDefiniteError("sample covariance has nonpositive variances")
-    f_null = float(np.log(diag).sum() - logdet)
+    f_null = float(np.log(np.diag(S)).sum() - np.linalg.slogdet(S)[1])
     mult = (n - 1) if multiplier == "n-1" else n
-    chisq_null = mult * f_null
-    df_null = p * (p - 1) // 2
-    return chisq_null, df_null
+    return mult * f_null, p * (p - 1) // 2
 
 
 @dataclass

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NotPositiveDefiniteError
+from .data import _correlation, _nonsingular
+from .errors import DataError
 from .fit_indices import chisq_tail
 
 
@@ -66,19 +67,16 @@ def kmo(R: np.ndarray) -> float:
     """Kaiser-Meyer-Olkin sampling adequacy from a correlation matrix.
 
     Uses the anti-image partials q_ij = -s_ij / sqrt(s_ii s_jj) with s the
-    entries of R^-1. An identity R makes the ratio 0/0 and is an error.
+    entries of R^-1. R is a DataError unless square and symmetric, and a
+    NotPositiveDefiniteError when ``data._nonsingular`` rejects it; an
+    identity R makes the ratio 0/0 and is a DataError.
     """
-    R = np.asarray(R, dtype=float)
-    p = R.shape[0]
-    if R.shape != (p, p) or not np.allclose(R, R.T, atol=1e-10):
-        raise DataError("R must be a symmetric correlation matrix")
-    try:
-        Rinv = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("correlation matrix is singular") from None
+    R = _correlation(R)
+    _nonsingular(R, "correlation matrix")
+    Rinv = np.linalg.inv(R)
     d = np.sqrt(np.diag(Rinv))
     Q = -Rinv / np.outer(d, d)
-    off = ~np.eye(p, dtype=bool)
+    off = ~np.eye(len(R), dtype=bool)
     r2 = (R[off] ** 2).sum()
     q2 = (Q[off] ** 2).sum()
     if r2 + q2 == 0:
@@ -90,14 +88,12 @@ def bartlett(R: np.ndarray, n: int) -> tuple[float, int, float]:
     """Bartlett's sphericity test: (chi2, df, p).
 
     chi2 = -(n - 1 - (2p + 5)/6) * ln|R|, df = p(p-1)/2; the p-value is the
-    upper chi-square tail.
+    upper chi-square tail. R is checked as in ``kmo``; ln|R| is slogdet's.
     """
-    R = np.asarray(R, dtype=float)
+    R = _correlation(R)
+    _nonsingular(R, "correlation matrix")
     p = R.shape[0]
-    sign, logdet = np.linalg.slogdet(R)
-    if sign <= 0:
-        raise NotPositiveDefiniteError("correlation matrix is not positive definite")
-    chi2 = -(n - 1 - (2 * p + 5) / 6.0) * logdet
+    chi2 = -(n - 1 - (2 * p + 5) / 6.0) * np.linalg.slogdet(R)[1]
     df = p * (p - 1) // 2
     return float(chi2), df, chisq_tail(chi2, df)
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, SampleMoments
+from .data import Dataset, SampleMoments, _chol_logdet, _nonsingular, _sample_logdet
 from .errors import (
     DataError,
     EstimationError,
@@ -56,41 +56,6 @@ class EstimationOptions:
             raise EstimationError("gtol must be finite and positive")
         if self.chisq_multiplier not in ("n-1", "n"):
             raise EstimationError("chisq_multiplier must be 'n-1' or 'n'")
-
-
-def _chol_logdet(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors and log-determinants of a stack of matrices (B, k, k).
-
-    The log-determinant is NaN where a matrix is not positive definite. A
-    stacked factorization fails as a whole when one matrix is not PD, so
-    only then are the matrices factored one at a time.
-    """
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        L = np.full_like(M, np.nan)
-        for b, one in enumerate(M):
-            try:
-                L[b] = np.linalg.cholesky(one)
-            except np.linalg.LinAlgError:
-                pass
-    # the factorization rejects a pivot that is not positive, and passes
-    # NaN through, so a diagonal entry is either positive or NaN
-    return L, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-
-
-_PIVOT_FLOOR = 1e-12
-
-
-def _sample_logdet(S: np.ndarray) -> np.ndarray:
-    """log|S| of each sample covariance of a stack (B, p, p), NaN where S is
-    not PD or where some column keeps less than _PIVOT_FLOOR of its variance
-    after regression on the columns before it (L_ii^2 / S_ii, S = L L'): an S
-    that is singular but whose Cholesky factorization succeeds by roundoff."""
-    L, logdet = _chol_logdet(S)
-    left = np.diagonal(L, axis1=1, axis2=2) ** 2
-    singular = (left < _PIVOT_FLOOR * np.diagonal(S, axis1=1, axis2=2)).any(axis=1)
-    return np.where(singular, np.nan, logdet)
 
 
 def _series(D: np.ndarray) -> np.ndarray:
@@ -145,14 +110,12 @@ def f_ml(sigma: np.ndarray, S: np.ndarray) -> float:
     """
     sigma = np.asarray(sigma, dtype=float)
     S = np.asarray(S, dtype=float)
-    (logdet_S,) = _sample_logdet(S[None])
-    if np.isnan(logdet_S):
-        raise NotPositiveDefiniteError(FAILURES[NONPD_SAMPLE])
+    logdet_S = _nonsingular(S, "sample covariance")
     (L,), (logdet,) = _chol_logdet(sigma[None])
     if np.isnan(logdet):
         raise NotPositiveDefiniteError("implied covariance is not positive definite")
     tr = np.trace(np.linalg.solve(L.T, np.linalg.solve(L, S)))
-    return float(logdet) + float(tr) - float(logdet_S) - S.shape[0]
+    return float(logdet) + float(tr) - logdet_S - S.shape[0]
 
 
 def _t(X: np.ndarray) -> np.ndarray:

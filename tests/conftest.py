@@ -61,6 +61,16 @@ def v_names(p: int) -> list[str]:
     return [f"v{j + 1}" for j in range(p)]
 
 
+def near_duplicate_columns(noise: float = 1e-7) -> np.ndarray:
+    """200 rows of a, b, c (one factor plus unit noise, default_rng(0)) and
+    d = a + noise * N(0, 1). At the default d keeps about 4e-15 of its
+    variance after regression on a, b, c, under the 1e-12 singularity floor."""
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(200)
+    X = f[:, None] + rng.standard_normal((200, 3))
+    return np.column_stack([X, X[:, 0] + noise * rng.standard_normal(200)])
+
+
 # --- references the tests compare the package against ------------------------
 
 

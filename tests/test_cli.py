@@ -17,7 +17,7 @@ from latentpath import cli
 from latentpath import report as report_mod
 from latentpath.cli import dispatch
 
-from conftest import latent_covariance
+from conftest import latent_covariance, near_duplicate_columns
 from test_sem import CHAIN_MODEL, ZERO_LOADINGS_MODEL, two_factor_data
 
 ASSETS = Path(lp.__file__).parent / "assets"
@@ -478,7 +478,8 @@ class TestEfa:
         lp.save_table(lp.Dataset(ds.names + ["CE1_again"],
                                  np.column_stack([ds.values, ds.values[:, 0]])), dup)
         assert dispatch(["efa", "--data", str(dup), "--method", "principal-axis"]) == 1
-        assert capsys.readouterr().err == "estimation error: correlation matrix is singular\n"
+        assert capsys.readouterr().err == ("estimation error: correlation matrix is not "
+                                           "positive definite\n")
 
     @pytest.mark.parametrize("retain", ["m=abc", "m=", "three"])
     def test_malformed_retention_exits_2(self, sim_csv, retain, capsys):
@@ -537,8 +538,8 @@ class TestMediate:
             ])
         assert status == 1
         err = capsys.readouterr().err
-        assert err.startswith("estimation error: bootstrap failed: 100/100 replicates did not "
-                              "converge (limit 20%; 100 not converged); ")
+        assert err == ("estimation error: bootstrap failed: 100/100 replicates were dropped "
+                       "(limit 20%; 100 not converged)\n")
         assert "Traceback" not in err
 
     def test_provenance_states_the_bootstrap_divisor(self, sim_csv, tmp_path):
@@ -735,6 +736,40 @@ class TestOverflowingColumn:
         assert status == 2
         assert capsys.readouterr().err == \
             "error: variance overflows in column(s): b; rescale them\n"
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+
+class TestNearDuplicateColumn:
+    """A column that repeats another but for 1e-7 of noise stops every
+    command that analyses its covariance or correlation matrix, under one
+    rule and one sentence per kind of matrix: exit 1, no numpy warning."""
+
+    @pytest.fixture(scope="class")
+    def near_d(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("near") / "near_d.csv"
+        path.write_text("a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n"
+                                              for row in near_duplicate_columns().tolist()))
+        (path.parent / "f.model").write_text("F =~ a + b + c + d\n")
+        return path
+
+    @pytest.mark.parametrize("argv, matrix", [
+        pytest.param(["fit", "--model", "f.model"], "sample covariance", id="fit"),
+        pytest.param(["efa", "--method", "principal-axis"], "correlation matrix", id="efa"),
+        pytest.param(["reliability", "--construct", "F=a,b,c,d"], "correlation matrix",
+                     id="reliability"),
+        pytest.param(["report", "--model", "f.model", "--boot", "0"], "correlation matrix",
+                     id="report"),
+    ])
+    def test_exits_1_naming_the_matrix(self, near_d, argv, matrix, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(near_d.parent)
+        out = tmp_path / "r.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = dispatch([*argv, "--data", near_d.name, "--output", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err == f"estimation error: {matrix} is not positive definite\n"
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
 

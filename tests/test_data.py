@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import io
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentpath as lp
-from latentpath.data import _covariance_matrix, read_text, save_table
-from latentpath.errors import DataError
+from latentpath.data import (_covariance_matrix, _nonsingular, _sample_logdet, read_text,
+                             save_table)
+from latentpath.errors import DataError, NotPositiveDefiniteError
 
-from conftest import v_names
+from conftest import near_duplicate_columns, v_names
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -541,3 +543,50 @@ class TestCompleteRows:
         expected = _covariance_matrix(sub.values[np.ones(sub.n, dtype=bool)], sub.n - 1)
         np.testing.assert_array_equal(bits(lp.covariance(sub).S), bits(expected))
 
+
+# every caller of the one singularity rule, given a sample covariance S and its R
+SINGULARITY_CALLERS = {
+    "f_ml": lambda S, R: lp.f_ml(np.diag(np.diag(S)), S),
+    "baseline": lambda S, R: lp.baseline(S, n=200),
+    "kmo": lambda S, R: lp.kmo(R),
+    "bartlett": lambda S, R: lp.bartlett(R, n=200),
+    "principal-axis": lambda S, R: lp.extract(R, retention="m=1", method="principal-axis"),
+}
+
+
+def ordered_moments(X):
+    """The moments of X's columns in each of their orders."""
+    for order in itertools.permutations(range(X.shape[1])):
+        yield lp.covariance(lp.Dataset(v_names(len(order)), X[:, order]))
+
+
+class TestOneSingularityRule:
+    """f_ml, baseline, kmo, bartlett and principal-axis extraction judge a
+    matrix singular by one rule, data._nonsingular's, with one sentence for
+    each kind of matrix."""
+
+    @pytest.mark.parametrize("caller", SINGULARITY_CALLERS)
+    def test_a_near_duplicate_column_is_rejected_in_every_order(self, caller):
+        what = "sample covariance" if caller in ("f_ml", "baseline") else "correlation matrix"
+        for mom in ordered_moments(near_duplicate_columns()):
+            with pytest.raises(NotPositiveDefiniteError,
+                               match=f"^{what} is not positive definite$"):
+                SINGULARITY_CALLERS[caller](mom.S, mom.R)
+
+    @pytest.mark.parametrize("caller", SINGULARITY_CALLERS)
+    def test_a_column_above_the_floor_is_accepted_in_every_order(self, caller):
+        # d keeps about 4e-11 of its variance after a, b, c: 40 times the floor
+        for mom in ordered_moments(near_duplicate_columns(noise=1e-5)):
+            SINGULARITY_CALLERS[caller](mom.S, mom.R)
+
+    def test_returns_the_log_determinant_of_the_objective(self):
+        S = lp.covariance(lp.Dataset(v_names(3), near_duplicate_columns()[:, :3])).S
+        assert bits(_nonsingular(S, "S")) == bits(_sample_logdet(S[None])[0])
+        assert _nonsingular(S, "S") == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("M", [np.ones((3, 3)), -np.eye(2), np.full((2, 2), np.nan)],
+                             ids=["rank 1", "negative", "nan"])
+    def test_names_the_matrix_it_rejects(self, M):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^this matrix is not positive definite$"):
+            _nonsingular(M, "this matrix")

@@ -101,7 +101,8 @@ class TestExtract:
         rounded[0, 5] = rounded[5, 0] = 1.0 - 2.0**-50
         np.linalg.inv(rounded)
         for R in (exact, rounded):
-            with pytest.raises(NotPositiveDefiniteError, match="correlation matrix is singular"):
+            with pytest.raises(NotPositiveDefiniteError,
+                               match="^correlation matrix is not positive definite$"):
                 lp.extract(R, retention="m=2", method="principal-axis")
             assert lp.extract(R, retention="m=2").n_factors == 2
 

@@ -352,7 +352,7 @@ class TestBootstrap:
 
     def test_failure_error_counts_drops_by_reason(self):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 200, seed=1)
-        with pytest.raises(EstimationError, match=r"100/100 replicates did not converge "
+        with pytest.raises(EstimationError, match=r"100/100 replicates were dropped "
                                                   r"\(limit 20%; 100 not converged\)"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=2,
                             opts=lp.EstimationOptions(max_iter=1))
@@ -480,7 +480,7 @@ class TestBootstrap:
         # indicators the X construct is weakly identified at tiny n
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 18, seed=10)
         opts = lp.EstimationOptions(max_iter=3)  # starve the optimizer
-        with pytest.raises(EstimationError, match="replicates did not converge"):
+        with pytest.raises(EstimationError, match="replicates were dropped"):
             lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100,
                             seed=4, opts=opts, standardize_latents=True)
 

@@ -47,9 +47,9 @@ class TestBaseline:
             lp.baseline(np.array([[1.0, 2.0], [2.0, 1.0]]), n=100)
 
     def test_nonpositive_variances_rejected(self):
-        # -I has a positive determinant, so only its diagonal gives it away
+        # -I has a positive determinant; its first Cholesky pivot gives it away
         with pytest.raises(NotPositiveDefiniteError,
-                           match="^sample covariance has nonpositive variances$"):
+                           match="^sample covariance is not positive definite$"):
             lp.baseline(-np.eye(2), n=100)
 
 

@@ -160,7 +160,8 @@ class TestKmo:
         assert lp.kmo(R) > 0.7
 
     def test_singular_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError, match="^correlation matrix is singular$"):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^correlation matrix is not positive definite$"):
             lp.kmo(np.ones((3, 3)))
 
     def test_non_symmetric_rejected(self):
@@ -211,6 +212,13 @@ class TestBartlett:
         R = compound_symmetric(3, -0.9)  # negative definite pattern
         with pytest.raises(NotPositiveDefiniteError):
             lp.bartlett(R, n=50)
+
+    @pytest.mark.parametrize("R", [np.eye(3) + np.eye(3, k=1) / 2, np.eye(3)[:2]],
+                             ids=["asymmetric", "not square"])
+    def test_checks_its_input_as_kmo_does(self, R):
+        for statistic in (lp.kmo, lambda R: lp.bartlett(R, n=50)):
+            with pytest.raises(DataError, match="^R must be a symmetric correlation matrix$"):
+                statistic(R)
 
 
 class TestFornellLarcker:
