@@ -290,7 +290,8 @@ def delta_ci(
     fit's full asymptotic covariance, so correlated estimates are
     accounted for and the total's interval does not depend on the
     mediator named. A fit without a finite acov (``compute_se=False``, or
-    a singular information matrix) raises EstimationError.
+    a singular information matrix) raises EstimationError. An empty
+    ``effects`` gives [] after those checks, without loading scipy.special.
     """
     _check_level(level)
     if not np.all(np.isfinite(result.acov)):
@@ -298,6 +299,8 @@ def delta_ci(
             "delta-method intervals need standard errors, and this fit has none "
             "(fitted with compute_se=False, or its information matrix is singular)"
         )
+    if not effects:
+        return []
     from scipy.special import ndtri
 
     eff = decompose_fit(result)

@@ -126,21 +126,15 @@ def _t(X: np.ndarray) -> np.ndarray:
 class _Point(NamedTuple):
     """k members of a stack, each at its theta: F, its gradient and the
     whitened U and V of ``_Objective.point`` there. Where Sigma is not PD,
-    f is inf and the other pieces are NaN."""
+    f is inf and g, U and V are NaN; where only the member's sample
+    covariance is not PD, f is NaN. A member that ``_minimize`` gives up
+    keeps its evaluated start."""
 
     theta: np.ndarray  # (k, t)
     f: np.ndarray  # (k,)
     g: np.ndarray  # dF/dtheta, (k, t)
     U: np.ndarray  # L^-1 u_c, (k, p, t), Sigma = L L'
     V: np.ndarray  # w_c L^-1 v_c, (k, p, t)
-
-    @staticmethod
-    def unevaluated(theta: np.ndarray, p: int) -> "_Point":
-        """The members at thetas (k, t), with nothing evaluated there yet."""
-        theta = np.array(theta, dtype=float)
-        k, t = theta.shape
-        return _Point(theta, np.full(k, np.inf), np.full((k, t), np.nan),
-                      np.full((k, p, t), np.nan), np.full((k, p, t), np.nan))
 
     def take(self, idx) -> "_Point":
         return _Point(*(piece[idx] for piece in self))
@@ -178,6 +172,9 @@ class _Objective:
         in S; w_c is 1/2 on S's diagonal and 1 elsewhere. With Sigma = L L',
         U_c = L^-1 u_c, V_c = w_c L^-1 v_c and R = I - L^-1 S_obs L^-T,
         dF/dtheta_c = tr(Sigma^-1 (Sigma - S_obs) Sigma^-1 dSigma_c) = 2 U_c' R V_c.
+
+        Every member goes through the same calls. Where Sigma is not PD, its
+        all-NaN factor makes U, V and g NaN and F is set to inf; where S_obs is not, F is NaN.
         """
         m, p = self.m, self.p
         # a Sigma that overflows (a huge fixed value) gets F = inf, the point's rejection
@@ -186,23 +183,17 @@ class _Objective:
             Ep = E[:, :p]
             sigma = Ep @ S @ _t(Ep)
             L, logdet = _chol_logdet((sigma + _t(sigma)) / 2.0)
-        pt = _Point.unevaluated(theta, p)
-        pd = ~np.isnan(logdet)
-        if pd.all():
-            pd = slice(None)  # views, not copies
-        Linv = np.linalg.inv(L[pd])
-        Q = Linv @ self.S_obs[rows[pd]] @ _t(Linv)
-        pt.f[pd] = (logdet[pd] + np.trace(Q, axis1=1, axis2=2)
-                    - self.logdet_S[rows[pd]] - p)
+        Linv = np.linalg.inv(L)
+        Q = Linv @ self.S_obs[rows] @ _t(Linv)
+        f = logdet + np.trace(Q, axis1=1, axis2=2) - self.logdet_S[rows] - p
+        f[np.isnan(logdet)] = np.inf
         R = np.eye(p) - (Q + _t(Q)) / 2.0
-        S, E = S[pd], E[pd]
         W = Linv @ E[:, :p]
-        pt.U[pd] = W[:, :, self.u_cells]
+        U = W.take(self.u_cells, axis=2)
         V = np.concatenate([(W @ S) @ _t(E[:, m.A.cols]), W[:, :, m.S.cols]], axis=2)
         V *= self.w
-        pt.V[pd] = V
-        pt.g[pd] = 2.0 * ((R @ V) * pt.U[pd]).sum(axis=1)
-        return pt
+        g = 2.0 * ((R @ V) * U).sum(axis=1)
+        return _Point(theta, f, g, U, V)
 
     def informations(self, pt: _Point) -> np.ndarray:
         """Expected information tr(Sigma^-1 dSigma_k Sigma^-1 dSigma_l),
@@ -255,7 +246,9 @@ FAILURES = {
 class _OptimResult:
     """One entry per member of the stack."""
 
-    at: _Point  # each member's last accepted point; a given-up member's start theta
+    # each member's last accepted point; a given-up member's evaluated start,
+    # with F inf where its Sigma is not PD and NaN where only its S is not
+    at: _Point
     iterations: np.ndarray  # (B,)
     stop: np.ndarray  # (B,) stop codes; GTOL is converged
 
@@ -284,12 +277,11 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
     member's stop code says why it stopped: GTOL (converged), STALLED (F
     stalled three iterations running), NO_STEP (60 halvings found no
     acceptable step), MAX_ITER, or NONPD_SAMPLE or NONPD_START (its sample
-    covariance, or the Sigma of its start, is not PD; it keeps its start
-    theta). A LinAlgError stops the whole stack as an EstimationError.
+    covariance, or the Sigma of its start, is not PD; its record is its
+    evaluated start). A LinAlgError stops the whole stack as an EstimationError.
     """
     B = len(theta0)
     stop = np.where(np.isnan(objective.logdet_S), NONPD_SAMPLE, RUNNING)
-    at = _Point.unevaluated(theta0, objective.p)
     iterations = np.zeros(B, dtype=int)
     stalls = np.zeros(B, dtype=int)
 
@@ -329,12 +321,13 @@ def _minimize(objective: _Objective, theta0: np.ndarray, opts: EstimationOptions
         stop[rows[pending]] = NO_STEP  # report whatever we have
 
     try:
+        # every member's record starts as its evaluated start; the copy
+        # keeps the caller's theta0 unwritten
+        at = objective.point(np.array(theta0, dtype=float), np.arange(B))
+        stop[(stop == RUNNING) & ~np.isfinite(at.f)] = NONPD_START
         rows = np.flatnonzero(stop == RUNNING)
-        pt = objective.point(at.theta[rows], rows)
-        pd = np.isfinite(pt.f)
-        stop[rows[~pd]] = NONPD_START
         # F before the start is +inf, so the start is never a stall
-        reach(rows[pd], pt if pd.all() else pt.take(pd), np.inf, 0)
+        reach(rows, at.take(rows), np.inf, 0)
         for it in range(1, opts.max_iter + 1):
             rows = np.flatnonzero(stop == RUNNING)
             if not rows.size:

@@ -673,25 +673,26 @@ class TestStackedRefits:
             assert opt.at.theta[b].tobytes() == fits[b].theta.tobytes()
 
     # no sample covariance is known to give start values that are not PD, so
-    # a stub rejects one member's start
-    def test_non_pd_start_is_given_up_alone(self):
+    # a stub fails one member's factorization at the start, as Cholesky does
+    # there: an all-NaN factor and a NaN log-determinant
+    def test_non_pd_start_is_given_up_alone(self, monkeypatch):
         spec, data = planted_mediation_data(0.5, 0.4, 0.2, 100, seed=3)
         fits = resampled_fits(spec, data, 2, 3)
         m = fits[0].matrices
         S = np.array([res.S for res in fits])
+        real, calls = sem._chol_logdet, []
 
-        class RejectingAStart(sem._Objective):
-            started = False
+        def rejecting_a_start(M):
+            L, logdet = real(M)
+            if not calls:
+                L[1], logdet[1] = np.nan, np.nan
+            calls.append(len(M))
+            return L, logdet
 
-            def point(self, theta, rows):
-                pt = super().point(theta, rows)
-                if not self.started:
-                    pt.f[rows == 1] = np.inf
-                self.started = True
-                return pt
-
+        monkeypatch.setattr(sem, "_chol_logdet", rejecting_a_start)
         start = sem.start_values(m, S)
-        opt = sem._minimize(RejectingAStart(m, S), start, lp.EstimationOptions())
+        opt = sem._minimize(sem._Objective(m, S), start, lp.EstimationOptions())
+        assert calls[0] == 3
         assert opt.stop[1] == sem.NONPD_START
         assert opt.iterations[1] == 0
         assert opt.at.theta[1].tobytes() == start[1].tobytes()

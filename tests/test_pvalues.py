@@ -50,6 +50,7 @@ lp.bootstrap_ci(data, spec, [("X", "M", "Y")], replicates=100, seed=3,
                 standardize_latents=True)
 print("scipy.special" in sys.modules)
 result = lp.fit(spec, moments, standardize_latents=True)
+assert lp.delta_ci(result, []) == []
 print("scipy.special" in sys.modules)
 result.p_values
 print("scipy.special" in sys.modules)
@@ -90,7 +91,8 @@ def run_cold(code):
 
 def test_no_se_fit_and_bootstrap_do_not_load_scipy_special():
     # scipy.special outweighs the rest of the import; only p-values and quantiles need
-    # it, so not even a fit with SEs loads it until its p-values are read
+    # it, so not even a fit with SEs, nor delta_ci on no effects, loads it until
+    # its p-values are read
     assert run_cold(COLD_START) == ["False", "False", "True"]
 
 

@@ -354,11 +354,20 @@ class TestKernelOracle:
         X = np.linalg.solve(lp.implied_covariance(m, point), d_sigma)
         np.testing.assert_allclose(info, np.einsum("kij,lji->kl", X, X), rtol=1e-5, atol=1e-7)
 
-        thetas = np.stack([theta, point, self.draw_theta(m, rng)])
-        S = np.stack([sigma, lp.implied_covariance(m, thetas[2]), sigma + 0.1 * np.eye(len(sigma))])
+        # a fourth member whose Sigma is not PD: one error variance of -10
+        # leaves a variance below 0; it comes out at F = inf with NaN pieces,
+        # without a warning, and leaves the others' bits as they are alone
+        non_pd = theta.copy()
+        non_pd[[par.kind for par in m.parameters].index("error_variance")] = -10.0
+        assert np.diag(lp.implied_covariance(m, non_pd)).min() < 0
+        thetas = np.stack([theta, point, self.draw_theta(m, rng), non_pd])
+        S = np.stack([sigma, lp.implied_covariance(m, thetas[2]), sigma + 0.1 * np.eye(len(sigma)),
+                      sigma])
         stacked = _Objective(m, S)
-        pt = stacked.point(thetas, np.arange(3))
+        pt = stacked.point(thetas, np.arange(4))
         info = stacked.informations(pt)
+        assert pt.f[3] == np.inf
+        assert np.isnan(pt.g[3]).all() and np.isnan(pt.U[3]).all() and np.isnan(pt.V[3]).all()
         for b in range(3):
             one = _Objective(m, S[b])
             pt_b = one.point(thetas[b:b + 1], np.zeros(1, dtype=int))
@@ -374,6 +383,58 @@ class TestKernelOracle:
         at = [m.labels.index(label) for label in shuffled.labels]
         np.testing.assert_allclose(lp.implied_covariance(shuffled, theta[at]),
                                    sigma[np.ix_(perm, perm)], rtol=1e-12)
+
+
+class TestClosedForm:
+    """ML estimates on models whose optimum is known in closed form."""
+
+    @pytest.mark.parametrize("std_lv", [False, True])
+    def test_just_identified_one_factor(self, std_lv):
+        # under the marker, lambda_2 = s23/s13, lambda_3 = s23/s12 and
+        # phi = s12 s13/s23, and each error variance is s_ii - lambda_i^2 phi;
+        # under --std-lv the loadings are the marker's times sqrt(phi)
+        rng = np.random.default_rng(0)
+        X = (rng.standard_normal(300)[:, None] * [1.0, 0.8, 0.6]
+             + rng.standard_normal((300, 3)) * [0.6, 0.7, 0.8])
+        moments = lp.covariance(lp.Dataset(["a", "b", "c"], X))
+        S = moments.S
+        lam = np.array([1.0, S[1, 2] / S[0, 2], S[1, 2] / S[0, 1]])
+        phi = S[0, 1] * S[0, 2] / S[1, 2]
+        want = {f"{v}~~{v}": S[i, i] - lam[i] ** 2 * phi for i, v in enumerate("abc")}
+        if std_lv:
+            want.update({f"F=~{v}": lam[i] * np.sqrt(phi) for i, v in enumerate("abc")})
+        else:
+            want.update({"F=~b": lam[1], "F=~c": lam[2], "F~~F": phi})
+        res = lp.fit(lp.parse_model("F =~ a + b + c"), moments, standardize_latents=std_lv,
+                     compute_se=False)
+        assert res.converged and res.df == 0
+        assert sorted(res.labels) == sorted(want)
+        closed = np.array([want[label] for label in res.labels])
+        # F is at its roundoff floor before theta is: the fit stops within
+        # 1e-7, and one more scoring step lands on the closed form
+        np.testing.assert_allclose(res.theta, closed, rtol=1e-7)
+        _, g, info = evaluate(_Objective(res.matrices, res.S), res.theta)
+        np.testing.assert_allclose(res.theta - np.linalg.solve(info, g), closed, rtol=1e-10)
+
+    def test_recursive_path_model_is_ols(self):
+        # single indicators without error make the latents the observed
+        # variables; the likelihood then factors by equation, so each
+        # dependent's paths are its OLS coefficients, and F = 0 at df = 0
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(300)
+        m = 0.5 * x + rng.standard_normal(300)
+        y = 0.4 * m + 0.2 * x + rng.standard_normal(300)
+        D = np.column_stack([x, m, y])
+        spec = lp.parse_model("X =~ x\nM =~ m\nY =~ y\nM ~ X\nY ~ M + X\n"
+                              "x ~~ 0*x\nm ~~ 0*m\ny ~~ 0*y")
+        res = lp.fit(spec, lp.covariance(lp.Dataset(["x", "m", "y"], D)), compute_se=False)
+        assert res.converged and res.df == 0
+        assert abs(res.f_min) < 1e-12
+        D = D - D.mean(axis=0)
+        (a,) = np.linalg.lstsq(D[:, [0]], D[:, 1], rcond=None)[0]
+        b, c = np.linalg.lstsq(D[:, [1, 0]], D[:, 2], rcond=None)[0]
+        paths = [res.theta[res.labels.index(label)] for label in ("M~X", "Y~M", "Y~X")]
+        np.testing.assert_allclose(paths, [a, b, c], rtol=0, atol=1e-8)
 
 
 class TestFit:
